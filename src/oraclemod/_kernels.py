@@ -1,64 +1,22 @@
 """Hot fixed-point kernels over frame tables.
 
-Both oracle-modality computations reduce to integer table recursions:
+Both oracle-modality computations reduce to integer table recursions,
+vectorized with numpy over the whole carrier:
 
 * ``kleene_table`` iterates t := s \\/ \\/_a (E_a /\\ (P_a => t)) from t = s
-  until it stabilizes, for every start s;
+  until it stabilizes, for every start s at once;
 * ``prefixed_mask`` / ``bruteforce_table`` realize the same operator as the
-  meet of all prefixed points.
-
-The JIT-compiled path is used by default; set ``ORACLEMOD_NO_NUMBA=1`` to
-force the pure-numpy fallback (``benchmarks/bench_kernels.py`` compares the
-two). Both paths produce bit-identical tables.
+  meet of all prefixed points, the independent route the Kleene tables are
+  checked against.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def use_numba() -> bool:
-    return HAS_NUMBA and os.environ.get("ORACLEMOD_NO_NUMBA", "0") not in (
-        "1",
-        "true",
-        "yes",
-    )
-
-
-@njit(cache=True)
-def _kleene_nb(meet, join, implies, ext, prd):  # pragma: no cover - jitted
-    n = meet.shape[0]
-    k = ext.shape[0]
-    out = np.empty(n, dtype=np.int32)
-    for s in range(n):
-        t = s
-        while True:
-            nxt = s
-            for a in range(k):
-                nxt = join[nxt, meet[ext[a], implies[prd[a], t]]]
-            if nxt == t:
-                break
-            t = nxt
-        out[s] = t
-    return out
-
-
-def _kleene_np(meet, join, implies, ext, prd):
+def kleene_table(meet, join, implies, ext, prd) -> np.ndarray:
+    """Least-fixed-point table for the query operator, one entry per start."""
     n = meet.shape[0]
     start = np.arange(n, dtype=np.int32)
     t = start.copy()
@@ -71,22 +29,8 @@ def _kleene_np(meet, join, implies, ext, prd):
         t = nxt
 
 
-@njit(cache=True)
-def _prefixed_nb(leq, meet, implies, ext, prd):  # pragma: no cover - jitted
-    n = meet.shape[0]
-    k = ext.shape[0]
-    out = np.empty(n, dtype=np.bool_)
-    for r in range(n):
-        good = True
-        for a in range(k):
-            if not leq[meet[ext[a], implies[prd[a], r]], r]:
-                good = False
-                break
-        out[r] = good
-    return out
-
-
-def _prefixed_np(leq, meet, implies, ext, prd):
+def prefixed_mask(leq, meet, implies, ext, prd) -> np.ndarray:
+    """Boolean mask of the prefixed points of the query operator."""
     n = meet.shape[0]
     if ext.shape[0] == 0:
         return np.ones(n, dtype=bool)
@@ -95,44 +39,9 @@ def _prefixed_np(leq, meet, implies, ext, prd):
     return leq[rows, carrier[None, :]].all(axis=0)
 
 
-@njit(cache=True)
-def _meet_over_nb(leq, meet, prefixed, top):  # pragma: no cover - jitted
-    n = meet.shape[0]
-    out = np.empty(n, dtype=np.int32)
-    for s in range(n):
-        acc = top
-        for r in range(n):
-            if prefixed[r] and leq[s, r]:
-                acc = meet[acc, r]
-        out[s] = acc
-    return out
-
-
-def _meet_over_np(leq, meet, prefixed, top):
-    n = meet.shape[0]
-    acc = np.full(n, top, dtype=np.int32)
-    for r in np.flatnonzero(prefixed):
-        acc = np.where(leq[:, r], meet[acc, r], acc)
-    return acc
-
-
-def kleene_table(meet, join, implies, ext, prd) -> np.ndarray:
-    """Least-fixed-point table for the query operator, one entry per start."""
-    if use_numba():
-        return _kleene_nb(meet, join, implies, ext, prd)
-    return _kleene_np(meet, join, implies, ext, prd)
-
-
-def prefixed_mask(leq, meet, implies, ext, prd) -> np.ndarray:
-    """Boolean mask of the prefixed points of the query operator."""
-    if use_numba():
-        return _prefixed_nb(leq, meet, implies, ext, prd)
-    return _prefixed_np(leq, meet, implies, ext, prd)
-
-
 def bruteforce_table(leq, meet, implies, ext, prd, top: int) -> np.ndarray:
     """Modality table as the meet of all prefixed points above each start."""
-    pref = prefixed_mask(leq, meet, implies, ext, prd)
-    if use_numba():
-        return _meet_over_nb(leq, meet, pref, top)
-    return _meet_over_np(leq, meet, pref, top)
+    acc = np.full(meet.shape[0], top, dtype=np.int32)
+    for r in np.flatnonzero(prefixed_mask(leq, meet, implies, ext, prd)):
+        acc = np.where(leq[:, r], meet[acc, r], acc)
+    return acc

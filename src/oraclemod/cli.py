@@ -19,7 +19,7 @@ from .containers import (
     oracle_modality_bruteforce,
     validate_container,
 )
-from .errors import InternalInvariantViolation, OracleModError
+from .errors import InternalInvariantViolation, OracleModError, SizeLimitExceeded
 from .nuclei import (
     Nucleus,
     dense_elements,
@@ -286,6 +286,9 @@ def run(argv=None) -> int:
         }
         sys.stderr.write(emit_report(payload, args.format))
         return 4
+    except SizeLimitExceeded as e:
+        sys.stderr.write(f"oraclemod: error: {e}\n")
+        return 3
     except (OracleModError, OSError, json.JSONDecodeError, ValueError, KeyError) as e:
         sys.stderr.write(f"oraclemod: error: {e}\n")
         return 2

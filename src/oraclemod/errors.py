@@ -21,10 +21,6 @@ class SizeLimitExceeded(OracleModError):
     """A construction or enumeration would exceed its configured size bound."""
 
 
-class BudgetExceeded(OracleModError):
-    """A verification run exhausted its instance budget before completing."""
-
-
 class ArityError(OracleModError):
     """An encoder was called with the wrong number of arguments."""
 

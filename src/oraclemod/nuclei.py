@@ -226,29 +226,21 @@ def enumerate_nuclei(
     return tuple(out)
 
 
-def sup_nuclei(
-    frame: Frame,
-    js: Iterable[Nucleus],
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> Nucleus:
-    """Supremum of a family of nuclei: the least enumerated nucleus that
-    dominates every member pointwise."""
+def sup_nuclei(frame: Frame, js: Iterable[Nucleus]) -> Nucleus:
+    """Supremum of a family of nuclei, in closed form.
+
+    Every nucleus is the oracle modality of its container of stable queries,
+    and the modality of a sum of containers is the sup of their modalities,
+    so the sup is the modality of the sum of those containers.
+    """
+    # Imported here because the containers module builds on this one.
+    from .containers import container_sum, oracle_modality, pred_of_nucleus
+
     js = list(js)
     for j in js:
         if j.frame is not frame:
             raise FrameMismatch("nucleus on a different frame")
-    dominating = [
-        k for k in enumerate_nuclei(frame, limit) if all(nucleus_leq(j, k) for j in js)
-    ]
-    # Closure operators that dominate a family are closed under pointwise
-    # meet, so folding meet over them lands back in the family.
-    table = np.full(len(frame), frame.top_index, dtype=np.int32)
-    for k in dominating:
-        table = frame.meet_table[table, k.table]
-    best = Nucleus(frame, table)
-    if best not in dominating:
-        raise InternalInvariantViolation("pointwise meet of dominators is not one")
-    return best
+    return oracle_modality(container_sum([pred_of_nucleus(j) for j in js], frame))
 
 
 def fixed_points_frame(j: Nucleus) -> Frame:

@@ -67,6 +67,12 @@ class ExtWeihrauchPredicate:
                 return fams
         return ()
 
+    def alternatives(self, b: Term):
+        """(label, answers) pairs for the existential at node realizer b:
+        one per family stored for b."""
+        for i, theta in enumerate(self.families_for(b)):
+            yield (f"family {i}", theta)
+
 
 class PartitionedAssemblyPredicate:
     """A finite carrier with one realizer per element and a set of answers
@@ -86,6 +92,13 @@ class PartitionedAssemblyPredicate:
             x: tuple(_normalize(d, fuel, "answer") for d in pred[x])
             for x in self.elements
         }
+
+    def alternatives(self, b: Term):
+        """(label, answers) pairs for the existential at node realizer b:
+        one per carrier element realized by b."""
+        for x in self.elements:
+            if self.rho[x] == b:
+                yield (f"element {x}", self.pred[x])
 
 
 # -- reducibility ------------------------------------------------------------
@@ -276,12 +289,7 @@ def check_oracle_membership_w(
 ) -> MembershipVerdict:
     """Membership of an encoded tree in the least set generated by leaves
     over ``members`` and f-indexed nodes."""
-
-    def alts(b: Term):
-        for i, theta in enumerate(f.families_for(b)):
-            yield (f"family {i}", theta)
-
-    return _check_membership(alts, members, t, depth, fuel)
+    return _check_membership(f.alternatives, members, t, depth, fuel)
 
 
 def check_oracle_membership_asm(
@@ -293,13 +301,7 @@ def check_oracle_membership_asm(
 ) -> MembershipVerdict:
     """Assembly flavour: a node realizer must be the realizer of some
     carrier element, each such element giving one alternative."""
-
-    def alts(b: Term):
-        for x in P.elements:
-            if P.rho[x] == b:
-                yield (f"element {x}", P.pred[x])
-
-    return _check_membership(alts, members, t, depth, fuel)
+    return _check_membership(P.alternatives, members, t, depth, fuel)
 
 
 def recheck_certificate(
@@ -332,17 +334,8 @@ def recheck_certificate(
 
 
 def recheck_certificate_w(f, members, t, cert, fuel: int = 100_000) -> bool:
-    def alts(b: Term):
-        for i, theta in enumerate(f.families_for(b)):
-            yield (f"family {i}", theta)
-
-    return recheck_certificate(alts, members, t, cert, fuel)
+    return recheck_certificate(f.alternatives, members, t, cert, fuel)
 
 
 def recheck_certificate_asm(P, members, t, cert, fuel: int = 100_000) -> bool:
-    def alts(b: Term):
-        for x in P.elements:
-            if P.rho[x] == b:
-                yield (f"element {x}", P.pred[x])
-
-    return recheck_certificate(alts, members, t, cert, fuel)
+    return recheck_certificate(P.alternatives, members, t, cert, fuel)

@@ -5,6 +5,7 @@ saturation, residuation scans, and the full inflationary-table filter.
 None of it shares code with the package's own computation paths.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -62,3 +63,22 @@ def bruteforce_nuclei(frame):
     meets = (lhs == rhs).all(axis=1)
     keep = tables[idem & meets]
     return sorted(tuple(map(int, t)) for t in keep)
+
+
+@functools.cache
+def _nuclei_array(frame):
+    return np.array(bruteforce_nuclei(frame), dtype=np.int32)
+
+
+def bruteforce_sup(frame, js):
+    """Least brute-force nucleus table dominating every nucleus in js; the
+    nuclei of each frame are filtered once and reused."""
+    leq = frame.leq_table
+    tables = _nuclei_array(frame)
+    above = np.ones(len(tables), dtype=bool)
+    for j in js:
+        above &= leq[j.table[None, :], tables].all(axis=1)
+    tables = tables[above]
+    below_all = leq[tables[:, None, :], tables[None, :, :]].all(axis=(1, 2))
+    (least,) = tables[below_all]
+    return tuple(map(int, least))

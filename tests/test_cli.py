@@ -10,12 +10,22 @@ from oraclemod.pca import Const, pp, tag_leaf
 from oraclemod.trees import Leaf, SetContainer
 
 CHAIN2 = {"elements": ["p", "q"], "le": [["p", "q"]]}
+# four disjoint two-element chains a_i < b_i: carrier 3**4 = 81
+PAIRS4 = {"elements": [f"{x}{i}" for i in range(4) for x in "ab"],
+          "le": [[f"a{i}", f"b{i}"] for i in range(4)]}
 
 
 @pytest.fixture
 def poset_file(tmp_path):
     path = tmp_path / "chain2.json"
     io.dump_json(CHAIN2, path)
+    return str(path)
+
+
+@pytest.fixture
+def pairs4_file(tmp_path):
+    path = tmp_path / "pairs4.json"
+    io.dump_json(PAIRS4, path)
     return str(path)
 
 
@@ -69,6 +79,36 @@ def test_nuclei_sup(poset_file, tmp_path, capsys):
     assert json.loads(out)["body"]["sup"] == {
         "": ["p", "q"], "p": ["p", "q"], "p,q": ["p", "q"]
     }
+
+
+def test_nuclei_sup_on_carrier_81(pairs4_file, tmp_path, capsys):
+    frame = downset_frame(io.poset_from_dict(PAIRS4))
+    p, q = frame.element(["a0", "b0"]), frame.element(["a1"])
+
+    def table(j):
+        return io.nucleus_to_dict(j)["table"]
+
+    def sup(*js):
+        argv = ["--format", "json", "nuclei", "sup", "--poset", pairs4_file]
+        for i, j in enumerate(js):
+            path = tmp_path / f"j{i}.json"
+            io.dump_json(io.nucleus_to_dict(j), path)
+            argv += ["--nucleus", str(path)]
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        return json.loads(out)["body"]["sup"]
+
+    closed_p = canonical_nuclei(frame, "closed", p)
+    assert sup(canonical_nuclei(frame, "open", p), closed_p) == table(
+        canonical_nuclei(frame, "top"))
+    assert sup(closed_p, canonical_nuclei(frame, "closed", q)) == table(
+        canonical_nuclei(frame, "closed", frame.join(p, q)))
+
+
+@pytest.mark.parametrize("verb", (["nuclei", "enumerate"], ["verify", "retraction"]))
+def test_enumeration_size_limit_exits_3(pairs4_file, verb, capsys):
+    assert cli.run(verb + ["--poset", pairs4_file]) == 3
+    assert "exceeds enumeration limit 64" in capsys.readouterr().err
 
 
 def test_oracle_compute_and_compare(poset_file, tmp_path, capsys):

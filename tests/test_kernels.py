@@ -8,36 +8,17 @@ from oraclemod.theorems import random_container
 from catalog import SMALL, make_frame
 
 
-def _tables(frame, c):
-    kle = _kernels.kleene_table(
-        frame.meet_table, frame.join_table, frame.implies_table, c.ext, c.prd
-    )
-    bru = _kernels.bruteforce_table(
-        frame.leq_table, frame.meet_table, frame.implies_table,
-        c.ext, c.prd, frame.top_index,
-    )
-    return kle, bru
-
-
-def test_env_flag_switches_paths(monkeypatch):
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not importable")
-    monkeypatch.setenv("ORACLEMOD_NO_NUMBA", "0")
-    assert _kernels.use_numba()
-    monkeypatch.setenv("ORACLEMOD_NO_NUMBA", "1")
-    assert not _kernels.use_numba()
-
-
 @pytest.mark.parametrize("name", SMALL + ("anti4", "diamond"))
-def test_both_paths_give_identical_tables(name, monkeypatch):
+def test_both_paths_give_identical_tables(name):
     frame = make_frame(name)
     rng = random.Random(f"kernels:{name}")
     for _ in range(25):
         c = random_container(frame, rng)
-        monkeypatch.setenv("ORACLEMOD_NO_NUMBA", "1")
-        k_np, b_np = _tables(frame, c)
-        monkeypatch.setenv("ORACLEMOD_NO_NUMBA", "0")
-        k_nb, b_nb = _tables(frame, c)
-        assert (k_np == k_nb).all()
-        assert (b_np == b_nb).all()
-        assert (k_np == b_np).all()
+        kle = _kernels.kleene_table(
+            frame.meet_table, frame.join_table, frame.implies_table, c.ext, c.prd
+        )
+        bru = _kernels.bruteforce_table(
+            frame.leq_table, frame.meet_table, frame.implies_table,
+            c.ext, c.prd, frame.top_index,
+        )
+        assert (kle == bru).all()
