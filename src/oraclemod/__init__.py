@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .containers import (
     IndexedPropContainer,
-    container,
     container_sum,
     counterexample_container,
     empty_container,
@@ -23,7 +22,6 @@ from .frames import (
     FrameElement,
     Poset,
     downset_frame,
-    heyting,
     poset_from_relation,
 )
 from .nuclei import (

@@ -43,6 +43,17 @@ _VERIFY_SUITES = {
 }
 
 
+def _count(src: str) -> int:
+    """The value of a --cases, --depth or --fuel option: an integer >= 0."""
+    try:
+        n = int(src)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {src!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="oraclemod",
@@ -76,20 +87,20 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=sorted(_VERIFY_SUITES))
     ver.add_argument("--poset", required=True)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--cases", type=int, default=200)
+    ver.add_argument("--cases", type=_count, default=200)
     ver.add_argument("--nucleus", action="append", default=[],
                      help="inject extra nucleus tables into the retraction check")
 
     tr = sub.add_parser("trees").add_subparsers(dest="sub", required=True)
     ts = tr.add_parser("suite")
     ts.add_argument("--seed", type=int, default=0)
-    ts.add_argument("--cases", type=int, default=200)
-    ts.add_argument("--depth", type=int, default=4)
+    ts.add_argument("--cases", type=_count, default=200)
+    ts.add_argument("--depth", type=_count, default=4)
 
     pc = sub.add_parser("pca").add_subparsers(dest="sub", required=True)
     pe = pc.add_parser("eval")
     pe.add_argument("--term", required=True)
-    pe.add_argument("--fuel", type=int, default=100_000)
+    pe.add_argument("--fuel", type=_count, default=100_000)
 
     wc = sub.add_parser("weihrauch").add_subparsers(dest="sub", required=True)
     w = wc.add_parser("check")
@@ -97,15 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--g", required=True)
     w.add_argument("--l1", required=True)
     w.add_argument("--l2", required=True)
-    w.add_argument("--fuel", type=int, default=100_000)
+    w.add_argument("--fuel", type=_count, default=100_000)
 
     ot = sub.add_parser("oracle-tree").add_subparsers(dest="sub", required=True)
     oc = ot.add_parser("check")
     oc.add_argument("--pred", required=True)
     oc.add_argument("--s", required=True)
     oc.add_argument("--term", required=True)
-    oc.add_argument("--depth", type=int, default=8)
-    oc.add_argument("--fuel", type=int, default=100_000)
+    oc.add_argument("--depth", type=_count, default=8)
+    oc.add_argument("--fuel", type=_count, default=100_000)
 
     return p
 

@@ -52,10 +52,6 @@ class IndexedPropContainer:
     def pred_of(self, shape: str) -> FrameElement:
         return self.frame.el(int(self.prd[self.shapes.index(shape)]))
 
-    @property
-    def globally_defined(self) -> bool:
-        return bool((self.ext == self.frame.top_index).all())
-
     def __len__(self) -> int:
         return len(self.shapes)
 
@@ -70,14 +66,6 @@ class IndexedPropContainer:
 def validate_container(c: IndexedPropContainer) -> bool:
     """A container is valid when every predicate sits under its extent."""
     return bool(c.frame.leq_table[c.prd, c.ext].all())
-
-
-def container(
-    frame: Frame,
-    pred: Mapping[str, FrameElement],
-    extent: Mapping[str, FrameElement] | None = None,
-) -> IndexedPropContainer:
-    return IndexedPropContainer(frame, pred, extent)
 
 
 def lem_container(frame: Frame) -> IndexedPropContainer:

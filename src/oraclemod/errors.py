@@ -18,7 +18,8 @@ class FrameMismatch(OracleModError):
 
 
 class SizeLimitExceeded(OracleModError):
-    """A construction or enumeration would exceed its configured size bound."""
+    """A construction, enumeration or evaluation would exceed its size or
+    fuel bound."""
 
 
 class ArityError(OracleModError):

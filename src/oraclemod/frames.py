@@ -299,20 +299,3 @@ def subframe(ambient: Frame, indices: Sequence[int], join_map: np.ndarray) -> Fr
         raise InternalInvariantViolation(f"derived frame breaks laws: {bad}")
     return frame
 
-
-def heyting(frame: Frame, kind: str, args: Sequence[FrameElement]) -> FrameElement:
-    """Dispatch a named lattice operation; ``neg`` takes one argument,
-    ``implies`` exactly two, ``meet``/``join`` any number."""
-    if kind == "meet":
-        return frame.meet(*args)
-    if kind == "join":
-        return frame.join(*args)
-    if kind == "implies":
-        if len(args) != 2:
-            raise ValueError("implies takes exactly two arguments")
-        return frame.implies(args[0], args[1])
-    if kind == "neg":
-        if len(args) != 1:
-            raise ValueError("neg takes exactly one argument")
-        return frame.neg(args[0])
-    raise ValueError(f"unknown operation kind {kind!r}")

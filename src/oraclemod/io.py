@@ -14,12 +14,12 @@ from typing import Mapping
 import numpy as np
 
 from .containers import IndexedPropContainer
-from .errors import UnknownLabel
+from .errors import OracleModError
 from .frames import Frame, FrameElement, Poset, downset_frame, poset_from_relation
-from .nuclei import Nucleus
+from .nuclei import Nucleus, _coerce_table
 from .pca import Term, parse_term
 from .trees import Leaf, SetContainer, Tree, node
-from .weihrauch import ExtWeihrauchPredicate, PartitionedAssemblyPredicate
+from .weihrauch import ExtWeihrauchPredicate
 
 
 def load_json(path: str | Path):
@@ -36,8 +36,19 @@ def dump_json(obj, path: str | Path) -> None:
 # -- posets and frames --------------------------------------------------
 
 
+def _is_labels(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
 def poset_from_dict(d: Mapping) -> Poset:
-    return poset_from_relation(d["elements"], [tuple(p) for p in d.get("le", [])])
+    if not isinstance(d, Mapping):
+        raise OracleModError("a poset must be a JSON object")
+    elements, le = d["elements"], d.get("le", [])
+    if not _is_labels(elements):
+        raise OracleModError('poset "elements" must be a list of string labels')
+    if not (isinstance(le, list) and all(_is_labels(p) and len(p) == 2 for p in le)):
+        raise OracleModError('poset "le" must be a list of [lower, upper] label pairs')
+    return poset_from_relation(elements, [tuple(p) for p in le])
 
 
 def poset_to_dict(p: Poset) -> dict:
@@ -58,8 +69,12 @@ def element_to_json(el: FrameElement) -> list[str]:
 def element_from_json(frame: Frame, v) -> FrameElement:
     if isinstance(v, str):
         labels = [x for x in v.split(",") if x]
+    elif _is_labels(v):
+        labels = v
     else:
-        labels = list(v)
+        raise OracleModError(
+            f"a frame element must be a label list or a comma-joined string, not {v!r}"
+        )
     return frame.element(labels)
 
 
@@ -80,15 +95,13 @@ def nucleus_to_dict(j: Nucleus, frame_ref: str | None = None) -> dict:
 
 def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
     table = d["table"] if "table" in d else d
-    arr = np.zeros(len(frame), dtype=np.int32)
-    seen = set()
-    for k, v in table.items():
-        i = element_from_json(frame, k).index
-        arr[i] = element_from_json(frame, v).index
-        seen.add(i)
-    if len(seen) != len(frame):
-        raise UnknownLabel("nucleus table does not cover the whole carrier")
-    return arr
+    return _coerce_table(
+        frame,
+        {
+            element_from_json(frame, k): element_from_json(frame, v)
+            for k, v in table.items()
+        },
+    )
 
 
 # -- containers -------------------------------------------------------------
@@ -129,10 +142,6 @@ def set_container_from_dict(d: Mapping) -> SetContainer:
     return SetContainer({a: list(ps) for a, ps in d["positions"].items()})
 
 
-def set_container_to_dict(c: SetContainer) -> dict:
-    return {"shapes": list(c.shapes), "positions": {a: list(ps) for a, ps in c.positions.items()}}
-
-
 def tree_from_dict(c: SetContainer, d: Mapping) -> Tree:
     if "leaf" in d:
         return Leaf(d["leaf"])
@@ -158,15 +167,6 @@ def weihrauch_predicate_from_dict(d: Mapping, fuel: int = 100_000) -> ExtWeihrau
         ]
         entries.append((inst, fams))
     return ExtWeihrauchPredicate(entries, fuel=fuel)
-
-
-def assembly_from_dict(d: Mapping, fuel: int = 100_000) -> PartitionedAssemblyPredicate:
-    rho = {x: parse_term(src, auto_declare=True) for x, src in d["rho"].items()}
-    pred = {
-        x: [parse_term(src, auto_declare=True) for src in srcs]
-        for x, srcs in d["pred"].items()
-    }
-    return PartitionedAssemblyPredicate(rho, pred, fuel=fuel)
 
 
 def terms_from_json(d) -> list[Term]:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import FrameMismatch, InternalInvariantViolation, SizeLimitExceeded
 from .frames import Frame, FrameElement, subframe
 
-DEFAULT_ENUMERATION_LIMIT = 64
+ENUMERATION_LIMIT = 64
 
 LAWS = ("inflationary", "idempotent", "meet_preservation", "monotone")
 
@@ -42,11 +42,6 @@ class Nucleus:
 
     def __call__(self, x: FrameElement) -> FrameElement:
         return self.frame.el(int(self.table[self.frame.check_element(x)]))
-
-    def as_mapping(self) -> dict[FrameElement, FrameElement]:
-        return {
-            self.frame.el(i): self.frame.el(int(v)) for i, v in enumerate(self.table)
-        }
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -109,31 +104,22 @@ def validate_nucleus(frame: Frame, table) -> NucleusReport:
     return NucleusReport(valid=not violations, violations=violations)
 
 
-def nucleus(frame: Frame, table, check: bool = True) -> Nucleus:
-    """Wrap a table as a Nucleus, validating the laws unless told otherwise."""
+def nucleus(frame: Frame, table) -> Nucleus:
+    """Wrap a table as a Nucleus after validating the laws."""
     arr = _coerce_table(frame, table)
-    if check:
-        report = validate_nucleus(frame, arr)
-        if not report.valid:
-            raise ValueError(f"table violates nucleus laws: {report.law_names()}")
+    report = validate_nucleus(frame, arr)
+    if not report.valid:
+        raise ValueError(f"table violates nucleus laws: {report.law_names()}")
     return Nucleus(frame, arr)
-
-
-def identity_nucleus(frame: Frame) -> Nucleus:
-    return Nucleus(frame, np.arange(len(frame), dtype=np.int32))
-
-
-def top_nucleus(frame: Frame) -> Nucleus:
-    return Nucleus(frame, np.full(len(frame), frame.top_index, dtype=np.int32))
 
 
 def canonical_nuclei(frame: Frame, kind: str, p: FrameElement | None = None) -> Nucleus:
     """The named standard nuclei: identity, constant top, open/closed at an
     element, and double negation."""
     if kind == "identity":
-        return identity_nucleus(frame)
+        return Nucleus(frame, np.arange(len(frame)))
     if kind == "top":
-        return top_nucleus(frame)
+        return Nucleus(frame, np.full(len(frame), frame.top_index))
     if kind == "double_negation":
         return Nucleus(frame, frame.neg_table[frame.neg_table])
     if kind in ("open", "closed"):
@@ -190,18 +176,16 @@ def _nucleus_of_fixed_set(frame: Frame, fixed: frozenset[int]) -> np.ndarray:
     return table
 
 
-def enumerate_nuclei(
-    frame: Frame, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> tuple[Nucleus, ...]:
+def enumerate_nuclei(frame: Frame) -> tuple[Nucleus, ...]:
     """All nuclei on the frame, in lexicographic table order.
 
     The search walks the closure system of meet- and implication-closed
     subsets containing top (exactly the fixed-point sets of nuclei), then
     re-validates every produced table.
     """
-    if len(frame) > limit:
+    if len(frame) > ENUMERATION_LIMIT:
         raise SizeLimitExceeded(
-            f"carrier {len(frame)} exceeds enumeration limit {limit}"
+            f"carrier {len(frame)} exceeds enumeration limit {ENUMERATION_LIMIT}"
         )
     first = _close_fixed_set(frame, frozenset())
     seen = {first}

@@ -11,7 +11,6 @@ an error: definedness is only semi-decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 from .errors import ArityError, TermSyntaxError, UnknownConstant
 
@@ -104,18 +103,13 @@ def _tokenize(src: str) -> list[str]:
     return out
 
 
-def parse_term(
-    src: str,
-    constants: Mapping[str, Const] | None = None,
-    auto_declare: bool = False,
-) -> Term:
+def parse_term(src: str, auto_declare: bool = False) -> Term:
     """Parse ``atom+`` with left-associative application.
 
-    Identifiers other than S and K resolve against ``constants``; with
-    ``auto_declare`` unknown names become fresh inert constants instead of
-    an error.
+    Identifiers other than S and K are errors unless ``auto_declare`` is
+    set, in which case each distinct name becomes one fresh inert constant.
     """
-    constants = dict(constants or {})
+    constants: dict[str, Const] = {}
     tokens = _tokenize(src)
     pos = 0
 
@@ -269,35 +263,6 @@ def tag_leaf(a: Term) -> Term:
 
 def tag_node(b: Term, c: Term) -> Term:
     return pair(numeral(1), pair(b, c))
-
-
-def encode(kind: str, args: Sequence[Term] = (), n: int | None = None) -> Term:
-    """Dispatcher over the standard encodings; arity is checked."""
-    def need(k: int) -> None:
-        if len(args) != k:
-            raise ArityError(f"{kind} takes {k} arguments, got {len(args)}")
-
-    if kind == "pair":
-        need(2)
-        return pair(args[0], args[1])
-    if kind == "fst":
-        need(0)
-        return PAIR_FST
-    if kind == "snd":
-        need(0)
-        return PAIR_SND
-    if kind == "numeral":
-        need(0)
-        if n is None:
-            raise ArityError("numeral needs n")
-        return numeral(n)
-    if kind == "tag_leaf":
-        need(1)
-        return tag_leaf(args[0])
-    if kind == "tag_node":
-        need(2)
-        return tag_node(args[0], args[1])
-    raise ArityError(f"unknown encoder kind {kind!r}")
 
 
 def match_pair(t: Term) -> tuple[Term, Term] | None:

@@ -7,6 +7,7 @@ otherwise draws a seeded sample, so reports are reproducible from
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -83,10 +84,8 @@ def all_single_shape_containers(frame: Frame) -> list[IndexedPropContainer]:
     return out
 
 
-def random_container(
-    frame: Frame, rng: random.Random, max_shapes: int = 3
-) -> IndexedPropContainer:
-    k = rng.randint(1, max_shapes)
+def random_container(frame: Frame, rng: random.Random) -> IndexedPropContainer:
+    k = rng.randint(1, 3)
     pred: dict = {}
     extent: dict = {}
     for i in range(k):
@@ -132,10 +131,14 @@ def _containers_for(frame: Frame, budget: Budget, rng: random.Random):
 
 
 # -- individual referees --------------------------------------------------
+#
+# Each referee takes the frame, the budget, its own seeded rng and
+# ``enumerated``, a call returning the frame's nuclei that enumerates them
+# on its first call in a run only.
 
 
-def _check_retraction(frame: Frame, budget: Budget, rng: random.Random):
-    nuclei = enumerate_nuclei(frame) + budget.extra_nuclei
+def _check_retraction(frame: Frame, budget: Budget, rng: random.Random, enumerated):
+    nuclei = enumerated() + budget.extra_nuclei
     failures = []
     for j in nuclei:
         k = oracle_modality(pred_of_nucleus(j))
@@ -146,8 +149,8 @@ def _check_retraction(frame: Frame, budget: Budget, rng: random.Random):
     return len(nuclei), failures, "exhaustive"
 
 
-def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random):
-    nuclei = enumerate_nuclei(frame)
+def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random, enumerated):
+    nuclei = enumerated()
     singles = all_single_shape_containers(frame)
     pairs = [(j, c) for j in nuclei for c in singles]
     coverage = "exhaustive-singles"
@@ -168,7 +171,7 @@ def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random):
     return len(pairs), failures, coverage
 
 
-def _check_oracle_leq(frame: Frame, budget: Budget, rng: random.Random):
+def _check_oracle_leq(frame: Frame, budget: Budget, rng: random.Random, enumerated):
     singles = all_single_shape_containers(frame)
     pairs = [(c, d) for c in singles for d in singles]
     coverage = "exhaustive-singles"
@@ -188,8 +191,8 @@ def _check_oracle_leq(frame: Frame, budget: Budget, rng: random.Random):
     return len(pairs), failures, coverage
 
 
-def _check_least_above(frame: Frame, budget: Budget, rng: random.Random):
-    nuclei = enumerate_nuclei(frame)
+def _check_least_above(frame: Frame, budget: Budget, rng: random.Random, enumerated):
+    nuclei = enumerated()
     cs, coverage = _containers_for(frame, budget, rng)
     failures = []
     for c in cs:
@@ -217,10 +220,10 @@ def _sup_by_enumeration(frame: Frame, nuclei, js) -> Nucleus:
     return best
 
 
-def _check_sup(frame: Frame, budget: Budget, rng: random.Random):
+def _check_sup(frame: Frame, budget: Budget, rng: random.Random, enumerated):
     # Referee: the sup of two modalities is taken as the least dominator among
     # all enumerated nuclei, independently of the closed form in sup_nuclei.
-    nuclei = enumerate_nuclei(frame)
+    nuclei = enumerated()
     failures = []
     n_pairs = budget.cases
     for _ in range(n_pairs):
@@ -236,7 +239,7 @@ def _check_sup(frame: Frame, budget: Budget, rng: random.Random):
     return n_pairs, failures, f"sampled {n_pairs}"
 
 
-def _check_surjection(frame: Frame, budget: Budget, rng: random.Random):
+def _check_surjection(frame: Frame, budget: Budget, rng: random.Random, enumerated):
     failures = []
     for _ in range(budget.cases):
         c = random_container(frame, rng)
@@ -246,7 +249,8 @@ def _check_surjection(frame: Frame, budget: Budget, rng: random.Random):
     return budget.cases, failures, f"sampled {budget.cases}"
 
 
-def _check_instance_vs_forcing(frame: Frame, budget: Budget, rng: random.Random):
+def _check_instance_vs_forcing(frame: Frame, budget: Budget, rng: random.Random,
+                               enumerated):
     # Cross-checks the vectorized reducibility test against the elementwise
     # single-query reading: E_c(a) <= i_d(P_c(a)) for every shape a.
     cs, coverage = _containers_for(frame, budget, rng)
@@ -284,13 +288,15 @@ def verify_theorems(
     """Run the requested referees and return one report per theorem id."""
     budget = budget or Budget()
     ids = THEOREM_IDS if suite is None else tuple(suite)
+    # Looked up at call time, so a wrapped enumerate_nuclei is the one called.
+    enumerated = functools.cache(lambda: enumerate_nuclei(frame))
     reports = []
     for name in ids:
         if name not in _CHECKERS:
             raise ValueError(f"unknown theorem id {name!r}")
         rng = random.Random(f"{budget.seed}:{name}")
         t0 = time.perf_counter()
-        checked, failures, coverage = _CHECKERS[name](frame, budget, rng)
+        checked, failures, coverage = _CHECKERS[name](frame, budget, rng, enumerated)
         reports.append(
             TheoremReport(
                 theorem=name,

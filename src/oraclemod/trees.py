@@ -244,14 +244,18 @@ SUITE_NAMES = (
     "delta-membership",
 )
 
+# Upper bounds on the size of each random case.
+MAX_SHAPES = 3
+MAX_POSITIONS = 3
+MAX_VALUES = 3
 
-def _rand_container(rng: random.Random, max_shapes: int, max_positions: int,
-                    allow_degenerate: bool) -> SetContainer:
-    k = rng.randint(1, max_shapes)
-    lo = 0 if allow_degenerate else 1
+
+def _rand_container(rng: random.Random) -> SetContainer:
+    # A shape may get no positions, so degenerate containers are drawn too.
+    k = rng.randint(1, MAX_SHAPES)
     return SetContainer(
         {
-            f"a{i}": [f"u{j}" for j in range(rng.randint(lo, max_positions))]
+            f"a{i}": [f"u{j}" for j in range(rng.randint(0, MAX_POSITIONS))]
             for i in range(k)
         }
     )
@@ -259,7 +263,7 @@ def _rand_container(rng: random.Random, max_shapes: int, max_positions: int,
 
 def _rand_tree(rng: random.Random, c: SetContainer, values: Sequence[str],
                depth: int) -> Tree:
-    if depth == 0 or rng.random() < 0.35:
+    if depth <= 0 or rng.random() < 0.35:
         return Leaf(rng.choice(list(values)))
     a = rng.choice(c.shapes)
     return Node(
@@ -280,22 +284,15 @@ def _rand_equifoliate_tree(rng: random.Random, c: SetContainer,
     return _rand_tree(rng, c, [v], depth)
 
 
-def run_tree_suites(
-    seed: int,
-    cases: int,
-    depth: int = 4,
-    max_shapes: int = 3,
-    max_positions: int = 3,
-    max_values: int = 3,
-) -> list[dict]:
+def run_tree_suites(seed: int, cases: int, depth: int = 4) -> list[dict]:
     """Run the randomized law suites; returns one JSON-ready report each."""
     reports = []
     for name in SUITE_NAMES:
         rng = random.Random(f"{seed}:{name}")
         failures: list[str] = []
         for i in range(cases):
-            values = [f"x{j}" for j in range(rng.randint(1, max_values))]
-            c = _rand_container(rng, max_shapes, max_positions, allow_degenerate=True)
+            values = [f"x{j}" for j in range(rng.randint(1, MAX_VALUES))]
+            c = _rand_container(rng)
             fails = _run_case(name, rng, c, values, depth)
             if fails:
                 failures.append(f"case {i}: {fails}")

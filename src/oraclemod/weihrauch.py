@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NotElementary
+from .errors import NotElementary, SizeLimitExceeded
 from .pca import (
     App,
     K,
@@ -33,7 +33,7 @@ _NUM1 = numeral(1)
 def _normalize(t: Term, fuel: int, what: str) -> Term:
     r = eval_term(t, fuel)
     if r.diverged:
-        raise ValueError(f"{what} {pp(t)} has no normal form within fuel {fuel}")
+        raise SizeLimitExceeded(f"{what} {pp(t)} has no normal form within fuel {fuel}")
     return r.term
 
 

@@ -111,6 +111,13 @@ def test_enumeration_size_limit_exits_3(pairs4_file, verb, capsys):
     assert "exceeds enumeration limit 64" in capsys.readouterr().err
 
 
+def test_verify_without_nuclei_runs_above_enumeration_limit(pairs4_file, capsys):
+    code, out = run_capture(capsys, ["--format", "json", "verify", "oracle-leq",
+                                     "--poset", pairs4_file, "--cases", "4"])
+    assert code == 0
+    assert json.loads(out)["body"]["reports"][0]["checked"] == 4
+
+
 def test_oracle_compute_and_compare(poset_file, tmp_path, capsys):
     cdict = {
         "shapes": ["a0", "a1", "a2"],
@@ -213,6 +220,28 @@ def test_oracle_tree_check(tmp_path, capsys):
     assert code == 1
 
 
+DIVERGES = "S (S K K) (S K K) (S (S K K) (S K K))"
+
+
+@pytest.mark.parametrize("verb", ("weihrauch", "oracle-tree"))
+def test_realizer_out_of_fuel_exits_3(tmp_path, verb, capsys):
+    # the term has no normal form, as an instance realizer or as an answer
+    io.dump_json({"entries": [{"instance": DIVERGES, "families": [["S"]]}]},
+                 tmp_path / "div.json")
+    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+                 tmp_path / "f.json")
+    io.dump_json(["m0", DIVERGES], tmp_path / "s.json")
+    if verb == "weihrauch":
+        argv = ["weihrauch", "check", "--f", str(tmp_path / "div.json"),
+                "--g", str(tmp_path / "div.json"), "--l1", "S K K",
+                "--l2", "K (S K K)"]
+    else:
+        argv = ["oracle-tree", "check", "--pred", str(tmp_path / "f.json"),
+                "--s", str(tmp_path / "s.json"), "--term", pp(tag_leaf(Const("m0")))]
+    assert cli.run(argv + ["--fuel", "200"]) == 3
+    assert "has no normal form within fuel 200" in capsys.readouterr().err
+
+
 def test_json_reports_byte_identical(poset_file, capsys):
     argv = ["--format", "json", "verify", "all", "--poset", poset_file,
             "--cases", "25", "--seed", "9"]
@@ -247,6 +276,47 @@ def test_usage_error_exits_2(capsys):
 
 def test_missing_file_exits_2(capsys):
     assert cli.run(["frame", "build", "--poset", "/nonexistent.json"]) == 2
+
+
+@pytest.mark.parametrize("argv", (
+    ["verify", "all", "--cases", "-3"],
+    ["trees", "suite", "--depth", "-1"],
+    ["trees", "suite", "--cases", "x"],
+    ["pca", "eval", "--term", "K", "--fuel", "-1"],
+))
+def test_negative_counts_are_usage_errors(argv, capsys):
+    if argv[0] == "verify":
+        argv = argv + ["--poset", "chain2.json"]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert "expected an integer >= 0" in capsys.readouterr().err
+
+
+def test_trees_suite_at_depth_0(capsys):
+    code, out = run_capture(capsys, ["--format", "json", "trees", "suite",
+                                     "--cases", "20", "--depth", "0"])
+    assert code == 0
+    assert all(s["cases"] == 20 for s in json.loads(out)["body"]["suites"])
+
+
+@pytest.mark.parametrize("kind, doc", (
+    ("poset", {"elements": [1, "a"], "le": []}),
+    ("poset", [["p", "q"]]),
+    ("container", {"shapes": ["a0"], "pred": {"a0": 5}}),
+    ("nucleus", {"table": {"": 5}}),
+))
+def test_malformed_json_values_exit_2(poset_file, tmp_path, kind, doc, capsys):
+    path = str(tmp_path / "bad.json")
+    io.dump_json(doc, path)
+    argv = {
+        "poset": ["frame", "build", "--poset", path],
+        "container": ["oracle", "compute", "--poset", poset_file, "--container", path],
+        "nucleus": ["nuclei", "validate", "--poset", poset_file, "--nucleus", path],
+    }[kind]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("oraclemod: error:") and "Traceback" not in err
 
 
 def test_internal_invariant_exits_4(monkeypatch, poset_file, capsys):

@@ -6,7 +6,7 @@ from oraclemod.errors import (
     SizeLimitExceeded,
     UnknownLabel,
 )
-from oraclemod.frames import downset_frame, heyting, poset_from_relation
+from oraclemod.frames import downset_frame, poset_from_relation
 
 from catalog import POSETS, make_frame
 from oracles import powerset_downsets, residuation_scan, transitive_closure_pairs
@@ -120,13 +120,9 @@ def test_element_lookup_and_key(o3):
 
 def test_heyting_dispatcher(o4):
     a, b = o4.element(["p"]), o4.element(["q"])
-    assert heyting(o4, "meet", [a, b]) == o4.bot
-    assert heyting(o4, "join", [a, b]) == o4.top
-    assert heyting(o4, "meet", []) == o4.top
-    assert heyting(o4, "join", []) == o4.bot
-    assert heyting(o4, "implies", [a, o4.bot]) == b
-    assert heyting(o4, "neg", [a]) == b
-    with pytest.raises(ValueError):
-        heyting(o4, "neg", [a, b])
-    with pytest.raises(ValueError):
-        heyting(o4, "frobnicate", [a])
+    assert o4.meet(a, b) == o4.bot
+    assert o4.join(a, b) == o4.top
+    assert o4.meet() == o4.top
+    assert o4.join() == o4.bot
+    assert o4.implies(a, o4.bot) == b
+    assert o4.neg(a) == b

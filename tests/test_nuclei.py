@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oraclemod.errors import FrameMismatch, SizeLimitExceeded
+from oraclemod.frames import downset_frame, poset_from_relation
 from oraclemod.nuclei import (
     canonical_nuclei,
     dense_elements,
@@ -71,9 +72,13 @@ def test_enumerate_matches_bruteforce_filter(name):
     assert tables(enumerate_nuclei(f)) == bruteforce_nuclei(f)
 
 
-def test_enumerate_respects_limit(o3):
-    with pytest.raises(SizeLimitExceeded):
-        enumerate_nuclei(o3, limit=2)
+def test_enumerate_respects_limit():
+    # four disjoint two-element chains a_i < b_i: carrier 3**4 = 81 > 64
+    labels = [f"{x}{i}" for i in range(4) for x in "ab"]
+    pairs = [(f"a{i}", f"b{i}") for i in range(4)]
+    frame = downset_frame(poset_from_relation(labels, pairs))
+    with pytest.raises(SizeLimitExceeded, match="exceeds enumeration limit 64"):
+        enumerate_nuclei(frame)
 
 
 @pytest.mark.parametrize("name", SMALL)

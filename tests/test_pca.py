@@ -13,7 +13,6 @@ from oraclemod.pca import (
     PAIR_SND,
     S,
     app,
-    encode,
     eval_term,
     match_pair,
     numeral,
@@ -125,20 +124,11 @@ def test_tags():
     assert tag == numeral(1) and match_pair(body) == (b, c)
 
 
-def test_encode_dispatcher_and_arity():
-    x, y = Const("x"), Const("y")
-    assert encode("pair", [x, y]) == pair(x, y)
-    assert encode("fst") == PAIR_FST
-    assert encode("snd") == PAIR_SND
-    assert encode("numeral", n=2) == numeral(2)
-    assert encode("tag_leaf", [x]) == tag_leaf(x)
-    assert encode("tag_node", [x, y]) == tag_node(x, y)
+def test_arity_errors():
     with pytest.raises(ArityError):
-        encode("pair", [x])
+        app()
     with pytest.raises(ArityError):
-        encode("numeral")
-    with pytest.raises(ArityError):
-        encode("mystery")
+        numeral(-1)
 
 
 def test_constant_rewrite_rules():

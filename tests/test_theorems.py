@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oraclemod import theorems
 from oraclemod.containers import IndexedPropContainer, container_sum, oracle_modality
 from oraclemod.nuclei import Nucleus, sup_nuclei
 from oraclemod.theorems import (
@@ -77,3 +78,19 @@ def test_injected_broken_nucleus_fails_retraction(o3):
     (report,) = verify_theorems(o3, suite=("retraction",), budget=budget)
     assert not report.passed
     assert report.checked == 5
+
+
+@pytest.mark.parametrize("suite, calls", ((THEOREM_IDS, 1), (("oracle-leq",), 0),
+                                          (("surjection",), 0)))
+def test_nuclei_enumerated_at_most_once_per_run(monkeypatch, o4, suite, calls):
+    seen = []
+    real = theorems.enumerate_nuclei
+
+    def counting(frame):
+        seen.append(frame)
+        return real(frame)
+
+    monkeypatch.setattr(theorems, "enumerate_nuclei", counting)
+    reports = verify_theorems(o4, suite=suite, budget=Budget(seed=1, cases=20))
+    assert all(r.passed for r in reports)
+    assert len(seen) == calls
