@@ -5,6 +5,17 @@ is the family of downward-closed subsets ordered by inclusion, and the
 binary meet, join and Heyting implication are precomputed into integer
 tables so that every downstream fixed-point computation is pure table
 lookup.
+
+By Birkhoff's representation a downset is a bitmask over the poset's sorted
+labels, stored as ``W = ceil(labels / 64)`` uint64 words: meet is ``&``,
+join is ``|``, and ``I => J`` keeps each label x with
+``down(x) & I & ~J == 0``. The tables are filled by numpy broadcasting over
+blocks of rows, and result masks are mapped back to carrier indices by one
+sort and a binary search. ``Frame.check_laws`` likewise runs its
+three-index laws in blocks over the first index, so its temporaries hold
+about ``max(BLOCK_CELLS, n**2)`` cells instead of ``n**3``. The carrier is
+capped at ``DEFAULT_CARRIER_LIMIT = 4096`` downsets: the four tables take
+13 bytes per pair, about 218 MB at 4096, and the law check is cubic.
 """
 
 from __future__ import annotations
@@ -22,7 +33,9 @@ from .errors import (
     UnknownLabel,
 )
 
-DEFAULT_CARRIER_LIMIT = 1 << 16
+DEFAULT_CARRIER_LIMIT = 1 << 12
+# Cells per block of the table build and of the three-index laws.
+BLOCK_CELLS = 1 << 18
 
 
 class Poset:
@@ -216,35 +229,62 @@ class Frame:
         # Order agrees with the operations: a <= b iff meet(a,b) == a.
         if not ((meet == rng[:, None]) == leq).all():
             bad.append("order does not match meet")
-        # Associativity via full tables: op[op[a,b],c] == op[a,op[b,c]].
-        if not (meet[meet] == meet[:, meet]).all():
-            bad.append("meet not associative")
-        if not (join[join] == join[:, join]).all():
-            bad.append("join not associative")
-        # Residuation: meet(a,b) <= c  iff  a <= implies(b,c).
-        lhs = leq[meet]                      # [a,b,c] = leq[meet[a,b], c]
-        rhs = np.take(leq, imp, axis=1)      # [a,b,c] = leq[a, imp[b,c]]
-        if not (lhs == rhs).all():
-            a, b, c = np.argwhere(lhs != rhs)[0]
-            bad.append(f"residuation fails at ({a},{b},{c})")
-        # Finite distributivity: a /\ (b \/ c) == (a /\ b) \/ (a /\ c).
-        lhs = meet[np.arange(n)[:, None, None], join[None, :, :]]
-        rhs = join[meet[:, :, None], meet[:, None, :]]
-        if not (lhs == rhs).all():
-            a, b, c = np.argwhere(lhs != rhs)[0]
-            bad.append(f"distributivity fails at ({a},{b},{c})")
+        rows = max(1, BLOCK_CELLS // (n * n))
+        # Each law compares [a, b, c] arrays for a in one block of rows.
+        laws = (
+            # op[op[a,b],c] == op[a,op[b,c]]
+            ("meet not associative", False,
+             lambda a: (meet[meet[a]], meet[a][:, meet])),
+            ("join not associative", False,
+             lambda a: (join[join[a]], join[a][:, join])),
+            # meet(a,b) <= c  iff  a <= implies(b,c)
+            ("residuation fails", True,
+             lambda a: (leq[meet[a]], np.take(leq[a], imp, axis=1))),
+            # a /\ (b \/ c) == (a /\ b) \/ (a /\ c)
+            ("distributivity fails", True,
+             lambda a: (meet[a][:, join], join[meet[a][:, :, None], meet[a][:, None, :]])),
+        )
+        for message, with_witness, sides in laws:
+            witness = _first_mismatch(n, rows, sides)
+            if witness is None:
+                continue
+            bad.append(f"{message} at ({','.join(map(str, witness))})"
+                       if with_witness else message)
         return bad
+
+
+def _first_mismatch(n: int, rows: int, sides) -> tuple[int, int, int] | None:
+    """Lexicographically first (a, b, c) where the two [a, b, c] arrays that
+    ``sides(slice)`` gives for a block of a differ, or None."""
+    for lo in range(0, n, rows):
+        lhs, rhs = sides(slice(lo, lo + rows))
+        diff = lhs != rhs
+        if diff.any():
+            a, b, c = map(int, np.argwhere(diff)[0])
+            return a + lo, b, c
+    return None
+
+
+def _mask_keys(masks: np.ndarray) -> np.ndarray:
+    """The last axis of uint64 words viewed as one opaque byte string, so a
+    whole mask is sorted and searched as a single key."""
+    width = masks.shape[-1]
+    return np.ascontiguousarray(masks).view(f"V{8 * width}")[..., 0]
 
 
 def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> Frame:
     """The frame of downward-closed subsets of a poset, ordered by inclusion."""
-    downsets: set[frozenset[str]] = {frozenset()}
-    frontier = [frozenset()]
+    labels = poset.labels
+    bit = {x: i for i, x in enumerate(labels)}
+    down = [sum(1 << bit[y] for y in poset.down(x)) for x in labels]
+    strict = [d & ~(1 << i) for i, d in enumerate(down)]
+    downsets = {0}
+    frontier = [0]
     while frontier:
         d = frontier.pop()
-        for x in poset.labels:
-            if x not in d and poset.down(x) - {x} <= d:
-                nd = d | {x}
+        for i, below in enumerate(strict):
+            if not d >> i & 1 and not below & ~d:
+                nd = d | 1 << i
                 if nd not in downsets:
                     if len(downsets) >= carrier_limit:
                         raise SizeLimitExceeded(
@@ -252,25 +292,45 @@ def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> F
                         )
                     downsets.add(nd)
                     frontier.append(nd)
-    elements = sorted(downsets, key=lambda s: (len(s), tuple(sorted(s))))
-    n = len(elements)
-    index = {e: i for i, e in enumerate(elements)}
-    leq = np.zeros((n, n), dtype=bool)
-    meet = np.zeros((n, n), dtype=np.int32)
-    join = np.zeros((n, n), dtype=np.int32)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            leq[i, j] = a <= b
-            meet[i, j] = index[a & b]
-            join[i, j] = index[a | b]
-    # Heyting implication in a downset lattice:
-    # I => J contains x iff the principal downset of x meets I only inside J.
-    imp = np.zeros((n, n), dtype=np.int32)
-    downs = {x: poset.down(x) for x in poset.labels}
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            body = frozenset(x for x in poset.labels if downs[x] & a <= b)
-            imp[i, j] = index[body]
+    # Labels are sorted, so ordering by (size, set-bit positions) is the
+    # order by (size, sorted labels).
+    keyed = sorted(
+        (m.bit_count(), tuple(i for i in range(len(labels)) if m >> i & 1), m)
+        for m in downsets
+    )
+    elements = [frozenset(labels[i] for i in bits) for _, bits, _ in keyed]
+    width = max(1, -(-len(labels) // 64))
+
+    def words(m: int) -> list[int]:
+        return [(m >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(width)]
+
+    masks = np.array([words(m) for _, _, m in keyed], dtype=np.uint64)
+    principal = np.array([words(m) for m in down], dtype=np.uint64).reshape(-1, width)
+    keys = _mask_keys(masks)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def index_of(result: np.ndarray) -> np.ndarray:
+        return order[np.searchsorted(sorted_keys, _mask_keys(result))].astype(np.int32)
+
+    n = len(masks)
+    leq = np.empty((n, n), dtype=bool)
+    meet = np.empty((n, n), dtype=np.int32)
+    join = np.empty((n, n), dtype=np.int32)
+    imp = np.empty((n, n), dtype=np.int32)
+    rows = max(1, BLOCK_CELLS // (n * width))
+    for lo in range(0, n, rows):
+        a, b = masks[lo:lo + rows, None, :], masks[None, :, :]
+        outside = a & ~b
+        leq[lo:lo + rows] = ~outside.any(axis=-1)
+        meet[lo:lo + rows] = index_of(a & b)
+        join[lo:lo + rows] = index_of(a | b)
+        # I => J keeps label x iff down(x) meets I only inside J.
+        body = np.zeros_like(outside)
+        for x, dx in enumerate(principal):
+            keep = ~(outside & dx).any(axis=-1)
+            body[..., x // 64] |= keep.astype(np.uint64) << np.uint64(x % 64)
+        imp[lo:lo + rows] = index_of(body)
     return Frame(elements, leq, meet, join, imp, poset=poset)
 
 

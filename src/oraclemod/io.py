@@ -36,7 +36,7 @@ def dump_json(obj, path: str | Path) -> None:
 # -- posets and frames --------------------------------------------------
 
 
-def _is_labels(v) -> bool:
+def _is_strings(v) -> bool:
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
@@ -44,9 +44,9 @@ def poset_from_dict(d: Mapping) -> Poset:
     if not isinstance(d, Mapping):
         raise OracleModError("a poset must be a JSON object")
     elements, le = d["elements"], d.get("le", [])
-    if not _is_labels(elements):
+    if not _is_strings(elements):
         raise OracleModError('poset "elements" must be a list of string labels')
-    if not (isinstance(le, list) and all(_is_labels(p) and len(p) == 2 for p in le)):
+    if not (isinstance(le, list) and all(_is_strings(p) and len(p) == 2 for p in le)):
         raise OracleModError('poset "le" must be a list of [lower, upper] label pairs')
     return poset_from_relation(elements, [tuple(p) for p in le])
 
@@ -69,7 +69,7 @@ def element_to_json(el: FrameElement) -> list[str]:
 def element_from_json(frame: Frame, v) -> FrameElement:
     if isinstance(v, str):
         labels = [x for x in v.split(",") if x]
-    elif _is_labels(v):
+    elif _is_strings(v):
         labels = v
     else:
         raise OracleModError(
@@ -94,7 +94,9 @@ def nucleus_to_dict(j: Nucleus, frame_ref: str | None = None) -> dict:
 
 
 def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
-    table = d["table"] if "table" in d else d
+    table = d.get("table", d) if isinstance(d, Mapping) else d
+    if not isinstance(table, Mapping):
+        raise OracleModError("a nucleus table must be a JSON object")
     return _coerce_table(
         frame,
         {
@@ -108,7 +110,13 @@ def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
 
 
 def container_from_dict(frame: Frame, d: Mapping) -> IndexedPropContainer:
-    shapes = list(d["shapes"])
+    if not isinstance(d, Mapping):
+        raise OracleModError("a container must be a JSON object")
+    shapes = d["shapes"]
+    if not _is_strings(shapes):
+        raise OracleModError('container "shapes" must be a list of strings')
+    if not all(isinstance(d.get(k, {}), Mapping) for k in ("pred", "extent")):
+        raise OracleModError('container "pred" and "extent" must be JSON objects')
     pred = {a: element_from_json(frame, d["pred"][a]) for a in shapes}
     if "extent" in d:
         extent = {
@@ -135,11 +143,7 @@ def container_to_dict(c: IndexedPropContainer, frame_ref: str | None = None) -> 
     return out
 
 
-# -- set containers and trees ------------------------------------------------
-
-
-def set_container_from_dict(d: Mapping) -> SetContainer:
-    return SetContainer({a: list(ps) for a, ps in d["positions"].items()})
+# -- trees ------------------------------------------------------------------
 
 
 def tree_from_dict(c: SetContainer, d: Mapping) -> Tree:
@@ -157,7 +161,22 @@ def tree_to_dict(t: Tree) -> dict:
 # -- realizability -------------------------------------------------------------
 
 
+def _is_entry(entry) -> bool:
+    return (
+        isinstance(entry, Mapping)
+        and isinstance(entry["instance"], str)
+        and isinstance(entry["families"], list)
+        and all(_is_strings(family) for family in entry["families"])
+    )
+
+
 def weihrauch_predicate_from_dict(d: Mapping, fuel: int = 100_000) -> ExtWeihrauchPredicate:
+    if not (isinstance(d, Mapping) and isinstance(d["entries"], list)
+            and all(_is_entry(entry) for entry in d["entries"])):
+        raise OracleModError(
+            'a Weihrauch predicate must be {"entries": [{"instance": term, '
+            '"families": [[term, ...], ...]}, ...]} with terms as strings'
+        )
     entries = []
     for entry in d["entries"]:
         inst = parse_term(entry["instance"], auto_declare=True)
@@ -171,4 +190,6 @@ def weihrauch_predicate_from_dict(d: Mapping, fuel: int = 100_000) -> ExtWeihrau
 
 def terms_from_json(d) -> list[Term]:
     srcs = d["terms"] if isinstance(d, Mapping) else d
+    if not _is_strings(srcs):
+        raise OracleModError("answer-set terms must be a list of strings")
     return [parse_term(src, auto_declare=True) for src in srcs]

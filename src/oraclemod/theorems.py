@@ -152,9 +152,10 @@ def _check_retraction(frame: Frame, budget: Budget, rng: random.Random, enumerat
 def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random, enumerated):
     nuclei = enumerated()
     singles = all_single_shape_containers(frame)
-    pairs = [(j, c) for j in nuclei for c in singles]
-    coverage = "exhaustive-singles"
-    if len(pairs) > budget.cases:
+    if len(nuclei) * len(singles) <= budget.cases:
+        pairs = [(j, c) for j in nuclei for c in singles]
+        coverage = "exhaustive-singles"
+    else:
         pairs = [
             (rng.choice(nuclei), random_container(frame, rng))
             for _ in range(budget.cases)
@@ -173,9 +174,10 @@ def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random, enumera
 
 def _check_oracle_leq(frame: Frame, budget: Budget, rng: random.Random, enumerated):
     singles = all_single_shape_containers(frame)
-    pairs = [(c, d) for c in singles for d in singles]
-    coverage = "exhaustive-singles"
-    if len(pairs) > budget.cases:
+    if len(singles) ** 2 <= budget.cases:
+        pairs = [(c, d) for c in singles for d in singles]
+        coverage = "exhaustive-singles"
+    else:
         pairs = [
             (random_container(frame, rng), random_container(frame, rng))
             for _ in range(budget.cases)

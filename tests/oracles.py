@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here stays deliberately naive: powerset filters, closure by
-saturation, residuation scans, and the full inflationary-table filter.
-None of it shares code with the package's own computation paths.
+saturation, frozenset lattice tables, residuation scans, and the full
+inflationary-table filter. None of it shares code with the package's own
+computation paths.
 """
 
 import functools
@@ -33,6 +34,39 @@ def powerset_downsets(labels, closed_pairs):
             if all(a in s for (a, b) in closed_pairs if b in s):
                 out.append(s)
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def frozenset_tables(poset):
+    """Referee for ``downset_frame``: the downsets as frozensets, grown one
+    label at a time from the empty set, then the leq, meet, join and implies
+    tables filled pair by pair with set operations and a dictionary lookup.
+    Reads only ``poset.labels`` and ``poset.down``."""
+    downsets = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        d = frontier.pop()
+        for x in poset.labels:
+            if x not in d and poset.down(x) - {x} <= d and d | {x} not in downsets:
+                downsets.add(d | {x})
+                frontier.append(d | {x})
+    elements = sorted(downsets, key=lambda s: (len(s), tuple(sorted(s))))
+    n = len(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    leq = np.zeros((n, n), dtype=bool)
+    meet = np.zeros((n, n), dtype=np.int32)
+    join = np.zeros((n, n), dtype=np.int32)
+    imp = np.zeros((n, n), dtype=np.int32)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            leq[i, j] = a <= b
+            meet[i, j] = index[a & b]
+            join[i, j] = index[a | b]
+            # I => J contains x iff the principal downset of x meets I only
+            # inside J.
+            imp[i, j] = index[
+                frozenset(x for x in poset.labels if poset.down(x) & a <= b)
+            ]
+    return elements, leq, meet, join, imp
 
 
 def residuation_scan(frame, b: int, c: int) -> int:

@@ -305,18 +305,37 @@ def test_trees_suite_at_depth_0(capsys):
     ("poset", [["p", "q"]]),
     ("container", {"shapes": ["a0"], "pred": {"a0": 5}}),
     ("nucleus", {"table": {"": 5}}),
+    ("container", {"shapes": ["a0"], "pred": ["p"]}),
+    ("nucleus", [1, 2]),
+    ("nucleus", {"table": [1]}),
+    ("weihrauch", {"entries": [{"instance": 5, "families": [["K"]]}]}),
+    ("answers", [5]),
 ))
 def test_malformed_json_values_exit_2(poset_file, tmp_path, kind, doc, capsys):
     path = str(tmp_path / "bad.json")
     io.dump_json(doc, path)
+    good = str(tmp_path / "good.json")
+    io.dump_json({"entries": [{"instance": "K", "families": [["K"]]}]}, good)
     argv = {
         "poset": ["frame", "build", "--poset", path],
         "container": ["oracle", "compute", "--poset", poset_file, "--container", path],
         "nucleus": ["nuclei", "validate", "--poset", poset_file, "--nucleus", path],
+        "weihrauch": ["weihrauch", "check", "--f", path, "--g", good,
+                      "--l1", "S K K", "--l2", "K (S K K)"],
+        "answers": ["oracle-tree", "check", "--pred", good, "--s", path,
+                    "--term", "K", "--depth", "2"],
     }[kind]
     assert cli.run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("oraclemod: error:") and "Traceback" not in err
+
+
+def test_carrier_over_limit_exits_3(tmp_path, capsys):
+    # 13 incomparable labels have 2**13 = 8192 downsets
+    path = str(tmp_path / "anti13.json")
+    io.dump_json({"elements": [f"a{i}" for i in range(13)], "le": []}, path)
+    assert cli.run(["frame", "build", "--poset", path]) == 3
+    assert "carrier would exceed 4096 elements" in capsys.readouterr().err
 
 
 def test_internal_invariant_exits_4(monkeypatch, poset_file, capsys):

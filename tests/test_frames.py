@@ -1,15 +1,39 @@
 import pytest
 
+from oraclemod import frames
 from oraclemod.errors import (
     AntisymmetryViolation,
     FrameMismatch,
     SizeLimitExceeded,
     UnknownLabel,
 )
-from oraclemod.frames import downset_frame, poset_from_relation
+from oraclemod.frames import Frame, downset_frame, poset_from_relation
 
 from catalog import POSETS, make_frame
-from oracles import powerset_downsets, residuation_scan, transitive_closure_pairs
+from oracles import (
+    frozenset_tables,
+    powerset_downsets,
+    residuation_scan,
+    transitive_closure_pairs,
+)
+
+
+def chain_union(copies, length):
+    """Disjoint union of chains; the downset carrier is (length + 1) ** copies."""
+    labels = [f"c{c}_{i}" for c in range(copies) for i in range(length)]
+    pairs = [(f"c{c}_{i}", f"c{c}_{i + 1}")
+             for c in range(copies) for i in range(length - 1)]
+    return labels, pairs
+
+
+# The catalog, carriers 81 and 243 (check_laws takes several blocks of rows
+# there), and a chain whose downset masks take two 64-bit words.
+REFEREE_POSETS = {
+    **POSETS,
+    "chains2x4": chain_union(4, 2),    # 81
+    "chains2x5": chain_union(5, 2),    # 243
+    "chain70": chain_union(1, 70),     # 71
+}
 
 
 def test_poset_empty():
@@ -73,9 +97,53 @@ def test_downset_frame_size_limit():
         downset_frame(poset_from_relation(labels, pairs), carrier_limit=10)
 
 
-@pytest.mark.parametrize("name", sorted(POSETS))
+@pytest.mark.parametrize("name", sorted(REFEREE_POSETS))
+def test_tables_match_frozenset_referee(monkeypatch, name):
+    poset = poset_from_relation(*REFEREE_POSETS[name])
+    elements, *want = frozenset_tables(poset)
+    # the default blocks, and one row per block
+    for cells in (frames.BLOCK_CELLS, 1):
+        monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
+        frame = downset_frame(poset)
+        assert frame.elements == tuple(elements)
+        got = (frame.leq_table, frame.meet_table, frame.join_table, frame.implies_table)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and (g == w).all()
+
+
+# One corrupted cell of the diamond's tables (carrier {}, {p}, {q}, {p,q}),
+# and every law violation check_laws reports for it, first witness included.
+CORRUPTIONS = {
+    "implies": ((0, 0, 0), ["residuation fails at (1,0,0)"]),
+    "leq": ((1, 0, True), ["order does not match meet",
+                           "residuation fails at (1,1,0)"]),
+    "meet": ((3, 0, 3), ["meet/join not commutative", "top is not a meet unit",
+                         "order does not match meet", "meet not associative",
+                         "residuation fails at (3,0,0)",
+                         "distributivity fails at (3,0,1)"]),
+    "join": ((0, 1, 0), ["meet/join not commutative", "bot is not a join unit",
+                         "join not associative", "distributivity fails at (1,0,3)"]),
+    "join-diagonal": ((1, 1, 0), ["meet/join not idempotent", "join not associative",
+                                  "distributivity fails at (1,1,3)"]),
+}
+
+
+@pytest.mark.parametrize("cells", (frames.BLOCK_CELLS, 1))
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_check_laws_reports_corrupted_table(monkeypatch, o4, name, cells):
+    (i, j, value), want = CORRUPTIONS[name]
+    tables = {t: getattr(o4, f"{t}_table").copy()
+              for t in ("leq", "meet", "join", "implies")}
+    tables[name.split("-")[0]][i, j] = value
+    monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
+    broken = Frame(o4.elements, tables["leq"], tables["meet"], tables["join"],
+                   tables["implies"])
+    assert broken.check_laws() == want
+
+
+@pytest.mark.parametrize("name", sorted(REFEREE_POSETS))
 def test_frame_laws_hold(name):
-    assert make_frame(name).check_laws() == []
+    assert downset_frame(poset_from_relation(*REFEREE_POSETS[name])).check_laws() == []
 
 
 @pytest.mark.parametrize("name", sorted(POSETS))
