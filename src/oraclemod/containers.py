@@ -8,7 +8,11 @@ induced modality sends s to the least fixed point of
     t  |->  s \\/ \\/_a ( E(a) /\\ (P(a) => t) )
 
 which the kernels compute either by Kleene iteration or by scanning all
-prefixed points; the two must agree exactly.
+prefixed points; the two must agree exactly. The single-query map
+q(t) = \\/_a (E(a) /\\ (P(a) => t)) is tabulated once per call over the
+carrier, so each Kleene round is O(n). Containers keep their shapes sorted
+by name with aligned ``ext``/``prd`` index arrays; sums and stable-query
+containers are assembled from those arrays directly.
 """
 
 from __future__ import annotations
@@ -33,18 +37,31 @@ class IndexedPropContainer:
         pred: Mapping[str, FrameElement],
         extent: Mapping[str, FrameElement] | None = None,
     ):
-        self.frame = frame
-        self.shapes: tuple[str, ...] = tuple(sorted(pred))
+        shapes = list(pred)
         if extent is None:
-            extent = {a: frame.top for a in self.shapes}
-        if sorted(extent) != list(self.shapes):
+            ext = [frame.top_index] * len(shapes)
+        elif extent.keys() != pred.keys():
             raise FrameMismatch("extent and pred must share the same shapes")
-        self.ext = np.array(
-            [frame.check_element(extent[a]) for a in self.shapes], dtype=np.int32
-        )
-        self.prd = np.array(
-            [frame.check_element(pred[a]) for a in self.shapes], dtype=np.int32
-        )
+        else:
+            ext = [frame.check_element(extent[a]) for a in shapes]
+        prd = [frame.check_element(pred[a]) for a in shapes]
+        self._store(frame, shapes, ext, prd)
+
+    @classmethod
+    def _of_arrays(cls, frame: Frame, shapes: Sequence[str], ext, prd):
+        """A container from index arrays aligned with ``shapes``, unchecked."""
+        c = cls.__new__(cls)
+        c._store(frame, shapes, ext, prd)
+        return c
+
+    def _store(self, frame: Frame, shapes: Sequence[str], ext, prd) -> None:
+        # The one place that orders shapes: by name, with their arrays.
+        order = sorted(range(len(shapes)), key=shapes.__getitem__)
+        index = np.array(order, dtype=np.intp)
+        self.frame = frame
+        self.shapes: tuple[str, ...] = tuple([shapes[i] for i in order])
+        self.ext = np.asarray(ext, dtype=np.int32)[index]
+        self.prd = np.asarray(prd, dtype=np.int32)[index]
 
     def extent_of(self, shape: str) -> FrameElement:
         return self.frame.el(int(self.ext[self.shapes.index(shape)]))
@@ -98,15 +115,15 @@ def container_sum(
             raise ValueError("empty sum needs an explicit frame")
         return IndexedPropContainer(frame, {})
     frame = cs[0].frame
-    pred: dict[str, FrameElement] = {}
-    extent: dict[str, FrameElement] = {}
-    for i, c in enumerate(cs):
-        if c.frame is not frame:
-            raise FrameMismatch("containers on different frames")
-        for a, p, e in zip(c.shapes, c.prd, c.ext):
-            pred[f"{i}:{a}"] = frame.el(int(p))
-            extent[f"{i}:{a}"] = frame.el(int(e))
-    return IndexedPropContainer(frame, pred, extent)
+    if any(c.frame is not frame for c in cs):
+        raise FrameMismatch("containers on different frames")
+    shapes = [f"{i}:{a}" for i, c in enumerate(cs) for a in c.shapes]
+    return IndexedPropContainer._of_arrays(
+        frame,
+        shapes,
+        np.concatenate([c.ext for c in cs]),
+        np.concatenate([c.prd for c in cs]),
+    )
 
 
 def empty_container(frame: Frame) -> IndexedPropContainer:
@@ -131,10 +148,14 @@ class PrenucleusMap:
 def instance_prenucleus(c: IndexedPropContainer) -> PrenucleusMap:
     """The single-query map t |-> \\/_a (E(a) /\\ (P(a) => t))."""
     frame = c.frame
-    table = np.full(len(frame), frame.bot_index, dtype=np.int32)
-    carrier = np.arange(len(frame))
-    for e, p in zip(c.ext, c.prd):
-        table = frame.join_table[table, frame.meet_table[e, frame.implies_table[p, carrier]]]
+    table = _kernels.query_table(
+        frame.meet_table,
+        frame.join_table,
+        frame.implies_table,
+        c.ext,
+        c.prd,
+        frame.bot_index,
+    )
     return PrenucleusMap(frame, table)
 
 
@@ -151,7 +172,12 @@ def oracle_modality(c: IndexedPropContainer) -> Nucleus:
     """Least nucleus forcing the container, by Kleene iteration from s."""
     frame = c.frame
     table = _kernels.kleene_table(
-        frame.meet_table, frame.join_table, frame.implies_table, c.ext, c.prd
+        frame.meet_table,
+        frame.join_table,
+        frame.implies_table,
+        c.ext,
+        c.prd,
+        frame.bot_index,
     )
     return _as_nucleus(frame, table)
 
@@ -181,13 +207,9 @@ def pred_of_nucleus(j: Nucleus) -> IndexedPropContainer:
     """The container of stable queries: one shape per element s, existing at
     stage j(s) and asking for s itself."""
     frame = j.frame
-    pred: dict[str, FrameElement] = {}
-    extent: dict[str, FrameElement] = {}
-    for i, el in enumerate(frame.all_elements()):
-        name = f"{{{el.key}}}"
-        extent[name] = frame.el(int(j.table[i]))
-        pred[name] = frame.meet(el, extent[name])
-    return IndexedPropContainer(frame, pred, extent)
+    names = [f"{{{key}}}" for key in frame.element_keys]
+    prd = frame.meet_table[np.arange(len(frame)), j.table]
+    return IndexedPropContainer._of_arrays(frame, names, j.table, prd)
 
 
 def instance_reducible(c: IndexedPropContainer, d: IndexedPropContainer) -> bool:

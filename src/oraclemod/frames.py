@@ -15,11 +15,15 @@ sort and a binary search. ``Frame.check_laws`` likewise runs its
 three-index laws in blocks over the first index, so its temporaries hold
 about ``max(BLOCK_CELLS, n**2)`` cells instead of ``n**3``. The carrier is
 capped at ``DEFAULT_CARRIER_LIMIT = 4096`` downsets: the four tables take
-13 bytes per pair, about 218 MB at 4096, and the law check is cubic.
+13 bytes per pair, about 218 MB at 4096, and the law check is cubic. The
+implication pass costs labels x n**2 x W word operations, so a build over
+``BUILD_COST_LIMIT``, that cost at 4096 downsets of 12 labels, is refused
+before any table is allocated.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -34,6 +38,10 @@ from .errors import (
 )
 
 DEFAULT_CARRIER_LIMIT = 1 << 12
+# Word operations of the implication pass, labels x carrier**2 x words, at
+# the 4096 downsets of 12 incomparable labels, the frame the carrier limit
+# was sized on.
+BUILD_COST_LIMIT = 12 * DEFAULT_CARRIER_LIMIT ** 2
 # Cells per block of the table build and of the three-index laws.
 BLOCK_CELLS = 1 << 18
 
@@ -108,7 +116,7 @@ class FrameElement:
     @property
     def key(self) -> str:
         """Canonical string form, used as a JSON object key."""
-        return ",".join(self.labels)
+        return self.frame.element_keys[self.index]
 
     def __repr__(self) -> str:
         return "{" + self.key + "}"
@@ -170,6 +178,11 @@ class Frame:
         if key not in self._index:
             raise UnknownLabel(f"{sorted(key)!r} is not an element of this frame")
         return FrameElement(self, self._index[key])
+
+    @functools.cached_property
+    def element_keys(self) -> tuple[str, ...]:
+        """``FrameElement.key`` of every element, in carrier order."""
+        return tuple(",".join(sorted(e)) for e in self.elements)
 
     def all_elements(self) -> tuple[FrameElement, ...]:
         return tuple(FrameElement(self, i) for i in range(self._n))
@@ -292,6 +305,12 @@ def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> F
                         )
                     downsets.add(nd)
                     frontier.append(nd)
+    n, width = len(downsets), max(1, -(-len(labels) // 64))
+    cost = len(labels) * n * n * width
+    if cost > BUILD_COST_LIMIT:
+        raise SizeLimitExceeded(
+            f"frame build would take {cost} word operations, over {BUILD_COST_LIMIT}"
+        )
     # Labels are sorted, so ordering by (size, set-bit positions) is the
     # order by (size, sorted labels).
     keyed = sorted(
@@ -299,7 +318,6 @@ def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> F
         for m in downsets
     )
     elements = [frozenset(labels[i] for i in bits) for _, bits, _ in keyed]
-    width = max(1, -(-len(labels) // 64))
 
     def words(m: int) -> list[int]:
         return [(m >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(width)]
@@ -313,7 +331,6 @@ def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> F
     def index_of(result: np.ndarray) -> np.ndarray:
         return order[np.searchsorted(sorted_keys, _mask_keys(result))].astype(np.int32)
 
-    n = len(masks)
     leq = np.empty((n, n), dtype=bool)
     meet = np.empty((n, n), dtype=np.int32)
     join = np.empty((n, n), dtype=np.int32)

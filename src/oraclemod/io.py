@@ -18,7 +18,6 @@ from .errors import OracleModError
 from .frames import Frame, FrameElement, Poset, downset_frame, poset_from_relation
 from .nuclei import Nucleus, _coerce_table
 from .pca import Term, parse_term
-from .trees import Leaf, SetContainer, Tree, node
 from .weihrauch import ExtWeihrauchPredicate
 
 
@@ -141,21 +140,6 @@ def container_to_dict(c: IndexedPropContainer, frame_ref: str | None = None) -> 
     if frame_ref is not None:
         out["frame"] = frame_ref
     return out
-
-
-# -- trees ------------------------------------------------------------------
-
-
-def tree_from_dict(c: SetContainer, d: Mapping) -> Tree:
-    if "leaf" in d:
-        return Leaf(d["leaf"])
-    return node(c, d["node"], {u: tree_from_dict(c, sub) for u, sub in d["children"].items()})
-
-
-def tree_to_dict(t: Tree) -> dict:
-    if isinstance(t, Leaf):
-        return {"leaf": t.value}
-    return {"node": t.shape, "children": {u: tree_to_dict(sub) for u, sub in t.children}}
 
 
 # -- realizability -------------------------------------------------------------

@@ -90,14 +90,15 @@ def validate_nucleus(frame: Frame, table) -> NucleusReport:
     if not idem.all():
         x = int(np.flatnonzero(~idem)[0])
         violations.append(("idempotent", (frame.el(x),)))
-    meets = t[meet] == meet[t[:, None], t[None, :]]
+    # j(x /\ y) == j(x) /\ j(y) for every pair
+    meets = t.take(meet) == meet[t][:, t]
     if not (meets.all() and t[frame.top_index] == frame.top_index):
         if meets.all():
             violations.append(("meet_preservation", (frame.top,)))
         else:
             x, y = map(int, np.argwhere(~meets)[0])
             violations.append(("meet_preservation", (frame.el(x), frame.el(y))))
-    mono = ~leq | leq[t[:, None], t[None, :]]
+    mono = ~leq | leq[t][:, t]
     if not mono.all():
         x, y = map(int, np.argwhere(~mono)[0])
         violations.append(("monotone", (frame.el(x), frame.el(y))))

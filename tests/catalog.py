@@ -1,5 +1,7 @@
 """Shared poset catalog for the test suite."""
 
+import functools
+
 from oraclemod.frames import downset_frame, poset_from_relation
 
 # Named poset catalog; downset carrier sizes noted on the right.
@@ -28,6 +30,15 @@ SMALL = ("empty", "point", "chain2", "anti2", "chain3", "vee", "wedge",
 
 def make_frame(name):
     labels, pairs = POSETS[name]
+    return downset_frame(poset_from_relation(labels, pairs))
+
+
+@functools.cache
+def pairs_frame(copies):
+    """Frame of ``copies`` disjoint two-element chains a_i < b_i, carrier
+    3 ** copies (81 at four, 243 at five)."""
+    labels = [f"{x}{i}" for i in range(copies) for x in "ab"]
+    pairs = [(f"a{i}", f"b{i}") for i in range(copies)]
     return downset_frame(poset_from_relation(labels, pairs))
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here stays deliberately naive: powerset filters, closure by
-saturation, frozenset lattice tables, residuation scans, and the full
-inflationary-table filter. None of it shares code with the package's own
-computation paths.
+saturation, frozenset lattice tables, residuation scans, the full
+inflationary-table filter, the per-shape fold of the single-query map and
+the dictionary-built container of stable queries. None of it shares code
+with the package's own computation paths.
 """
 
 import functools
@@ -116,3 +117,27 @@ def bruteforce_sup(frame, js):
     below_all = leq[tables[:, None, :], tables[None, :, :]].all(axis=(1, 2))
     (least,) = tables[below_all]
     return tuple(map(int, least))
+
+
+def per_shape_query_table(frame, ext, prd):
+    """Referee for ``_kernels.query_table``: the single-query map
+    q(x) = \\/_a (E_a /\\ (P_a => x)) folded one shape at a time, with a join
+    over the whole carrier per shape."""
+    table = np.full(len(frame), frame.bot_index, dtype=np.int32)
+    carrier = np.arange(len(frame))
+    for e, p in zip(ext, prd):
+        table = frame.join_table[table, frame.meet_table[e, frame.implies_table[p, carrier]]]
+    return table
+
+
+def dict_pred_of_nucleus(j):
+    """Referee for ``containers.pred_of_nucleus``: the container of stable
+    queries as the dictionaries {shape: extent} and {shape: pred} of frame
+    elements, built element by element and named from the element labels."""
+    frame = j.frame
+    pred, extent = {}, {}
+    for i, el in enumerate(frame.all_elements()):
+        name = "{" + ",".join(el.labels) + "}"
+        extent[name] = frame.el(int(j.table[i]))
+        pred[name] = frame.meet(el, extent[name])
+    return pred, extent

@@ -7,7 +7,6 @@ from oraclemod.errors import InternalInvariantViolation
 from oraclemod.frames import downset_frame
 from oraclemod.nuclei import canonical_nuclei
 from oraclemod.pca import Const, pp, tag_leaf
-from oraclemod.trees import Leaf, SetContainer
 
 CHAIN2 = {"elements": ["p", "q"], "le": [["p", "q"]]}
 # four disjoint two-element chains a_i < b_i: carrier 3**4 = 81
@@ -338,6 +337,17 @@ def test_carrier_over_limit_exits_3(tmp_path, capsys):
     assert "carrier would exceed 4096 elements" in capsys.readouterr().err
 
 
+def test_long_chain_build_exits_3(tmp_path, capsys):
+    # 400 labels in 7 words: the implication pass would take
+    # 400 * 401**2 * 7 word operations, though the carrier is only 401
+    labels = [f"x{i:03d}" for i in range(400)]
+    path = str(tmp_path / "chain400.json")
+    io.dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
+                 path)
+    assert cli.run(["frame", "build", "--poset", path]) == 3
+    assert "frame build would take 450242800 word operations" in capsys.readouterr().err
+
+
 def test_internal_invariant_exits_4(monkeypatch, poset_file, capsys):
     def boom(args):
         raise InternalInvariantViolation("synthetic")
@@ -376,11 +386,3 @@ def test_container_roundtrip():
     # omitted extent defaults to top
     c2 = io.container_from_dict(frame, {"shapes": ["a0"], "pred": {"a0": ["p"]}})
     assert c2.extent_of("a0") == frame.top
-
-
-def test_tree_roundtrip():
-    c = SetContainer({"a": ["u", "v"]})
-    d = {"node": "a", "children": {"u": {"leaf": "x"}, "v": {"leaf": "x"}}}
-    t = io.tree_from_dict(c, d)
-    assert io.tree_to_dict(t) == d
-    assert io.tree_to_dict(Leaf("y")) == {"leaf": "y"}

@@ -18,11 +18,13 @@ from oraclemod.containers import (
     realized_container,
     validate_container,
 )
+from oraclemod import frames
 from oraclemod.errors import FrameMismatch
 from oraclemod.nuclei import canonical_nuclei, enumerate_nuclei, nucleus, validate_nucleus
 from oraclemod.theorems import all_single_shape_containers, random_container
 
-from catalog import SMALL, make_frame
+from catalog import SMALL, make_frame, pairs_frame
+from oracles import dict_pred_of_nucleus, per_shape_query_table
 
 
 def table(j):
@@ -230,3 +232,53 @@ def test_modality_below_open_nucleus_of_full_axiom(name):
         om = oracle_modality(c)
         op = canonical_nuclei(f, "open", p)
         assert bool(f.leq_table[om.table, op.table].all())
+
+
+def referee_frames():
+    yield from (make_frame(name) for name in SMALL + ("anti4", "diamond"))
+    yield pairs_frame(4)
+
+
+@pytest.mark.parametrize("cells", (None, 1))
+def test_query_table_matches_per_shape_fold(monkeypatch, cells):
+    rng = random.Random("query")
+    for f in referee_frames():
+        if cells is not None:
+            # one shape row per block
+            monkeypatch.setattr(frames, "BLOCK_CELLS", cells * len(f))
+        cs = [random_container(f, rng) for _ in range(10)]
+        cs += [empty_container(f), lem_container(f), container_sum(cs)]
+        for c in cs:
+            got = instance_prenucleus(c).table
+            want = per_shape_query_table(f, c.ext, c.prd)
+            assert got.dtype == want.dtype and (got == want).all()
+
+
+def assert_container_is(c, pred, extent):
+    """Shapes sorted by name, with ext and prd int32 arrays aligned to them."""
+    assert c.shapes == tuple(sorted(pred))
+    assert c.ext.dtype == c.prd.dtype == np.int32
+    assert [c.frame.el(int(e)) for e in c.ext] == [extent[a] for a in c.shapes]
+    assert [c.frame.el(int(p)) for p in c.prd] == [pred[a] for a in c.shapes]
+
+
+def test_pred_of_nucleus_matches_dict_referee():
+    for f in referee_frames():
+        if len(f) <= 16:
+            js = list(enumerate_nuclei(f))
+        else:
+            js = [canonical_nuclei(f, kind, f.el(p))
+                  for kind in ("open", "closed") for p in (0, 7, len(f) - 2)]
+        for j in js:
+            assert_container_is(pred_of_nucleus(j), *dict_pred_of_nucleus(j))
+
+
+def test_container_sum_orders_shapes_by_name(o3):
+    # Component 10 sorts between 1 and 2 by name.
+    rng = random.Random("sum")
+    cs = [random_container(o3, rng) for _ in range(12)]
+    pred, extent = {}, {}
+    for i, c in enumerate(cs):
+        for a in c.shapes:
+            pred[f"{i}:{a}"], extent[f"{i}:{a}"] = c.pred_of(a), c.extent_of(a)
+    assert_container_is(container_sum(cs), pred, extent)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from oraclemod import frames
@@ -7,7 +9,7 @@ from oraclemod.errors import (
     SizeLimitExceeded,
     UnknownLabel,
 )
-from oraclemod.frames import Frame, downset_frame, poset_from_relation
+from oraclemod.frames import Frame, Poset, downset_frame, poset_from_relation
 
 from catalog import POSETS, make_frame
 from oracles import (
@@ -95,6 +97,22 @@ def test_downset_frame_size_limit():
     labels, pairs = POSETS["anti4"]
     with pytest.raises(SizeLimitExceeded):
         downset_frame(poset_from_relation(labels, pairs), carrier_limit=10)
+
+
+def chain_poset(length):
+    """A chain of ``length`` labels, given already closed."""
+    labels = [f"x{i:04d}" for i in range(length)]
+    return Poset(labels, {x: frozenset(labels[:i + 1]) for i, x in enumerate(labels)})
+
+
+def test_build_cost_limit():
+    # A 1000-label chain has only 1001 downsets, but its implication pass
+    # would take 1000 * 1001**2 * 16 word operations.
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded, match="would take 16032016000 word operations"):
+        downset_frame(chain_poset(1000))
+    assert time.perf_counter() - start < 1.0
+    assert len(downset_frame(chain_poset(250))) == 251
 
 
 @pytest.mark.parametrize("name", sorted(REFEREE_POSETS))

@@ -14,7 +14,7 @@ from oraclemod.nuclei import (
     validate_nucleus,
 )
 
-from catalog import SMALL, make_frame
+from catalog import SMALL, make_frame, pairs_frame
 from oracles import bruteforce_nuclei
 
 
@@ -36,6 +36,59 @@ def test_known_counterexample_table_fails_meet_preservation(o4):
     assert report.law_names() == ["meet_preservation"]
     ((law, witness),) = report.violations
     assert {w.labels for w in witness} == {("p",), ("q",)}
+
+
+# Broken tables on the diamond (carrier {}, {p}, {q}, {p,q}), each with the
+# exact laws it breaks and the first witness of each, as element keys.
+DIAMOND_BREAKS = [
+    ([0, 0, 0, 0], [("inflationary", ("p",)), ("meet_preservation", ("p,q",))]),
+    ([0, 1, 1, 3], [("inflationary", ("q",)), ("meet_preservation", ("p", "q"))]),
+    ([1, 3, 2, 3], [("idempotent", ("",)), ("meet_preservation", ("", "q")),
+                    ("monotone", ("", "q"))]),
+    ([2, 1, 2, 3], [("meet_preservation", ("", "p")), ("monotone", ("", "p"))]),
+    ([1, 0, 3, 3], [("inflationary", ("p",)), ("idempotent", ("",)),
+                    ("meet_preservation", ("", "p")), ("monotone", ("", "p"))]),
+]
+
+
+def witnesses(report):
+    return [(law, tuple(w.key for w in ws)) for law, ws in report.violations]
+
+
+@pytest.mark.parametrize("table, want", DIAMOND_BREAKS)
+def test_broken_tables_on_the_diamond(o4, table, want):
+    report = validate_nucleus(o4, np.array(table, dtype=np.int32))
+    assert not report.valid and witnesses(report) == want
+
+
+def test_broken_tables_on_carrier_81():
+    f = pairs_frame(4)
+
+    def el(*labels):
+        return f.element(labels).index
+
+    def corrupt(j, labels, value):
+        t = j.table.copy()
+        t[el(*labels)] = el(*value)
+        return t
+
+    top = "a0,a1,a2,a3,b0,b1,b2,b3"
+    cases = [
+        # x |-> x /\ c preserves meets but sends top to c
+        (f.meet_table[np.arange(len(f)), el("a0", "b0", "a1", "a2")],
+         [("inflationary", ("a3",)), ("meet_preservation", (top,))]),
+        (corrupt(canonical_nuclei(f, "closed", f.element(["a1"])), ["a2"],
+                 ["a1", "a2", "b2"]),
+         [("meet_preservation", ("a2", "a0,a2")), ("monotone", ("a2", "a0,a2"))]),
+        (corrupt(canonical_nuclei(f, "open", f.element(["a3"])), [], ["a3"]),
+         [("idempotent", ("",)), ("meet_preservation", ("", "a0")),
+          ("monotone", ("", "a0"))]),
+        (corrupt(canonical_nuclei(f, "double_negation"), ["a0", "b0"], ["a0"]),
+         [("inflationary", ("a0,b0",)), ("idempotent", ("a0",)),
+          ("meet_preservation", ("a0", "a0,b0")), ("monotone", ("a0", "a0,b0"))]),
+    ]
+    for table, want in cases:
+        assert witnesses(validate_nucleus(f, table)) == want
 
 
 def test_closed_at_m_is_valid(o3):
