@@ -1,18 +1,20 @@
-"""Hot fixed-point kernels over frame tables.
+"""Fixed-point kernels over frame tables, for the referees.
 
-Both oracle-modality computations reduce to integer table recursions,
-vectorized with numpy over the whole carrier:
+The oracle modality itself has a closed form (``containers``); these
+kernels compute it from the paper's construction instead, as integer table
+recursions vectorized with numpy over the whole carrier, so that it can be
+checked against a route that shares no code with it:
 
 * ``query_table`` tabulates the single-query map
   q(x) = \\/_a (E_a /\\ (P_a => x)) once over the carrier: the k-by-n rows
   are gathered with flat ``take`` from the raveled tables, in blocks of
-  at most ``frames.BLOCK_CELLS`` cells, and join-reduced pairwise;
+  at most ``frames.BLOCK_CELLS`` cells, and join-reduced pairwise. It is
+  also the table of ``containers.instance_prenucleus``;
 * ``kleene_table`` iterates t := s \\/ q(t) from t = s until it stabilizes,
   for every start s at once. Since q depends on t only through the value
   t(s), each round after the tabulation is two O(n) lookups;
 * ``prefixed_mask`` / ``bruteforce_table`` realize the same operator as the
-  meet of all prefixed points, the independent route the Kleene tables are
-  checked against.
+  meet of all prefixed points, the second, independent referee.
 """
 
 from __future__ import annotations

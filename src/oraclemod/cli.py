@@ -17,6 +17,7 @@ from . import __version__, io
 from .containers import (
     oracle_modality,
     oracle_modality_bruteforce,
+    oracle_modality_kleene,
     validate_container,
 )
 from .errors import InternalInvariantViolation, OracleModError, SizeLimitExceeded
@@ -185,11 +186,13 @@ def _dispatch(args) -> tuple[dict, int]:
                 "dense": [io.element_to_json(e) for e in dense_elements(j)],
             }
             return body, 0
+        # the closed form and its two referees
         j = oracle_modality(c)
+        kle = oracle_modality_kleene(c)
         k = oracle_modality_bruteforce(c)
-        agree = j == k
+        agree = j == kle == k
         body = {
-            "kleene": _nucleus_table_dict(frame, j.table),
+            "kleene": _nucleus_table_dict(frame, kle.table),
             "bruteforce": _nucleus_table_dict(frame, k.table),
             "agree": agree,
         }

@@ -3,15 +3,20 @@
 A container lists finitely many query shapes; each shape carries an extent
 (the stage at which the query exists) and a predicate value (the truth of
 its answer).  Globally-defined containers have extent top everywhere.  The
-induced modality sends s to the least fixed point of
+induced modality, the least nucleus forcing the container, is computed in
+closed form: a nucleus j_S (see ``nuclei``) forces the container iff S
+misses bad(c) = \\/_a (E(a) minus P(a)), a union of label sets, so the
+modality is j of the labels outside bad(c).
+
+Two referees compute the same nucleus from the paper's construction, the
+least fixed point above s of
 
     t  |->  s \\/ \\/_a ( E(a) /\\ (P(a) => t) )
 
-which the kernels compute either by Kleene iteration or by scanning all
-prefixed points; the two must agree exactly. The single-query map
-q(t) = \\/_a (E(a) /\\ (P(a) => t)) is tabulated once per call over the
-carrier, so each Kleene round is O(n). Containers keep their shapes sorted
-by name with aligned ``ext``/``prd`` index arrays; sums and stable-query
+one by Kleene iteration (``oracle_modality_kleene``) and one as the meet of
+all prefixed points (``oracle_modality_bruteforce``); neither computes
+its table through the closed form. Containers keep their shapes sorted by
+name with aligned ``ext``/``prd`` index arrays; sums and stable-query
 containers are assembled from those arrays directly.
 """
 
@@ -25,7 +30,7 @@ import numpy as np
 from . import _kernels
 from .errors import FrameMismatch, InternalInvariantViolation
 from .frames import Frame, FrameElement
-from .nuclei import Nucleus, validate_nucleus
+from .nuclei import Nucleus, j_table, validate_nucleus
 
 
 class IndexedPropContainer:
@@ -169,7 +174,16 @@ def _as_nucleus(frame: Frame, table: np.ndarray) -> Nucleus:
 
 
 def oracle_modality(c: IndexedPropContainer) -> Nucleus:
-    """Least nucleus forcing the container, by Kleene iteration from s."""
+    """Least nucleus forcing the container: j of the labels outside
+    bad(c) = \\/_a (E(a) minus P(a))."""
+    members = c.frame.label_members
+    bad = (members[c.ext] & ~members[c.prd]).any(axis=0)
+    return Nucleus(c.frame, j_table(c.frame, ~bad))
+
+
+def oracle_modality_kleene(c: IndexedPropContainer) -> Nucleus:
+    """Referee: the least nucleus forcing the container by Kleene iteration
+    from s, the paper's construction."""
     frame = c.frame
     table = _kernels.kleene_table(
         frame.meet_table,

@@ -6,18 +6,27 @@ binary meet, join and Heyting implication are precomputed into integer
 tables so that every downstream fixed-point computation is pure table
 lookup.
 
+A poset is closed from its generating pairs with one bitmask per label,
+OR-ed along a topological order; a cycle is reported by the first pair of
+labels, in label order, that lie on one.
+
 By Birkhoff's representation a downset is a bitmask over the poset's sorted
 labels, stored as ``W = ceil(labels / 64)`` uint64 words: meet is ``&``,
 join is ``|``, and ``I => J`` keeps each label x with
 ``down(x) & I & ~J == 0``. The tables are filled by numpy broadcasting over
 blocks of rows, and result masks are mapped back to carrier indices by one
-sort and a binary search. ``Frame.check_laws`` likewise runs its
-three-index laws in blocks over the first index, so its temporaries hold
-about ``max(BLOCK_CELLS, n**2)`` cells instead of ``n**3``. The carrier is
-capped at ``DEFAULT_CARRIER_LIMIT = 4096`` downsets: the four tables take
-13 bytes per pair, about 218 MB at 4096, and the law check is cubic. The
-implication pass costs labels x n**2 x W word operations, so a build over
-``BUILD_COST_LIMIT``, that cost at 4096 downsets of 12 labels, is refused
+sort and a binary search. The frame keeps the masks; the label tables the
+closed form of nuclei reads (label membership, the index of
+``down(x) - {x}`` and the single-label nuclei j_{x}) are derived from them
+on first use, so a build pays nothing for them. ``Frame.check_laws`` runs
+its three-index laws in blocks over the first index, so its temporaries
+hold about ``max(BLOCK_CELLS, n**2)`` cells instead of ``n**3``. The
+carrier is capped at ``DEFAULT_CARRIER_LIMIT = 4096`` downsets: the four
+tables take 13 bytes per pair, about 218 MB at 4096, and the law check is
+cubic. The implication pass costs labels x n**2 x W word operations, so a
+build over ``BUILD_COST_LIMIT``, that cost at 4096 downsets of 12 labels,
+is refused: first from the least carrier the labels allow (labels + 1
+downsets), before any downset is enumerated, then from the exact carrier,
 before any table is allocated.
 """
 
@@ -32,7 +41,6 @@ import numpy as np
 from .errors import (
     AntisymmetryViolation,
     FrameMismatch,
-    InternalInvariantViolation,
     SizeLimitExceeded,
     UnknownLabel,
 )
@@ -73,33 +81,72 @@ def poset_from_relation(
     labels: Sequence[str], pairs: Iterable[tuple[str, str]]
 ) -> Poset:
     """Build a poset from generating pairs, taking the reflexive-transitive
-    closure. A cycle through distinct labels is rejected."""
+    closure. A cycle through distinct labels is rejected, naming the first
+    pair of labels in label order that lie on one cycle."""
     labels = list(labels)
     if len(set(labels)) != len(labels):
         raise UnknownLabel("duplicate labels in poset description")
-    known = set(labels)
-    below: dict[str, set[str]] = {x: {x} for x in labels}
+    order = sorted(labels)
+    bit = {x: i for i, x in enumerate(order)}
+    lower: list[list[int]] = [[] for _ in order]
     for a, b in pairs:
-        if a not in known or b not in known:
-            missing = a if a not in known else b
+        if a not in bit or b not in bit:
+            missing = a if a not in bit else b
             raise UnknownLabel(f"relation mentions undeclared label {missing!r}")
-        below[b].add(a)
-    # Warshall-style closure: y <= z and x <= y gives x <= z.
-    changed = True
+        lower[bit[b]].append(bit[a])
+    below, cyclic = _down_closure(lower)
+    for a in cyclic:
+        for b in cyclic:
+            if b > a and below[a] >> b & 1 and below[b] >> a & 1:
+                raise AntisymmetryViolation(f"cycle through {order[a]!r} and {order[b]!r}")
+    return Poset(order, _label_sets(below, order))
+
+
+def _down_closure(lower: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The reflexive-transitive closure of ``lower`` (the labels given
+    directly below each label) as one bitmask per label, and the labels a
+    topological sort leaves over, which are those on or above a cycle.
+
+    Labels in topological order take one OR per pair; the left-over ones
+    are swept until nothing changes.
+    """
+    upper: list[list[int]] = [[] for _ in lower]
+    waiting = [0] * len(lower)
+    for b, lows in enumerate(lower):
+        for a in lows:
+            if a != b:
+                upper[a].append(b)
+                waiting[b] += 1
+    ready = [i for i, w in enumerate(waiting) if not w]
+    below = [1 << i for i in range(len(lower))]
+    while ready:
+        b = ready.pop()
+        for a in lower[b]:
+            below[b] |= below[a]
+        for c in upper[b]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                ready.append(c)
+    cyclic = [i for i, w in enumerate(waiting) if w]
+    changed = bool(cyclic)
     while changed:
         changed = False
-        for z in labels:
-            extra: set[str] = set()
-            for y in below[z]:
-                extra |= below[y]
-            if not extra <= below[z]:
-                below[z] |= extra
-                changed = True
-    for a in labels:
-        for b in below[a]:
-            if a != b and a in below[b]:
-                raise AntisymmetryViolation(f"cycle through {a!r} and {b!r}")
-    return Poset(labels, {x: frozenset(below[x]) for x in labels})
+        for b in cyclic:
+            mask = below[b]
+            for a in lower[b]:
+                mask |= below[a]
+            if mask != below[b]:
+                below[b], changed = mask, True
+    return below, cyclic
+
+
+def _label_sets(below: list[int], order: list[str]) -> dict[str, frozenset[str]]:
+    """Each label's bitmask as the frozenset of the labels it holds."""
+    width = -(-len(order) // 8)
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in below), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(below), width), axis=1, bitorder="little")
+    names = np.array(order, dtype=object)
+    return {x: frozenset(names[row]) for x, row in zip(order, bits[:, :len(order)].astype(bool))}
 
 
 @dataclass(frozen=True)
@@ -127,7 +174,10 @@ class Frame:
 
     ``elements`` holds one frozenset of labels per carrier element; for
     downset frames these are the downward-closed subsets of the generating
-    poset, sorted by (size, labels) so that bottom comes first and top last.
+    poset, sorted by (size, labels) so that bottom comes first and top last,
+    and ``masks`` holds the same subsets as rows of uint64 words over the
+    poset's sorted labels. The label tables (``label_members``,
+    ``label_strict``, ``label_rows``) are derived from them on first use.
     """
 
     def __init__(
@@ -138,10 +188,12 @@ class Frame:
         join: np.ndarray,
         implies: np.ndarray,
         poset: Poset | None = None,
+        masks: np.ndarray | None = None,
     ):
         self.elements: tuple[frozenset[str], ...] = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.poset = poset
+        self.masks = masks
         self.leq_table = leq
         self.meet_table = meet
         self.join_table = join
@@ -183,6 +235,36 @@ class Frame:
     def element_keys(self) -> tuple[str, ...]:
         """``FrameElement.key`` of every element, in carrier order."""
         return tuple(",".join(sorted(e)) for e in self.elements)
+
+    # -- label tables ----------------------------------------------------
+    #
+    # Each nucleus of a downset frame is j_S(U) = {y : down(y) & S <= U} for
+    # one subset S of the labels (see ``nuclei``); these tables serve it.
+
+    @functools.cached_property
+    def label_members(self) -> np.ndarray:
+        """(n, labels) bool: whether each sorted label lies in each element."""
+        words = self.masks.astype("<u8").view(np.uint8)
+        bits = np.unpackbits(words, axis=1, bitorder="little")
+        return _frozen(bits[:, :len(self.poset)].astype(bool))
+
+    @functools.cached_property
+    def label_strict(self) -> np.ndarray:
+        """Carrier index of down(x) minus {x} for each label x."""
+        # down(x) is the first element holding x, since the carrier is sorted
+        # by size, and its meet with P minus up(x) drops x alone.
+        first = self.label_members.argmax(axis=0)
+        return _frozen(self.meet_table[first, self.label_rows[:, self.bot_index]].astype(np.intp))
+
+    @functools.cached_property
+    def label_rows(self) -> np.ndarray:
+        """(labels, n) int32: row x is the table of j_{x}, top at the
+        elements holding x and P minus up(x) elsewhere."""
+        # P minus up(x), the largest downset missing x, is the last element
+        # without x.
+        members = self.label_members
+        outside = self._n - 1 - members[::-1].argmin(axis=0)
+        return _frozen(np.where(members.T, self.top_index, outside[:, None]).astype(np.int32))
 
     def all_elements(self) -> tuple[FrameElement, ...]:
         return tuple(FrameElement(self, i) for i in range(self._n))
@@ -266,6 +348,11 @@ class Frame:
         return bad
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 def _first_mismatch(n: int, rows: int, sides) -> tuple[int, int, int] | None:
     """Lexicographically first (a, b, c) where the two [a, b, c] arrays that
     ``sides(slice)`` gives for a block of a differ, or None."""
@@ -285,9 +372,23 @@ def _mask_keys(masks: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(masks).view(f"V{8 * width}")[..., 0]
 
 
+def _check_build_cost(labels: int, n: int, width: int) -> None:
+    """Refuse a build whose implication pass, labels x n**2 x words, would
+    cost more than ``BUILD_COST_LIMIT`` word operations."""
+    cost = labels * n * n * width
+    if cost > BUILD_COST_LIMIT:
+        raise SizeLimitExceeded(
+            f"frame build would take {cost} word operations, over {BUILD_COST_LIMIT}"
+        )
+
+
 def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> Frame:
     """The frame of downward-closed subsets of a poset, ordered by inclusion."""
     labels = poset.labels
+    width = max(1, -(-len(labels) // 64))
+    # a poset has at least one downset more than labels: the empty one and
+    # the principal ones
+    _check_build_cost(len(labels), len(labels) + 1, width)
     bit = {x: i for i, x in enumerate(labels)}
     down = [sum(1 << bit[y] for y in poset.down(x)) for x in labels]
     strict = [d & ~(1 << i) for i, d in enumerate(down)]
@@ -305,12 +406,8 @@ def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> F
                         )
                     downsets.add(nd)
                     frontier.append(nd)
-    n, width = len(downsets), max(1, -(-len(labels) // 64))
-    cost = len(labels) * n * n * width
-    if cost > BUILD_COST_LIMIT:
-        raise SizeLimitExceeded(
-            f"frame build would take {cost} word operations, over {BUILD_COST_LIMIT}"
-        )
+    n = len(downsets)
+    _check_build_cost(len(labels), n, width)
     # Labels are sorted, so ordering by (size, set-bit positions) is the
     # order by (size, sorted labels).
     keyed = sorted(
@@ -348,31 +445,4 @@ def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> F
             keep = ~(outside & dx).any(axis=-1)
             body[..., x // 64] |= keep.astype(np.uint64) << np.uint64(x % 64)
         imp[lo:lo + rows] = index_of(body)
-    return Frame(elements, leq, meet, join, imp, poset=poset)
-
-
-def subframe(ambient: Frame, indices: Sequence[int], join_map: np.ndarray) -> Frame:
-    """Build a frame on a meet- and implication-closed subset of ``ambient``.
-
-    ``join_map`` sends each ambient index to its closure inside the subset;
-    the subset join of a and b is ``join_map[ambient.join(a, b)]``.
-    """
-    idx = list(indices)
-    pos = {g: i for i, g in enumerate(idx)}
-    n = len(idx)
-    leq = ambient.leq_table[np.ix_(idx, idx)].copy()
-    meet = np.zeros((n, n), dtype=np.int32)
-    join = np.zeros((n, n), dtype=np.int32)
-    imp = np.zeros((n, n), dtype=np.int32)
-    for i, g in enumerate(idx):
-        for j, h in enumerate(idx):
-            meet[i, j] = pos[int(ambient.meet_table[g, h])]
-            join[i, j] = pos[int(join_map[ambient.join_table[g, h]])]
-            imp[i, j] = pos[int(ambient.implies_table[g, h])]
-    elements = [ambient.elements[g] for g in idx]
-    frame = Frame(elements, leq, meet, join, imp, poset=None)
-    bad = frame.check_laws()
-    if bad:
-        raise InternalInvariantViolation(f"derived frame breaks laws: {bad}")
-    return frame
-
+    return Frame(elements, leq, meet, join, imp, poset=poset, masks=masks)

@@ -4,6 +4,20 @@ A nucleus is stored as a total index table over the frame carrier and must
 be inflationary, idempotent and finite-meet preserving.  Meet preservation
 is an axiom here, not a consequence: on an external finite frame the other
 laws do not imply it.
+
+A downset frame Down(P) is spatial, so its nuclei are exactly the
+
+    j_S(U) = {y in P : down(y) & S <= U}        for subsets S of P,
+
+distinct for distinct S, and S is read back from any nucleus j as
+S(j) = {x : x not in j(down(x) minus {x})}. ``j_table`` builds j_S as the
+meet of the single-label rows ``Frame.label_rows`` for x in S, folded
+pairwise, and ``subset_of`` reads S back with one gather. On this closed
+form a table is a nucleus iff it equals j of its own subset (O(n x labels);
+the law scan runs only on a table that fails, to name its violations), the
+sup of a family is j of the intersection of their subsets, enumeration
+lists the 2^labels subsets, and the frame of fixed points is the downset
+frame of the subposet S.
 """
 
 from __future__ import annotations
@@ -13,8 +27,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import FrameMismatch, InternalInvariantViolation, SizeLimitExceeded
-from .frames import Frame, FrameElement, subframe
+from .errors import FrameMismatch, SizeLimitExceeded
+from .frames import Frame, FrameElement, Poset, downset_frame
 
 ENUMERATION_LIMIT = 64
 
@@ -74,9 +88,40 @@ def _coerce_table(frame: Frame, table) -> np.ndarray:
     return arr
 
 
+def j_table(frame: Frame, subset: np.ndarray) -> np.ndarray:
+    """The table of j_S, for S a boolean mask over the frame's sorted labels."""
+    rows = frame.label_rows[subset]
+    if rows.shape[0] == 0:
+        return np.full(len(frame), frame.top_index, dtype=np.int32)
+    n, meet_flat = len(frame), frame.meet_table.ravel()
+    while rows.shape[0] > 1:
+        # meet the last half of the rows into the first, in place
+        half = rows.shape[0] // 2
+        rows[:half] = meet_flat.take(rows[:half] * n + rows[-half:])
+        rows = rows[:rows.shape[0] - half]
+    return rows[0]
+
+
+def subset_of(frame: Frame, table: np.ndarray) -> np.ndarray:
+    """S(t) = {x : x not in t(down(x) minus {x})}, a boolean label mask."""
+    members = frame.label_members
+    return ~members[table.take(frame.label_strict), np.arange(members.shape[1])]
+
+
 def validate_nucleus(frame: Frame, table) -> NucleusReport:
-    """Check all nucleus laws exhaustively, reporting first-found witnesses."""
+    """Check all nucleus laws exhaustively, reporting first-found witnesses.
+
+    A table equal to j of its own label subset is a nucleus; any other
+    table goes through the law scan, which names its violations."""
     t = _coerce_table(frame, table)
+    if (j_table(frame, subset_of(frame, t)) == t).all():
+        return NucleusReport(valid=True, violations=[])
+    return law_scan(frame, t)
+
+
+def law_scan(frame: Frame, t: np.ndarray) -> NucleusReport:
+    """Check each nucleus law on every element or pair, in O(n**2), with
+    the lexicographically first witness of each violated law."""
     n = len(frame)
     leq, meet = frame.leq_table, frame.meet_table
     rng = np.arange(n)
@@ -147,88 +192,36 @@ def dense_elements(j: Nucleus) -> tuple[FrameElement, ...]:
     )
 
 
-def _close_fixed_set(frame: Frame, seed: frozenset[int]) -> frozenset[int]:
-    # Close under binary meets and under x => f for every carrier x.
-    meet, imp = frame.meet_table, frame.implies_table
-    n = len(frame)
-    cur = set(seed) | {frame.top_index}
-    frontier = list(cur)
-    while frontier:
-        f = frontier.pop()
-        for x in range(n):
-            g = int(imp[x, f])
-            if g not in cur:
-                cur.add(g)
-                frontier.append(g)
-        for g in list(cur):
-            h = int(meet[f, g])
-            if h not in cur:
-                cur.add(h)
-                frontier.append(h)
-    return frozenset(cur)
-
-
-def _nucleus_of_fixed_set(frame: Frame, fixed: frozenset[int]) -> np.ndarray:
-    # j(x) is the least member of the fixed set above x; the set is
-    # meet-closed so the meet of all candidates is that least member.
-    table = np.full(len(frame), frame.top_index, dtype=np.int32)
-    for f in fixed:
-        table = np.where(frame.leq_table[:, f], frame.meet_table[table, f], table)
-    return table
-
-
 def enumerate_nuclei(frame: Frame) -> tuple[Nucleus, ...]:
-    """All nuclei on the frame, in lexicographic table order.
-
-    The search walks the closure system of meet- and implication-closed
-    subsets containing top (exactly the fixed-point sets of nuclei), then
-    re-validates every produced table.
-    """
+    """All nuclei on the frame, in lexicographic table order: the j_S for
+    every subset S of the labels."""
     if len(frame) > ENUMERATION_LIMIT:
         raise SizeLimitExceeded(
             f"carrier {len(frame)} exceeds enumeration limit {ENUMERATION_LIMIT}"
         )
-    first = _close_fixed_set(frame, frozenset())
-    seen = {first}
-    stack = [first]
-    while stack:
-        fixed = stack.pop()
-        for e in range(len(frame)):
-            if e not in fixed:
-                bigger = _close_fixed_set(frame, fixed | {e})
-                if bigger not in seen:
-                    seen.add(bigger)
-                    stack.append(bigger)
-    tables = sorted(tuple(map(int, _nucleus_of_fixed_set(frame, f))) for f in seen)
-    out = []
-    for t in tables:
-        report = validate_nucleus(frame, np.array(t, dtype=np.int32))
-        if not report.valid:
-            raise InternalInvariantViolation(
-                f"enumerated table {t} fails laws {report.law_names()}"
-            )
-        out.append(Nucleus(frame, np.array(t, dtype=np.int32)))
-    return tuple(out)
+    tables = np.full((1, len(frame)), frame.top_index, dtype=np.int32)
+    for row in frame.label_rows:
+        # j of S with x added is j_S /\ j_{x}
+        tables = np.concatenate([tables, frame.meet_table[tables, row]])
+    tables = tables[np.lexsort(tables.T[::-1])]
+    return tuple(Nucleus(frame, t) for t in tables)
 
 
 def sup_nuclei(frame: Frame, js: Iterable[Nucleus]) -> Nucleus:
-    """Supremum of a family of nuclei, in closed form.
-
-    Every nucleus is the oracle modality of its container of stable queries,
-    and the modality of a sum of containers is the sup of their modalities,
-    so the sup is the modality of the sum of those containers.
-    """
-    # Imported here because the containers module builds on this one.
-    from .containers import container_sum, oracle_modality, pred_of_nucleus
-
-    js = list(js)
+    """Supremum of a family of nuclei: j of the intersection of their label
+    subsets (the identity for the empty family)."""
+    subset = np.ones(len(frame.poset), dtype=bool)
     for j in js:
         if j.frame is not frame:
             raise FrameMismatch("nucleus on a different frame")
-    return oracle_modality(container_sum([pred_of_nucleus(j) for j in js], frame))
+        subset &= subset_of(frame, j.table)
+    return Nucleus(frame, j_table(frame, subset))
 
 
 def fixed_points_frame(j: Nucleus) -> Frame:
-    """The frame of j-stable elements, with join rebuilt through j."""
-    fixed = [int(i) for i in np.flatnonzero(j.table == np.arange(len(j.frame)))]
-    return subframe(j.frame, fixed, j.table)
+    """The frame of j-stable elements, as the downset frame of the subposet
+    S(j): a stable element U corresponds to U & S(j)."""
+    poset = j.frame.poset
+    labels = [x for x, kept in zip(poset.labels, subset_of(j.frame, j.table)) if kept]
+    within = frozenset(labels)
+    return downset_frame(Poset(labels, {x: poset.down(x) & within for x in labels}))

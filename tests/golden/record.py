@@ -1,0 +1,117 @@
+"""Write the golden CLI inputs and their recorded ``--format json`` output.
+
+    PYTHONPATH=src python tests/golden/record.py
+
+For each poset in ``POSETS`` it writes the poset, three seeded containers,
+one valid and one broken nucleus table and two nuclei to take the sup of,
+then runs the verbs of ``cases()`` through ``cli.run`` and stores their
+stdout under ``expected/`` and their exit codes in ``cases.json``.
+``tests/test_golden.py`` replays the same argv and compares the bytes, so
+run this only on a tree whose output is the reference, and commit what it
+writes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io as stdio
+import json
+import random
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+
+from catalog import POSETS, make_frame  # noqa: E402
+from oraclemod import cli, io  # noqa: E402
+from oraclemod.nuclei import enumerate_nuclei  # noqa: E402
+
+NAMES = ("chain2", "anti4", "diamond", "chain7")
+
+
+def _container(frame, rng: random.Random) -> dict:
+    shapes = [f"a{i}" for i in range(rng.randint(1, 3))]
+    pred, extent = {}, {}
+    for a in shapes:
+        e = rng.randrange(len(frame))
+        below = [p for p in range(len(frame)) if frame.leq_table[p, e]]
+        extent[a] = list(frame.el(e).labels)
+        pred[a] = list(frame.el(rng.choice(below)).labels)
+    return {"shapes": shapes, "pred": pred, "extent": extent}
+
+
+def _nucleus(frame, table) -> dict:
+    return {"table": {frame.el(i).key: list(frame.el(int(v)).labels)
+                      for i, v in enumerate(table)}}
+
+
+def write_inputs(name: str) -> None:
+    """The input files of one poset, under ``inputs/<name>/``."""
+    out = HERE / "inputs" / name
+    out.mkdir(parents=True, exist_ok=True)
+    labels, pairs = POSETS[name]
+    io.dump_json({"elements": labels, "le": [list(p) for p in pairs]}, out / "poset.json")
+    frame = make_frame(name)
+    rng = random.Random(f"golden:{name}")
+    for i in range(3):
+        io.dump_json(_container(frame, rng), out / f"container{i}.json")
+    ns = enumerate_nuclei(frame)
+    valid = ns[len(ns) // 2]
+    io.dump_json(_nucleus(frame, valid.table), out / "valid.json")
+    # bottom sent to bottom and top to bottom: not inflationary at top
+    broken = valid.table.copy()
+    broken[frame.top_index] = frame.bot_index
+    io.dump_json(_nucleus(frame, broken), out / "broken.json")
+    io.dump_json(_nucleus(frame, ns[1].table), out / "sup0.json")
+    io.dump_json(_nucleus(frame, ns[-2].table), out / "sup1.json")
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    """(case id, argv with paths relative to this directory)."""
+    out = []
+    for name in NAMES:
+        d = f"inputs/{name}"
+        poset = ["--poset", f"{d}/poset.json"]
+        for verb in ("compute", "compare"):
+            for i in range(3):
+                out.append((f"{name}-oracle-{verb}-{i}",
+                            ["oracle", verb, *poset, "--container", f"{d}/container{i}.json"]))
+        out.append((f"{name}-nuclei-enumerate", ["nuclei", "enumerate", *poset]))
+        for kind in ("valid", "broken"):
+            out.append((f"{name}-nuclei-validate-{kind}",
+                        ["nuclei", "validate", *poset, "--nucleus", f"{d}/{kind}.json"]))
+        out.append((f"{name}-nuclei-sup", ["nuclei", "sup", *poset,
+                                           "--nucleus", f"{d}/sup0.json",
+                                           "--nucleus", f"{d}/sup1.json"]))
+        out.append((f"{name}-verify-all",
+                    ["verify", "all", *poset, "--seed", "0", "--cases", "4"]))
+    return out
+
+
+def absolute(argv: list[str]) -> list[str]:
+    return [str(HERE / a) if a.startswith("inputs/") else a for a in argv]
+
+
+def run_json(argv: list[str]) -> tuple[str, int]:
+    """stdout and exit code of one ``--format json`` run."""
+    buf = stdio.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = cli.run(["--format", "json", *absolute(argv)])
+    return buf.getvalue(), status
+
+
+def main() -> None:
+    for name in NAMES:
+        write_inputs(name)
+    (HERE / "expected").mkdir(exist_ok=True)
+    manifest = []
+    for case, argv in cases():
+        stdout, status = run_json(argv)
+        (HERE / "expected" / f"{case}.json").write_text(stdout, encoding="utf-8")
+        manifest.append({"id": case, "argv": argv, "exit": status})
+    io.dump_json(manifest, HERE / "cases.json")
+
+
+if __name__ == "__main__":
+    main()

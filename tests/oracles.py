@@ -2,9 +2,10 @@
 
 Everything here stays deliberately naive: powerset filters, closure by
 saturation, frozenset lattice tables, residuation scans, the full
-inflationary-table filter, the per-shape fold of the single-query map and
-the dictionary-built container of stable queries. None of it shares code
-with the package's own computation paths.
+inflationary-table filter, the closure-system search for fixed-point sets,
+the per-shape fold of the single-query map and the dictionary-built
+container of stable queries. None of it shares code with the package's own
+computation paths.
 """
 
 import functools
@@ -141,3 +142,51 @@ def dict_pred_of_nucleus(j):
         extent[name] = frame.el(int(j.table[i]))
         pred[name] = frame.meet(el, extent[name])
     return pred, extent
+
+
+def _close_fixed_set(frame, seed):
+    # Close under binary meets and under x => f for every carrier x.
+    meet, imp = frame.meet_table, frame.implies_table
+    n = len(frame)
+    cur = set(seed) | {frame.top_index}
+    frontier = list(cur)
+    while frontier:
+        f = frontier.pop()
+        for x in range(n):
+            g = int(imp[x, f])
+            if g not in cur:
+                cur.add(g)
+                frontier.append(g)
+        for g in list(cur):
+            h = int(meet[f, g])
+            if h not in cur:
+                cur.add(h)
+                frontier.append(h)
+    return frozenset(cur)
+
+
+def _nucleus_of_fixed_set(frame, fixed):
+    # j(x) is the least member of the fixed set above x; the set is
+    # meet-closed so the meet of all candidates is that least member.
+    table = np.full(len(frame), frame.top_index, dtype=np.int32)
+    for f in fixed:
+        table = np.where(frame.leq_table[:, f], frame.meet_table[table, f], table)
+    return table
+
+
+def closure_system_nuclei(frame):
+    """Referee for ``nuclei.enumerate_nuclei``: every nucleus table, sorted,
+    found by walking the closure system of meet- and implication-closed
+    subsets containing top (exactly the fixed-point sets of nuclei)."""
+    first = _close_fixed_set(frame, frozenset())
+    seen = {first}
+    stack = [first]
+    while stack:
+        fixed = stack.pop()
+        for e in range(len(frame)):
+            if e not in fixed:
+                bigger = _close_fixed_set(frame, fixed | {e})
+                if bigger not in seen:
+                    seen.add(bigger)
+                    stack.append(bigger)
+    return sorted(tuple(map(int, _nucleus_of_fixed_set(frame, f))) for f in seen)

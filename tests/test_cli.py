@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -133,6 +134,25 @@ def test_oracle_compute_and_compare(poset_file, tmp_path, capsys):
     code, out = run_capture(capsys, ["--format", "json", "oracle", "compare",
                                      "--poset", poset_file, "--container", str(cfile)])
     assert code == 0 and json.loads(out)["body"]["agree"]
+
+
+@pytest.mark.parametrize("route", ("oracle_modality", "oracle_modality_kleene",
+                                   "oracle_modality_bruteforce"))
+def test_oracle_compare_needs_all_three_routes(monkeypatch, poset_file, tmp_path,
+                                               route, capsys):
+    # the LEM container's modality is double negation, not the top nucleus
+    cfile = tmp_path / "lem.json"
+    io.dump_json({"shapes": ["a0", "a1", "a2"],
+                  "pred": {"a0": ["p", "q"], "a1": ["p"], "a2": ["p", "q"]}}, cfile)
+    monkeypatch.setattr(cli, route,
+                        lambda c: canonical_nuclei(c.frame, "top"))
+    code, out = run_capture(capsys, ["--format", "json", "oracle", "compare",
+                                     "--poset", poset_file, "--container", str(cfile)])
+    body = json.loads(out)["body"]
+    assert code == 1 and body["agree"] is False
+    dn = {"": [], "p": ["p", "q"], "p,q": ["p", "q"]}
+    assert (body["kleene"] == dn) == (route != "oracle_modality_kleene")
+    assert (body["bruteforce"] == dn) == (route != "oracle_modality_bruteforce")
 
 
 def test_verify_retraction_pass_and_injected_failure(poset_file, tmp_path, capsys):
@@ -386,3 +406,14 @@ def test_container_roundtrip():
     # omitted extent defaults to top
     c2 = io.container_from_dict(frame, {"shapes": ["a0"], "pred": {"a0": ["p"]}})
     assert c2.extent_of("a0") == frame.top
+
+
+def test_thousand_label_chain_build_exits_3_fast(tmp_path, capsys):
+    labels = [f"x{i:04d}" for i in range(1000)]
+    path = str(tmp_path / "chain1000.json")
+    io.dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
+                 path)
+    start = time.perf_counter()
+    assert cli.run(["frame", "build", "--poset", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "frame build would take 16032016000 word operations" in capsys.readouterr().err

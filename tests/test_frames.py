@@ -1,5 +1,10 @@
+import os
+import random
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from oraclemod import frames
@@ -62,6 +67,56 @@ def test_poset_cycle_rejected():
         poset_from_relation(["p", "q"], [("p", "q"), ("q", "p")])
 
 
+# (labels, pairs, the pair the cycle error names): the first pair in label
+# order of two labels on one cycle.
+CYCLES = [
+    (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], ("a", "b")),
+    (["d", "c", "b", "a"], [("b", "a"), ("c", "d"), ("d", "c"), ("a", "c")], ("c", "d")),
+    (["z", "y", "x"], [("x", "z"), ("z", "x"), ("y", "x")], ("x", "z")),
+]
+
+
+@pytest.mark.parametrize("labels, pairs, witness", CYCLES,
+                         ids=["four-cycle", "two-cycle-in-reversed-labels", "unsorted"])
+def test_poset_cycle_names_first_pair_in_label_order(labels, pairs, witness):
+    with pytest.raises(AntisymmetryViolation) as err:
+        poset_from_relation(labels, pairs)
+    assert str(err.value) == f"cycle through {witness[0]!r} and {witness[1]!r}"
+
+
+def test_poset_cycle_message_does_not_depend_on_hash_seed():
+    src = os.path.dirname(os.path.dirname(frames.__file__))
+    code = ("from oraclemod.frames import poset_from_relation\n"
+            "try:\n"
+            "    poset_from_relation(list('abcd'), [('a','b'), ('b','c'), ('c','d'), ('d','a')])\n"
+            "except Exception as e:\n"
+            "    print(e)\n")
+    outs = set()
+    for seed in ("1", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        outs.add(run.stdout)
+    assert outs == {"cycle through 'a' and 'b'\n"}
+
+
+def test_poset_closure_matches_saturation_referee():
+    # random acyclic relations over shuffled labels, with repeated and
+    # reflexive pairs
+    rng = random.Random(5)
+    for _ in range(300):
+        labels = [f"l{i}" for i in range(rng.randint(0, 8))]
+        rng.shuffle(labels)
+        rank = labels[:]
+        rng.shuffle(rank)
+        pairs = [(a, b) for i, a in enumerate(rank) for b in rank[i:] if rng.random() < 0.3]
+        pairs += rng.sample(pairs, len(pairs) // 3)
+        rng.shuffle(pairs)
+        p = poset_from_relation(labels, pairs)
+        got = {(a, b) for b in p.labels for a in p.below[b]}
+        assert got == transitive_closure_pairs(labels, pairs)
+
+
 def test_poset_unknown_label_rejected():
     with pytest.raises(UnknownLabel):
         poset_from_relation(["p"], [("p", "z")])
@@ -113,6 +168,51 @@ def test_build_cost_limit():
         downset_frame(chain_poset(1000))
     assert time.perf_counter() - start < 1.0
     assert len(downset_frame(chain_poset(250))) == 251
+
+
+class _UnreadablePoset(Poset):
+    """A chain's labels whose order must not be read."""
+
+    def down(self, a):
+        raise AssertionError("order read before the cost check")
+
+
+def test_build_refused_before_enumerating():
+    # 4095 labels have at least 4096 downsets, so the implication pass
+    # would take at least 4095 * 4096**2 * 64 word operations, exactly the
+    # cost of the 4095-label chain
+    labels = [f"x{i:04d}" for i in range(4095)]
+    poset = _UnreadablePoset(labels, {x: frozenset() for x in labels})
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded, match=f"would take {4095 * 4096**2 * 64} word"):
+        downset_frame(poset)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_build_cost_checked_after_enumerating():
+    # 10 incomparable labels beside a 3-chain: 2**10 * 4 = 4096 downsets of
+    # 13 labels, over the limit only once the downsets are counted
+    labels = [f"a{i}" for i in range(10)] + ["c0", "c1", "c2"]
+    poset = poset_from_relation(labels, [("c0", "c1"), ("c1", "c2")])
+    with pytest.raises(SizeLimitExceeded, match="would take 218103808 word operations"):
+        downset_frame(poset)
+
+
+@pytest.mark.parametrize("name", sorted(REFEREE_POSETS))
+def test_label_tables_match_definitions(name):
+    poset = poset_from_relation(*REFEREE_POSETS[name])
+    frame = downset_frame(poset)
+    assert "label_members" not in frame.__dict__  # derived on first use only
+    index = {e: i for i, e in enumerate(frame.elements)}
+    members = [[x in e for x in poset.labels] for e in frame.elements]
+    assert frame.label_members.tolist() == members
+    strict = [index[poset.down(x) - {x}] for x in poset.labels]
+    assert frame.label_strict.tolist() == strict
+    # j_{x}(U) = {y : x not in down(y), or x in U}
+    rows = [[index[frozenset(y for y in poset.labels if x not in poset.down(y) or x in u)]
+             for u in frame.elements] for x in poset.labels]
+    assert np.array_equal(frame.label_rows, np.array(rows, dtype=np.int32).reshape(-1, len(frame)))
+    assert frame.label_rows.dtype == np.int32
 
 
 @pytest.mark.parametrize("name", sorted(REFEREE_POSETS))

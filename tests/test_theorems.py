@@ -96,21 +96,15 @@ def test_nuclei_enumerated_at_most_once_per_run(monkeypatch, o4, suite, calls):
     assert len(seen) == calls
 
 
-class _CountedOnly:
-    """Stands in for a list of a million single-shape containers: it has a
-    length but must not be iterated."""
-
-    def __len__(self):
-        return 1_000_000
-
-    def __iter__(self):
-        raise AssertionError("single-shape pairs built although sampling")
+def _not_called(frame):
+    raise AssertionError("single-shape containers built although sampling")
 
 
-@pytest.mark.parametrize("suite", ("forcing-iff", "oracle-leq"))
+@pytest.mark.parametrize("suite", ("forcing-iff", "oracle-leq", "least-above-instance",
+                                   "instance-vs-forcing"))
 def test_sampling_decided_before_building_pairs(monkeypatch, o4, suite):
-    monkeypatch.setattr(theorems, "all_single_shape_containers",
-                        lambda frame: _CountedOnly())
+    # anti4 has 81 single-shape containers, more than --cases 4
+    monkeypatch.setattr(theorems, "all_single_shape_containers", _not_called)
     (report,) = verify_theorems(o4, suite=(suite,), budget=Budget(seed=1, cases=4))
     assert report.passed and report.checked == 4
     assert report.coverage == "sampled 4"
