@@ -122,12 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _nucleus_table_dict(frame, table) -> dict:
-    return {
-        frame.el(i).key: list(frame.el(int(v)).labels) for i, v in enumerate(table)
-    }
-
-
 def _dispatch(args) -> tuple[dict, int]:
     text = args.format == "text"
 
@@ -147,7 +141,7 @@ def _dispatch(args) -> tuple[dict, int]:
             ns = enumerate_nuclei(frame)
             body = {
                 "count": len(ns),
-                "nuclei": [_nucleus_table_dict(frame, j.table) for j in ns],
+                "nuclei": [io.nucleus_table_to_dict(frame, j.table) for j in ns],
             }
             return body, 0
         if args.sub == "validate":
@@ -172,7 +166,7 @@ def _dispatch(args) -> tuple[dict, int]:
                 )
             js.append(Nucleus(frame, table))
         s = sup_nuclei(frame, js)
-        return {"sup": _nucleus_table_dict(frame, s.table)}, 0
+        return {"sup": io.nucleus_table_to_dict(frame, s.table)}, 0
 
     if args.verb == "oracle":
         frame = io.load_frame(args.poset)
@@ -182,7 +176,7 @@ def _dispatch(args) -> tuple[dict, int]:
         if args.sub == "compute":
             j = oracle_modality(c)
             body = {
-                "modality": _nucleus_table_dict(frame, j.table),
+                "modality": io.nucleus_table_to_dict(frame, j.table),
                 "dense": [io.element_to_json(e) for e in dense_elements(j)],
             }
             return body, 0
@@ -192,8 +186,8 @@ def _dispatch(args) -> tuple[dict, int]:
         k = oracle_modality_bruteforce(c)
         agree = j == kle == k
         body = {
-            "kleene": _nucleus_table_dict(frame, kle.table),
-            "bruteforce": _nucleus_table_dict(frame, k.table),
+            "kleene": io.nucleus_table_to_dict(frame, kle.table),
+            "bruteforce": io.nucleus_table_to_dict(frame, k.table),
             "agree": agree,
         }
         return body, 0 if agree else 1

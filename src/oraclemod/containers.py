@@ -228,7 +228,8 @@ def pred_of_nucleus(j: Nucleus) -> IndexedPropContainer:
 
 def instance_reducible(c: IndexedPropContainer, d: IndexedPropContainer) -> bool:
     """Every c-query is answerable from one d-query at its own stage:
-    E_c(a) <= \\/_b (E_d(b) /\\ (P_d(b) => P_c(a)))."""
+    E_c(a) <= \\/_b (E_d(b) /\\ (P_d(b) => P_c(a))), element by element: the
+    independent route of the ``instance-vs-forcing`` referee."""
     if c.frame is not d.frame:
         raise FrameMismatch("containers on different frames")
     frame = c.frame

@@ -6,19 +6,18 @@ binary meet, join and Heyting implication are precomputed into integer
 tables so that every downstream fixed-point computation is pure table
 lookup.
 
-A poset is closed from its generating pairs with one bitmask per label,
-OR-ed along a topological order; a cycle is reported by the first pair of
-labels, in label order, that lie on one.
-
-By Birkhoff's representation a downset is a bitmask over the poset's sorted
-labels, stored as ``W = ceil(labels / 64)`` uint64 words: meet is ``&``,
-join is ``|``, and ``I => J`` keeps each label x with
+A downset is stored once, as a bitmask over the poset's sorted labels. A
+poset keeps one int mask per label, closed from its generating pairs by
+OR-ing along a topological order; a cycle is reported by the first pair of
+labels, in label order, that lie on one. A frame keeps one row of
+``W = ceil(labels / 64)`` uint64 words per element (Birkhoff): meet is
+``&``, join is ``|``, and ``I => J`` keeps each label x with
 ``down(x) & I & ~J == 0``. The tables are filled by numpy broadcasting over
 blocks of rows, and result masks are mapped back to carrier indices by one
-sort and a binary search. The frame keeps the masks; the label tables the
-closed form of nuclei reads (label membership, the index of
-``down(x) - {x}`` and the single-label nuclei j_{x}) are derived from them
-on first use, so a build pays nothing for them. ``Frame.check_laws`` runs
+sort and a binary search. Element labels, keys and lookup, and the label
+tables the closed form of nuclei reads (label membership, the index of
+``down(x) - {x}`` and the single-label nuclei j_{x}), are derived from the
+masks on first use, so a build pays nothing for them. ``Frame.check_laws`` runs
 its three-index laws in blocks over the first index, so its temporaries
 hold about ``max(BLOCK_CELLS, n**2)`` cells instead of ``n**3``. The
 carrier is capped at ``DEFAULT_CARRIER_LIMIT = 4096`` downsets: the four
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,20 +54,27 @@ BLOCK_CELLS = 1 << 18
 
 
 class Poset:
-    """A finite poset over string labels, closed reflexively and transitively."""
+    """A finite poset over sorted string labels, closed reflexively and
+    transitively, stored once: bit k of ``masks[i]`` says label k <= label i."""
 
-    def __init__(self, labels: Sequence[str], below: Mapping[str, frozenset[str]]):
-        self.labels: tuple[str, ...] = tuple(sorted(labels))
-        self.below: dict[str, frozenset[str]] = {x: below[x] for x in self.labels}
+    def __init__(self, labels: Sequence[str], masks: Sequence[int]):
+        self.labels: tuple[str, ...] = tuple(labels)
+        self.masks = masks
+        self.bit: dict[str, int] = {x: i for i, x in enumerate(self.labels)}
+
+    def _bit(self, a: str) -> int:
+        if a not in self.bit:
+            raise UnknownLabel(f"unknown poset label {a!r}")
+        return self.bit[a]
 
     def le(self, a: str, b: str) -> bool:
-        if a not in self.below or b not in self.below:
-            raise UnknownLabel(f"unknown poset label {a if a not in self.below else b!r}")
-        return a in self.below[b]
+        i, j = self._bit(a), self._bit(b)
+        return bool(self.masks[j] >> i & 1)
 
     def down(self, a: str) -> frozenset[str]:
         """The principal downset of a single element."""
-        return self.below[a]
+        bits = bin(self.masks[self._bit(a)])[:1:-1]
+        return frozenset(x for x, b in zip(self.labels, bits) if b == "1")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -99,7 +105,7 @@ def poset_from_relation(
         for b in cyclic:
             if b > a and below[a] >> b & 1 and below[b] >> a & 1:
                 raise AntisymmetryViolation(f"cycle through {order[a]!r} and {order[b]!r}")
-    return Poset(order, _label_sets(below, order))
+    return Poset(order, below)
 
 
 def _down_closure(lower: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -140,15 +146,6 @@ def _down_closure(lower: list[list[int]]) -> tuple[list[int], list[int]]:
     return below, cyclic
 
 
-def _label_sets(below: list[int], order: list[str]) -> dict[str, frozenset[str]]:
-    """Each label's bitmask as the frozenset of the labels it holds."""
-    width = -(-len(order) // 8)
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in below), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(below), width), axis=1, bitorder="little")
-    names = np.array(order, dtype=object)
-    return {x: frozenset(names[row]) for x, row in zip(order, bits[:, :len(order)].astype(bool))}
-
-
 @dataclass(frozen=True)
 class FrameElement:
     """An element of one specific frame; compared and combined only within it."""
@@ -158,7 +155,7 @@ class FrameElement:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(sorted(self.frame.elements[self.index]))
+        return self.frame.element_labels[self.index]
 
     @property
     def key(self) -> str:
@@ -172,26 +169,16 @@ class FrameElement:
 class Frame:
     """A finite Heyting algebra with cached operation tables.
 
-    ``elements`` holds one frozenset of labels per carrier element; for
-    downset frames these are the downward-closed subsets of the generating
-    poset, sorted by (size, labels) so that bottom comes first and top last,
-    and ``masks`` holds the same subsets as rows of uint64 words over the
-    poset's sorted labels. The label tables (``label_members``,
-    ``label_strict``, ``label_rows``) are derived from them on first use.
+    The carrier is the downsets of ``poset``, stored once: row i of
+    ``masks`` is element i as uint64 words over the poset's sorted labels,
+    sorted by (size, labels) so that bottom comes first and top last. The
+    label lists and keys of the elements, the mask lookup of ``element`` and
+    the label tables (``label_members``, ``label_strict``, ``label_rows``)
+    are derived from the masks on first use.
     """
 
-    def __init__(
-        self,
-        elements: Sequence[frozenset[str]],
-        leq: np.ndarray,
-        meet: np.ndarray,
-        join: np.ndarray,
-        implies: np.ndarray,
-        poset: Poset | None = None,
-        masks: np.ndarray | None = None,
-    ):
-        self.elements: tuple[frozenset[str], ...] = tuple(elements)
-        self._index = {e: i for i, e in enumerate(self.elements)}
+    def __init__(self, poset: Poset, masks: np.ndarray, leq: np.ndarray,
+                 meet: np.ndarray, join: np.ndarray, implies: np.ndarray):
         self.poset = poset
         self.masks = masks
         self.leq_table = leq
@@ -200,7 +187,7 @@ class Frame:
         self.implies_table = implies
         for t in (self.leq_table, self.meet_table, self.join_table, self.implies_table):
             t.flags.writeable = False
-        n = len(self.elements)
+        n = len(masks)
         self.bot_index = int(np.flatnonzero(leq.all(axis=1))[0])
         self.top_index = int(np.flatnonzero(leq.all(axis=0))[0])
         self.neg_table = implies[:, self.bot_index].copy()
@@ -226,15 +213,30 @@ class Frame:
         return FrameElement(self, index)
 
     def element(self, labels: Iterable[str]) -> FrameElement:
-        key = frozenset(labels)
-        if key not in self._index:
-            raise UnknownLabel(f"{sorted(key)!r} is not an element of this frame")
-        return FrameElement(self, self._index[key])
+        labels, bit = set(labels), self.poset.bit
+        # an unknown label sets the bit past the last label, in no element
+        index = self._mask_index.get(sum(1 << bit.get(x, len(bit)) for x in labels))
+        if index is None:
+            raise UnknownLabel(f"{sorted(labels)!r} is not an element of this frame")
+        return FrameElement(self, index)
+
+    @functools.cached_property
+    def _mask_index(self) -> dict[int, int]:
+        """Carrier index of each element's mask, read as one int."""
+        return {sum(w << 64 * k for k, w in enumerate(row)): i
+                for i, row in enumerate(self.masks.tolist())}
+
+    @functools.cached_property
+    def element_labels(self) -> tuple[tuple[str, ...], ...]:
+        """``FrameElement.labels`` of every element, in carrier order."""
+        names = self.poset.labels
+        return tuple(tuple(x for x, b in zip(names, row) if b)
+                     for row in self.label_members.tolist())
 
     @functools.cached_property
     def element_keys(self) -> tuple[str, ...]:
         """``FrameElement.key`` of every element, in carrier order."""
-        return tuple(",".join(sorted(e)) for e in self.elements)
+        return tuple(map(",".join, self.element_labels))
 
     # -- label tables ----------------------------------------------------
     #
@@ -384,14 +386,12 @@ def _check_build_cost(labels: int, n: int, width: int) -> None:
 
 def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> Frame:
     """The frame of downward-closed subsets of a poset, ordered by inclusion."""
-    labels = poset.labels
-    width = max(1, -(-len(labels) // 64))
+    labels = len(poset)
+    width = max(1, -(-labels // 64))
     # a poset has at least one downset more than labels: the empty one and
     # the principal ones
-    _check_build_cost(len(labels), len(labels) + 1, width)
-    bit = {x: i for i, x in enumerate(labels)}
-    down = [sum(1 << bit[y] for y in poset.down(x)) for x in labels]
-    strict = [d & ~(1 << i) for i, d in enumerate(down)]
+    _check_build_cost(labels, labels + 1, width)
+    strict = [d & ~(1 << i) for i, d in enumerate(poset.masks)]
     downsets = {0}
     frontier = [0]
     while frontier:
@@ -407,20 +407,19 @@ def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> F
                     downsets.add(nd)
                     frontier.append(nd)
     n = len(downsets)
-    _check_build_cost(len(labels), n, width)
+    _check_build_cost(labels, n, width)
     # Labels are sorted, so ordering by (size, set-bit positions) is the
     # order by (size, sorted labels).
     keyed = sorted(
-        (m.bit_count(), tuple(i for i in range(len(labels)) if m >> i & 1), m)
+        (m.bit_count(), tuple(i for i in range(labels) if m >> i & 1), m)
         for m in downsets
     )
-    elements = [frozenset(labels[i] for i in bits) for _, bits, _ in keyed]
 
     def words(m: int) -> list[int]:
         return [(m >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(width)]
 
     masks = np.array([words(m) for _, _, m in keyed], dtype=np.uint64)
-    principal = np.array([words(m) for m in down], dtype=np.uint64).reshape(-1, width)
+    principal = np.array([words(m) for m in poset.masks], dtype=np.uint64).reshape(-1, width)
     keys = _mask_keys(masks)
     order = np.argsort(keys)
     sorted_keys = keys[order]
@@ -445,4 +444,4 @@ def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> F
             keep = ~(outside & dx).any(axis=-1)
             body[..., x // 64] |= keep.astype(np.uint64) << np.uint64(x % 64)
         imp[lo:lo + rows] = index_of(body)
-    return Frame(elements, leq, meet, join, imp, poset=poset, masks=masks)
+    return Frame(poset, masks, leq, meet, join, imp)

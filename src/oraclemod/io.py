@@ -51,9 +51,7 @@ def poset_from_dict(d: Mapping) -> Poset:
 
 
 def poset_to_dict(p: Poset) -> dict:
-    pairs = sorted(
-        [a, b] for b in p.labels for a in p.below[b] if a != b
-    )
+    pairs = [[a, b] for a in p.labels for b in p.labels if a != b and p.le(a, b)]
     return {"elements": list(p.labels), "le": pairs}
 
 
@@ -80,13 +78,14 @@ def element_from_json(frame: Frame, v) -> FrameElement:
 # -- nuclei ---------------------------------------------------------------
 
 
+def nucleus_table_to_dict(frame: Frame, table) -> dict:
+    """A table over the carrier as {element key: label list}."""
+    keys, labels = frame.element_keys, frame.element_labels
+    return {keys[i]: list(labels[v]) for i, v in enumerate(np.asarray(table).tolist())}
+
+
 def nucleus_to_dict(j: Nucleus, frame_ref: str | None = None) -> dict:
-    frame = j.frame
-    table = {
-        frame.el(i).key: element_to_json(frame.el(int(v)))
-        for i, v in enumerate(j.table)
-    }
-    out: dict = {"table": table}
+    out: dict = {"table": nucleus_table_to_dict(j.frame, j.table)}
     if frame_ref is not None:
         out["frame"] = frame_ref
     return out

@@ -30,7 +30,8 @@ import numpy as np
 from .errors import FrameMismatch, SizeLimitExceeded
 from .frames import Frame, FrameElement, Poset, downset_frame
 
-ENUMERATION_LIMIT = 64
+# Cells of the tables enumerate_nuclei builds at once, 2**labels x carrier.
+ENUMERATION_LIMIT = 1 << 14
 
 LAWS = ("inflationary", "idempotent", "meet_preservation", "monotone")
 
@@ -195,9 +196,10 @@ def dense_elements(j: Nucleus) -> tuple[FrameElement, ...]:
 def enumerate_nuclei(frame: Frame) -> tuple[Nucleus, ...]:
     """All nuclei on the frame, in lexicographic table order: the j_S for
     every subset S of the labels."""
-    if len(frame) > ENUMERATION_LIMIT:
+    if len(frame) << len(frame.poset) > ENUMERATION_LIMIT:
         raise SizeLimitExceeded(
-            f"carrier {len(frame)} exceeds enumeration limit {ENUMERATION_LIMIT}"
+            f"2**{len(frame.poset)} nuclei on carrier {len(frame)} exceed the"
+            f" enumeration limit of {ENUMERATION_LIMIT} table cells"
         )
     tables = np.full((1, len(frame)), frame.top_index, dtype=np.int32)
     for row in frame.label_rows:
@@ -222,6 +224,7 @@ def fixed_points_frame(j: Nucleus) -> Frame:
     """The frame of j-stable elements, as the downset frame of the subposet
     S(j): a stable element U corresponds to U & S(j)."""
     poset = j.frame.poset
-    labels = [x for x, kept in zip(poset.labels, subset_of(j.frame, j.table)) if kept]
-    within = frozenset(labels)
-    return downset_frame(Poset(labels, {x: poset.down(x) & within for x in labels}))
+    kept = np.flatnonzero(subset_of(j.frame, j.table)).tolist()
+    # bit i of each kept mask moves to the rank of label i among the kept
+    masks = [sum(1 << r for r, i in enumerate(kept) if poset.masks[x] >> i & 1) for x in kept]
+    return downset_frame(Poset([poset.labels[x] for x in kept], masks))

@@ -260,8 +260,8 @@ def _check_surjection(frame: Frame, budget: Budget, rng: random.Random, enumerat
 
 def _check_instance_vs_forcing(frame: Frame, budget: Budget, rng: random.Random,
                                enumerated):
-    # Cross-checks the vectorized reducibility test against the elementwise
-    # single-query reading: E_c(a) <= i_d(P_c(a)) for every shape a.
+    # Cross-checks instance_reducible, the elementwise route, against the
+    # tabulated single-query map: E_c(a) <= i_d(P_c(a)) for every shape a.
     cs, coverage = _containers_for(frame, budget, rng)
     failures = []
     for c in cs:

@@ -42,8 +42,7 @@ def _container(frame, rng: random.Random) -> dict:
 
 
 def _nucleus(frame, table) -> dict:
-    return {"table": {frame.el(i).key: list(frame.el(int(v)).labels)
-                      for i, v in enumerate(table)}}
+    return {"table": io.nucleus_table_to_dict(frame, table)}
 
 
 def write_inputs(name: str) -> None:
@@ -73,6 +72,7 @@ def cases() -> list[tuple[str, list[str]]]:
     for name in NAMES:
         d = f"inputs/{name}"
         poset = ["--poset", f"{d}/poset.json"]
+        out.append((f"{name}-frame-build", ["frame", "build", *poset]))
         for verb in ("compute", "compare"):
             for i in range(3):
                 out.append((f"{name}-oracle-{verb}-{i}",

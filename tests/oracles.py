@@ -43,12 +43,13 @@ def frozenset_tables(poset):
     label at a time from the empty set, then the leq, meet, join and implies
     tables filled pair by pair with set operations and a dictionary lookup.
     Reads only ``poset.labels`` and ``poset.down``."""
+    down = {x: poset.down(x) for x in poset.labels}
     downsets = {frozenset()}
     frontier = [frozenset()]
     while frontier:
         d = frontier.pop()
         for x in poset.labels:
-            if x not in d and poset.down(x) - {x} <= d and d | {x} not in downsets:
+            if x not in d and down[x] - {x} <= d and d | {x} not in downsets:
                 downsets.add(d | {x})
                 frontier.append(d | {x})
     elements = sorted(downsets, key=lambda s: (len(s), tuple(sorted(s))))
@@ -66,7 +67,7 @@ def frozenset_tables(poset):
             # I => J contains x iff the principal downset of x meets I only
             # inside J.
             imp[i, j] = index[
-                frozenset(x for x in poset.labels if poset.down(x) & a <= b)
+                frozenset(x for x in poset.labels if down[x] & a <= b)
             ]
     return elements, leq, meet, join, imp
 

@@ -108,7 +108,7 @@ def test_nuclei_sup_on_carrier_81(pairs4_file, tmp_path, capsys):
 @pytest.mark.parametrize("verb", (["nuclei", "enumerate"], ["verify", "retraction"]))
 def test_enumeration_size_limit_exits_3(pairs4_file, verb, capsys):
     assert cli.run(verb + ["--poset", pairs4_file]) == 3
-    assert "exceeds enumeration limit 64" in capsys.readouterr().err
+    assert "exceed the enumeration limit of 16384 table cells" in capsys.readouterr().err
 
 
 def test_verify_without_nuclei_runs_above_enumeration_limit(pairs4_file, capsys):
@@ -417,3 +417,29 @@ def test_thousand_label_chain_build_exits_3_fast(tmp_path, capsys):
     assert cli.run(["frame", "build", "--poset", path]) == 3
     assert time.perf_counter() - start < 1.0
     assert "frame build would take 16032016000 word operations" in capsys.readouterr().err
+
+
+def test_four_thousand_label_chain_build_exits_3_fast(tmp_path, capsys):
+    # the order is kept as one bitmask per label, so closing the chain costs
+    # little next to the refusal
+    labels = [f"x{i:04d}" for i in range(4000)]
+    path = str(tmp_path / "chain4000.json")
+    io.dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
+                 path)
+    start = time.perf_counter()
+    assert cli.run(["frame", "build", "--poset", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "frame build would take" in capsys.readouterr().err
+
+
+def test_long_chain_enumeration_exits_3_fast(tmp_path, capsys):
+    # carrier 25, but 2**24 nuclei: refused before any table is built
+    labels = [f"x{i:02d}" for i in range(24)]
+    path = str(tmp_path / "chain24.json")
+    io.dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
+                 path)
+    start = time.perf_counter()
+    assert cli.run(["nuclei", "enumerate", "--poset", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert ("2**24 nuclei on carrier 25 exceed the enumeration limit of 16384 table cells"
+            in capsys.readouterr().err)

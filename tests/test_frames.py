@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from oraclemod import frames
+from oraclemod import frames, io
 from oraclemod.errors import (
     AntisymmetryViolation,
     FrameMismatch,
@@ -58,7 +58,7 @@ def test_poset_closure_adds_transitive_pair():
     assert p.le("p", "r")
     # matches the saturation oracle
     want = transitive_closure_pairs(["p", "q", "r"], [("p", "q"), ("q", "r")])
-    got = {(a, b) for b in p.labels for a in p.below[b]}
+    got = {(a, b) for b in p.labels for a in p.down(b)}
     assert got == want
 
 
@@ -113,7 +113,7 @@ def test_poset_closure_matches_saturation_referee():
         pairs += rng.sample(pairs, len(pairs) // 3)
         rng.shuffle(pairs)
         p = poset_from_relation(labels, pairs)
-        got = {(a, b) for b in p.labels for a in p.below[b]}
+        got = {(a, b) for b in p.labels for a in p.down(b)}
         assert got == transitive_closure_pairs(labels, pairs)
 
 
@@ -156,8 +156,8 @@ def test_downset_frame_size_limit():
 
 def chain_poset(length):
     """A chain of ``length`` labels, given already closed."""
-    labels = [f"x{i:04d}" for i in range(length)]
-    return Poset(labels, {x: frozenset(labels[:i + 1]) for i, x in enumerate(labels)})
+    return Poset([f"x{i:04d}" for i in range(length)],
+                 [(1 << i + 1) - 1 for i in range(length)])
 
 
 def test_build_cost_limit():
@@ -170,10 +170,13 @@ def test_build_cost_limit():
     assert len(downset_frame(chain_poset(250))) == 251
 
 
-class _UnreadablePoset(Poset):
-    """A chain's labels whose order must not be read."""
+class _UnreadableMasks:
+    """Label masks that must not be read: enumerating the downsets reads them."""
 
-    def down(self, a):
+    def __getitem__(self, i):
+        raise AssertionError("order read before the cost check")
+
+    def __iter__(self):
         raise AssertionError("order read before the cost check")
 
 
@@ -181,8 +184,7 @@ def test_build_refused_before_enumerating():
     # 4095 labels have at least 4096 downsets, so the implication pass
     # would take at least 4095 * 4096**2 * 64 word operations, exactly the
     # cost of the 4095-label chain
-    labels = [f"x{i:04d}" for i in range(4095)]
-    poset = _UnreadablePoset(labels, {x: frozenset() for x in labels})
+    poset = Poset([f"x{i:04d}" for i in range(4095)], _UnreadableMasks())
     start = time.perf_counter()
     with pytest.raises(SizeLimitExceeded, match=f"would take {4095 * 4096**2 * 64} word"):
         downset_frame(poset)
@@ -203,14 +205,16 @@ def test_label_tables_match_definitions(name):
     poset = poset_from_relation(*REFEREE_POSETS[name])
     frame = downset_frame(poset)
     assert "label_members" not in frame.__dict__  # derived on first use only
-    index = {e: i for i, e in enumerate(frame.elements)}
-    members = [[x in e for x in poset.labels] for e in frame.elements]
+    elements = [frozenset(e.labels) for e in frame.all_elements()]
+    index = {e: i for i, e in enumerate(elements)}
+    members = [[x in e for x in poset.labels] for e in elements]
     assert frame.label_members.tolist() == members
-    strict = [index[poset.down(x) - {x}] for x in poset.labels]
+    down = {x: poset.down(x) for x in poset.labels}
+    strict = [index[down[x] - {x}] for x in poset.labels]
     assert frame.label_strict.tolist() == strict
     # j_{x}(U) = {y : x not in down(y), or x in U}
-    rows = [[index[frozenset(y for y in poset.labels if x not in poset.down(y) or x in u)]
-             for u in frame.elements] for x in poset.labels]
+    rows = [[index[frozenset(y for y in poset.labels if x not in down[y] or x in u)]
+             for u in elements] for x in poset.labels]
     assert np.array_equal(frame.label_rows, np.array(rows, dtype=np.int32).reshape(-1, len(frame)))
     assert frame.label_rows.dtype == np.int32
 
@@ -223,7 +227,7 @@ def test_tables_match_frozenset_referee(monkeypatch, name):
     for cells in (frames.BLOCK_CELLS, 1):
         monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
         frame = downset_frame(poset)
-        assert frame.elements == tuple(elements)
+        assert [frozenset(e.labels) for e in frame.all_elements()] == elements
         got = (frame.leq_table, frame.meet_table, frame.join_table, frame.implies_table)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and (g == w).all()
@@ -254,7 +258,7 @@ def test_check_laws_reports_corrupted_table(monkeypatch, o4, name, cells):
               for t in ("leq", "meet", "join", "implies")}
     tables[name.split("-")[0]][i, j] = value
     monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
-    broken = Frame(o4.elements, tables["leq"], tables["meet"], tables["join"],
+    broken = Frame(o4.poset, o4.masks, tables["leq"], tables["meet"], tables["join"],
                    tables["implies"])
     assert broken.check_laws() == want
 
@@ -300,8 +304,42 @@ def test_cross_frame_operations_rejected(o3, o4):
 def test_element_lookup_and_key(o3):
     m = o3.element(["p"])
     assert m.key == "p" and o3.bot.key == ""
-    with pytest.raises(UnknownLabel):
-        o3.element(["q"])  # {q} is not downward closed in the 2-chain
+    for labels, shown in ((["q"], "['q']"),  # {q} is not downward closed in the 2-chain
+                          (["q", "z", "q"], "['q', 'z']")):  # z is no label
+        with pytest.raises(UnknownLabel) as err:
+            o3.element(labels)
+        assert str(err.value) == f"{shown} is not an element of this frame"
+    for a, b in (("z", "p"), ("p", "z")):
+        with pytest.raises(UnknownLabel) as err:
+            o3.poset.le(a, b)
+        assert str(err.value) == "unknown poset label 'z'"
+
+
+def test_masks_across_the_word_boundary():
+    # 70 labels, so each downset mask takes two 64-bit words: a chain
+    # x00 < ... < x62 < {x63, x64} < x65 < ... < x69, with the incomparable
+    # labels 63 and 64 on either side of the boundary
+    labels = [f"x{i:02d}" for i in range(70)]
+    pairs = [(a, b) for a, b in zip(labels, labels[1:]) if (a, b) != ("x63", "x64")]
+    pairs += [("x62", "x64"), ("x63", "x65")]
+    p = poset_from_relation(labels, pairs)
+    assert p.le("x62", "x64") and p.le("x64", "x65") and p.le("x00", "x69")
+    assert not p.le("x63", "x64") and not p.le("x64", "x63")
+    assert p.down("x64") == frozenset(labels[:63] + ["x64"])
+    assert p.down("x65") == frozenset(labels[:66])
+    back = io.poset_from_dict(io.poset_to_dict(p))
+    assert [back.down(x) for x in labels] == [p.down(x) for x in labels]
+    assert io.poset_to_dict(back) == io.poset_to_dict(p)
+    frame = downset_frame(p)
+    assert len(frame) == 64 + 3 + 5
+    low = (1 << 63) - 1
+    for holds, words in ((labels[:64], [low | 1 << 63, 0]),
+                         (labels[:63] + ["x64"], [low, 1]),
+                         (labels[:65], [low | 1 << 63, 1])):
+        e = frame.element(reversed(holds))
+        assert frame.masks[e.index].tolist() == words
+        assert e.labels == tuple(holds) and e.key == ",".join(holds)
+        assert frame.element(e.labels) == e
 
 
 def test_heyting_dispatcher(o4):

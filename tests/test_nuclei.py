@@ -126,11 +126,12 @@ def test_enumerate_matches_bruteforce_filter(name):
 
 
 def test_enumerate_respects_limit():
-    # four disjoint two-element chains a_i < b_i: carrier 3**4 = 81 > 64
+    # four disjoint two-element chains a_i < b_i: 2**8 nuclei x carrier 81
+    # = 20736 cells > 16384
     labels = [f"{x}{i}" for i in range(4) for x in "ab"]
     pairs = [(f"a{i}", f"b{i}") for i in range(4)]
     frame = downset_frame(poset_from_relation(labels, pairs))
-    with pytest.raises(SizeLimitExceeded, match="exceeds enumeration limit 64"):
+    with pytest.raises(SizeLimitExceeded, match="exceed the enumeration limit of 16384 table cells"):
         enumerate_nuclei(frame)
 
 

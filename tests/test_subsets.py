@@ -168,7 +168,7 @@ def test_fixed_points_frame_is_the_subposet_frame(name, build):
         fixed = np.flatnonzero(j.table == np.arange(len(frame)))
         sub = fixed_points_frame(j)
         # U -> U & S is an order isomorphism from the fixed points onto sub
-        image = [sub.element(frame.elements[u] & kept).index for u in fixed]
+        image = [sub.element(frozenset(frame.el(int(u)).labels) & kept).index for u in fixed]
         assert sorted(image) == list(range(len(sub)))
         assert (sub.leq_table[np.ix_(image, image)]
                 == frame.leq_table[np.ix_(fixed, fixed)]).all()
