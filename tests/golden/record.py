@@ -28,6 +28,8 @@ from oraclemod import cli, io  # noqa: E402
 from oraclemod.nuclei import enumerate_nuclei  # noqa: E402
 
 NAMES = ("chain2", "anti4", "diamond", "chain7")
+VERIFY_SUITES = ("retraction", "forcing", "oracle-leq", "least-above", "sup",
+                 "surjection", "all")
 
 
 def _container(frame, rng: random.Random) -> dict:
@@ -86,6 +88,11 @@ def cases() -> list[tuple[str, list[str]]]:
                                            "--nucleus", f"{d}/sup1.json"]))
         out.append((f"{name}-verify-all",
                     ["verify", "all", *poset, "--seed", "0", "--cases", "4"]))
+        for suite in VERIFY_SUITES:
+            out.append((f"{name}-verify-{suite}-seed1",
+                        ["verify", suite, *poset, "--seed", "1", "--cases", "30"]))
+        out.append((f"{name}-verify-retraction-broken",
+                    ["verify", "retraction", *poset, "--nucleus", f"{d}/broken.json"]))
     return out
 
 
