@@ -13,6 +13,7 @@ from .containers import (
     lem_container,
     oracle_modality,
     oracle_modality_bruteforce,
+    oracle_modalities_kleene,
     oracle_modality_kleene,
     pred_of_nucleus,
     realized_container,

@@ -5,16 +5,21 @@ kernels compute it from the paper's construction instead, as integer table
 recursions vectorized with numpy over the whole carrier, so that it can be
 checked against a route that shares no code with it:
 
-* ``query_table`` tabulates the single-query map
-  q(x) = \\/_a (E_a /\\ (P_a => x)) once over the carrier: the k-by-n rows
-  are gathered with flat ``take`` from the raveled tables, in blocks of
-  at most ``frames.BLOCK_CELLS`` cells, and join-reduced pairwise. It is
-  also the table of ``containers.instance_prenucleus``;
+* ``query_table`` tabulates the single-query maps
+  q(x) = \\/_a (E_a /\\ (P_a => x)) of m containers at once, from their
+  shapes concatenated with a count per container. The shapes are laid out
+  as an (m, widest) grid of slots, the empty slots filled with a shape whose
+  row is bottom; the rows are gathered with flat ``take`` from the raveled
+  tables, in blocks of at most ``frames.BLOCK_CELLS`` cells, and
+  join-reduced pairwise along the slots. It is also the table of
+  ``containers.instance_prenucleus``, a batch of one;
 * ``kleene_table`` iterates t := s \\/ q(t) from t = s until it stabilizes,
-  for every start s at once. Since q depends on t only through the value
-  t(s), each round after the tabulation is two O(n) lookups;
-* ``prefixed_mask`` / ``bruteforce_table`` realize the same operator as the
-  meet of all prefixed points, the second, independent referee.
+  for every start s of every container at once, in chunks of at most
+  ``frames.BLOCK_CELLS`` cells. Since q depends on t only through the
+  value t(s), each round after the tabulation is two lookups per cell;
+* ``prefixed_mask`` / ``bruteforce_table`` realize the same operator for
+  one container as the meet of all prefixed points, the second,
+  independent referee.
 """
 
 from __future__ import annotations
@@ -24,41 +29,64 @@ import numpy as np
 from . import frames
 
 
-def query_table(meet, join, implies, ext, prd, bot: int) -> np.ndarray:
-    """The single-query map q as a length-n table; constant ``bot`` when
-    there are no shapes."""
+def query_table(meet, join, implies, ext, prd, counts, bot: int) -> np.ndarray:
+    """The single-query maps of m containers as an (m, n) table.
+
+    ``ext`` and ``prd`` hold the shapes of the containers one after another,
+    ``counts[i]`` of them for container i; a container with no shapes maps
+    everything to ``bot``."""
     n = meet.shape[0]
     meet_flat, join_flat, imp_flat = meet.ravel(), join.ravel(), implies.ravel()
+    counts = np.asarray(counts, dtype=np.intp)
+    m, width = counts.shape[0], int(counts.max(initial=0))
+    # Slot (i, a) holds shape a of container i. The slots past its count
+    # hold the shape (bot, bot), whose row is bot: the unit of join.
+    filled = np.arange(width) < counts[:, None]
+    e_slots = np.full((m, width), bot, dtype=np.int32)
+    p_slots = np.full((m, width), bot, dtype=np.int32)
+    e_slots[filled], p_slots[filled] = ext, prd
+    q = np.full((m, n), bot, dtype=np.int32)
     carrier = np.arange(n)
-    q = None
-    rows = max(1, frames.BLOCK_CELLS // n)
-    for lo in range(0, ext.shape[0], rows):
-        # block[a, x] = E_a /\ (P_a => x); indices stay below n**2, which
-        # int32 holds for every carrier whose tables fit in memory.
-        e, p = ext[lo:lo + rows, None] * n, prd[lo:lo + rows, None] * n
-        block = meet_flat.take(e + imp_flat.take(p + carrier))
-        while block.shape[0] > 1:
-            # join the last half of the rows into the first, in place
-            half = block.shape[0] // 2
-            block[:half] = join_flat.take(block[:half] * n + block[-half:])
-            block = block[:block.shape[0] - half]
-        # a copy, so that q does not keep the whole block alive
-        q = block[0].copy() if q is None else join_flat.take(q * n + block[0])
-    return np.full(n, bot, dtype=np.int32) if q is None else q
+    cols = max(1, min(width, frames.BLOCK_CELLS // n))
+    per = max(1, frames.BLOCK_CELLS // (n * cols))
+    for lo in range(0, m, per):
+        for c0 in range(0, width, cols):
+            # block[i, a, x] = E_a /\ (P_a => x); indices stay below n**2,
+            # which int32 holds for every carrier whose tables fit in memory.
+            e = e_slots[lo:lo + per, c0:c0 + cols, None] * n
+            p = p_slots[lo:lo + per, c0:c0 + cols, None] * n
+            block = meet_flat.take(e + imp_flat.take(p + carrier))
+            while block.shape[1] > 1:
+                # join the last half of the slots into the first, in place
+                half = block.shape[1] // 2
+                block[:, :half] = join_flat.take(block[:, :half] * n + block[:, -half:])
+                block = block[:, :block.shape[1] - half]
+            part = block[:, 0]
+            q[lo:lo + per] = part if c0 == 0 else join_flat.take(q[lo:lo + per] * n + part)
+    return q
 
 
-def kleene_table(meet, join, implies, ext, prd, bot: int) -> np.ndarray:
-    """Least-fixed-point table for the query operator, one entry per start."""
+def kleene_table(meet, join, implies, ext, prd, counts, bot: int) -> np.ndarray:
+    """Least-fixed-point tables of the query operators of m containers, laid
+    out as for ``query_table``: row i has one entry per start."""
     n = meet.shape[0]
-    q = query_table(meet, join, implies, ext, prd, bot)
+    q = query_table(meet, join, implies, ext, prd, counts, bot)
     join_flat = join.ravel()
     starts = np.arange(n, dtype=np.intp) * n  # row s of the raveled join
-    t = np.arange(n, dtype=np.int32)
-    while True:
-        nxt = join_flat.take(starts + q.take(t))
-        if (nxt == t).all():
-            return t
-        t = nxt
+    per = max(1, frames.BLOCK_CELLS // n)
+    for lo in range(0, q.shape[0], per):
+        chunk = q[lo:lo + per]
+        rows = np.arange(chunk.shape[0], dtype=np.intp)[:, None] * n
+        q_flat = chunk.ravel()
+        t = np.broadcast_to(np.arange(n, dtype=np.int32), chunk.shape)
+        while True:
+            # a converged row is a fixed point, so further rounds keep it
+            nxt = join_flat.take(starts + q_flat.take(rows + t))
+            if (nxt == t).all():
+                break
+            t = nxt
+        chunk[:] = t  # the chunk's query rows are not read again
+    return q
 
 
 def prefixed_mask(leq, meet, implies, ext, prd) -> np.ndarray:

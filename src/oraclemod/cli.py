@@ -4,11 +4,14 @@ Every run emits one report, as stable sorted-key JSON (no timings, so equal
 inputs and seed give byte-identical output) or as human-readable text.
 Exit codes: 0 all checks passed, 1 check failure, 2 usage or input error,
 3 resource exhaustion / unknown verdicts, 4 internal invariant violation.
+``run`` may be called any number of times in one process; it builds its
+parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -201,7 +204,13 @@ def _dispatch(args) -> tuple[dict, int]:
         budget = Budget(seed=args.seed, cases=args.cases, extra_nuclei=extra)
         reports = verify_theorems(frame, _VERIFY_SUITES[args.suite], budget)
         body = {"reports": [r.to_dict(include_timing=text) for r in reports]}
-        return body, 0 if all(r.passed for r in reports) else 1
+        # the one enumeration of a run is refused for all its referees alike
+        refusal = next((r.refusal for r in reports if r.refusal), None)
+        if refusal:
+            sys.stderr.write(f"oraclemod: error: {refusal}\n")
+        if not all(r.passed for r in reports):
+            return body, 1
+        return body, 3 if refusal else 0
 
     if args.verb == "trees":
         suites = run_tree_suites(args.seed, args.cases, depth=args.depth)
@@ -276,9 +285,14 @@ def emit_report(report: dict, fmt: str, elapsed_ms: float | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built once per process."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     command = " ".join(
         [args.verb] + ([args.sub] if getattr(args, "sub", None) else [])
         + ([args.suite] if getattr(args, "suite", None) else [])

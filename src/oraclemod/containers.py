@@ -13,11 +13,14 @@ least fixed point above s of
 
     t  |->  s \\/ \\/_a ( E(a) /\\ (P(a) => t) )
 
-one by Kleene iteration (``oracle_modality_kleene``) and one as the meet of
-all prefixed points (``oracle_modality_bruteforce``); neither computes
-its table through the closed form. Containers keep their shapes sorted by
-name with aligned ``ext``/``prd`` index arrays; sums and stable-query
-containers are assembled from those arrays directly.
+one by Kleene iteration and one as the meet of all prefixed points
+(``oracle_modality_bruteforce``); neither computes its table through the
+closed form, which only validates them. ``oracle_modalities_kleene``
+iterates many containers in one kernel call and validates all their tables
+in one batched test; ``oracle_modality_kleene`` is its batch of one.
+Containers keep their shapes sorted by name with aligned ``ext``/``prd``
+index arrays; sums and stable-query containers are assembled from those
+arrays directly.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from . import _kernels
 from .errors import FrameMismatch, InternalInvariantViolation
 from .frames import Frame, FrameElement
-from .nuclei import Nucleus, j_table, validate_nucleus
+from .nuclei import Nucleus, j_table, law_scan, nucleus_rows, validate_nucleus
 
 
 class IndexedPropContainer:
@@ -159,17 +162,22 @@ def instance_prenucleus(c: IndexedPropContainer) -> PrenucleusMap:
         frame.implies_table,
         c.ext,
         c.prd,
+        [len(c)],
         frame.bot_index,
     )
-    return PrenucleusMap(frame, table)
+    return PrenucleusMap(frame, table[0])
+
+
+def _law_violation(report) -> InternalInvariantViolation:
+    return InternalInvariantViolation(
+        f"computed modality violates nucleus laws: {report.law_names()}"
+    )
 
 
 def _as_nucleus(frame: Frame, table: np.ndarray) -> Nucleus:
     report = validate_nucleus(frame, table)
     if not report.valid:
-        raise InternalInvariantViolation(
-            f"computed modality violates nucleus laws: {report.law_names()}"
-        )
+        raise _law_violation(report)
     return Nucleus(frame, table)
 
 
@@ -181,19 +189,34 @@ def oracle_modality(c: IndexedPropContainer) -> Nucleus:
     return Nucleus(c.frame, j_table(c.frame, ~bad))
 
 
-def oracle_modality_kleene(c: IndexedPropContainer) -> Nucleus:
-    """Referee: the least nucleus forcing the container by Kleene iteration
-    from s, the paper's construction."""
-    frame = c.frame
-    table = _kernels.kleene_table(
+def oracle_modalities_kleene(cs: Sequence[IndexedPropContainer]) -> list[Nucleus]:
+    """Referee: the least nucleus forcing each container by Kleene iteration
+    from s, the paper's construction, in one kernel call for all of them.
+    Each table is checked to be a nucleus; the first that is not raises
+    ``InternalInvariantViolation`` naming the laws it violates."""
+    if not cs:
+        return []
+    frame = cs[0].frame
+    if any(c.frame is not frame for c in cs):
+        raise FrameMismatch("containers on different frames")
+    tables = _kernels.kleene_table(
         frame.meet_table,
         frame.join_table,
         frame.implies_table,
-        c.ext,
-        c.prd,
+        np.concatenate([c.ext for c in cs]),
+        np.concatenate([c.prd for c in cs]),
+        [len(c) for c in cs],
         frame.bot_index,
     )
-    return _as_nucleus(frame, table)
+    bad = np.flatnonzero(~nucleus_rows(frame, tables))
+    if bad.size:
+        raise _law_violation(law_scan(frame, tables[bad[0]]))
+    return [Nucleus(frame, t) for t in tables]
+
+
+def oracle_modality_kleene(c: IndexedPropContainer) -> Nucleus:
+    """Referee: ``oracle_modalities_kleene`` of the one container."""
+    return oracle_modalities_kleene([c])[0]
 
 
 def oracle_modality_bruteforce(c: IndexedPropContainer) -> Nucleus:

@@ -174,7 +174,8 @@ class Frame:
     sorted by (size, labels) so that bottom comes first and top last. The
     label lists and keys of the elements, the mask lookup of ``element`` and
     the label tables (``label_members``, ``label_strict``, ``label_rows``)
-    are derived from the masks on first use.
+    are derived from the masks on first use, and ``below``, the elements
+    under each element that the samplers draw from, from the order table.
     """
 
     def __init__(self, poset: Poset, masks: np.ndarray, leq: np.ndarray,
@@ -237,6 +238,11 @@ class Frame:
     def element_keys(self) -> tuple[str, ...]:
         """``FrameElement.key`` of every element, in carrier order."""
         return tuple(map(",".join, self.element_labels))
+
+    @functools.cached_property
+    def below(self) -> tuple[np.ndarray, ...]:
+        """Carrier indices of the elements below each element, ascending."""
+        return tuple(np.flatnonzero(col) for col in self.leq_table.T)
 
     # -- label tables ----------------------------------------------------
     #

@@ -12,9 +12,12 @@ A downset frame Down(P) is spatial, so its nuclei are exactly the
 distinct for distinct S, and S is read back from any nucleus j as
 S(j) = {x : x not in j(down(x) minus {x})}. ``j_table`` builds j_S as the
 meet of the single-label rows ``Frame.label_rows`` for x in S, folded
-pairwise, and ``subset_of`` reads S back with one gather. On this closed
-form a table is a nucleus iff it equals j of its own subset (O(n x labels);
-the law scan runs only on a table that fails, to name its violations), the
+pairwise, and ``subset_of`` reads S back with one gather; both also take a
+stack of m masks or tables. On this closed form a table is a nucleus iff it
+equals j of its own subset (O(n x labels); the law scan runs only on a
+table that fails, to name its violations). ``validate_nucleus`` applies
+that test to one table and ``nucleus_rows`` to a stack of them, such as
+the Kleene tables of a batch of containers. The
 sup of a family is j of the intersection of their subsets, enumeration
 lists the 2^labels subsets, and the frame of fixed points is the downset
 frame of the subposet S.
@@ -27,6 +30,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import frames
 from .errors import FrameMismatch, SizeLimitExceeded
 from .frames import Frame, FrameElement, Poset, downset_frame
 
@@ -90,10 +94,15 @@ def _coerce_table(frame: Frame, table) -> np.ndarray:
 
 
 def j_table(frame: Frame, subset: np.ndarray) -> np.ndarray:
-    """The table of j_S, for S a boolean mask over the frame's sorted labels."""
-    rows = frame.label_rows[subset]
+    """The table of j_S, for S a boolean mask over the frame's sorted labels;
+    an (m, labels) stack of masks gives the (m, n) stack of tables."""
+    if subset.ndim == 1:
+        rows = frame.label_rows[subset]
+    else:
+        # (labels, m, n): the row of each label in S, else top, the unit of meet
+        rows = np.where(subset.T[:, :, None], frame.label_rows[:, None], frame.top_index)
     if rows.shape[0] == 0:
-        return np.full(len(frame), frame.top_index, dtype=np.int32)
+        return np.full(rows.shape[1:], frame.top_index, dtype=np.int32)
     n, meet_flat = len(frame), frame.meet_table.ravel()
     while rows.shape[0] > 1:
         # meet the last half of the rows into the first, in place
@@ -104,9 +113,27 @@ def j_table(frame: Frame, subset: np.ndarray) -> np.ndarray:
 
 
 def subset_of(frame: Frame, table: np.ndarray) -> np.ndarray:
-    """S(t) = {x : x not in t(down(x) minus {x})}, a boolean label mask."""
+    """S(t) = {x : x not in t(down(x) minus {x})}, a boolean label mask; an
+    (m, n) stack of tables gives the (m, labels) stack of masks."""
     members = frame.label_members
-    return ~members[table.take(frame.label_strict), np.arange(members.shape[1])]
+    return ~members[table.take(frame.label_strict, axis=-1), np.arange(members.shape[1])]
+
+
+def _is_own_j(frame: Frame, tables: np.ndarray) -> np.ndarray:
+    """Whether each table, along the last axis, equals j of its own label
+    subset: the test that accepts a nucleus."""
+    return (j_table(frame, subset_of(frame, tables)) == tables).all(axis=-1)
+
+
+def nucleus_rows(frame: Frame, tables: np.ndarray) -> np.ndarray:
+    """Which rows of an (m, n) stack of tables are nuclei, by the accept test
+    of ``validate_nucleus``, in chunks whose label rows fit
+    ``frames.BLOCK_CELLS`` cells."""
+    per = max(1, frames.BLOCK_CELLS // (max(1, len(frame.poset)) * len(frame)))
+    ok = np.empty(tables.shape[0], dtype=bool)
+    for lo in range(0, tables.shape[0], per):
+        ok[lo:lo + per] = _is_own_j(frame, tables[lo:lo + per])
+    return ok
 
 
 def validate_nucleus(frame: Frame, table) -> NucleusReport:
@@ -115,7 +142,7 @@ def validate_nucleus(frame: Frame, table) -> NucleusReport:
     A table equal to j of its own label subset is a nucleus; any other
     table goes through the law scan, which names its violations."""
     t = _coerce_table(frame, table)
-    if (j_table(frame, subset_of(frame, t)) == t).all():
+    if _is_own_j(frame, t):
         return NucleusReport(valid=True, violations=[])
     return law_scan(frame, t)
 

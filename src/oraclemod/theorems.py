@@ -5,7 +5,11 @@ otherwise draws a seeded sample, so reports are reproducible from
 (frame, suite, seed) alone. Modalities are computed by Kleene iteration,
 the paper's construction, and checked against the nuclei that
 ``enumerate_nuclei`` lists in closed form, so no referee checks the closed
-form against itself.
+form against itself. A referee draws all its containers before computing
+any modality, and then computes their modalities in one batched call to
+``oracle_modalities_kleene``. A run enumerates the nuclei at most once; if
+the enumeration is refused, each referee that needs it reports "refused"
+and the others still run.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ from .containers import (
     forces,
     instance_prenucleus,
     instance_reducible,
-    oracle_modality_kleene,
+    oracle_modalities_kleene,
     pred_of_nucleus,
 )
-from .errors import InternalInvariantViolation
+from .errors import InternalInvariantViolation, SizeLimitExceeded
 from .frames import Frame
 from .nuclei import Nucleus, enumerate_nuclei, nucleus_leq
 
@@ -57,6 +61,9 @@ class TheoremReport:
     seed: int = 0
     elapsed_ms: float = 0.0
     coverage: str = "exhaustive"
+    # The size-limit message when the referee's enumeration was refused; its
+    # report then has coverage "refused" and nothing checked.
+    refusal: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -85,7 +92,7 @@ def all_single_shape_containers(frame: Frame) -> list[IndexedPropContainer]:
     """Every single-shape container: one per pair P(a) <= E(a)."""
     out = []
     for e in frame.all_elements():
-        for pi in np.flatnonzero(frame.leq_table[:, e.index]):
+        for pi in frame.below[e.index]:
             out.append(
                 IndexedPropContainer(frame, {"a0": frame.el(int(pi))}, {"a0": e})
             )
@@ -101,7 +108,7 @@ def random_container(frame: Frame, rng: random.Random) -> IndexedPropContainer:
             e = frame.top_index
         else:
             e = rng.randrange(len(frame))
-        p = int(rng.choice(list(np.flatnonzero(frame.leq_table[:, e]))))
+        p = int(rng.choice(frame.below[e]))
         pred[f"a{i}"] = frame.el(p)
         extent[f"a{i}"] = frame.el(e)
     return IndexedPropContainer(frame, pred, extent)
@@ -141,18 +148,18 @@ def _containers_for(frame: Frame, budget: Budget, rng: random.Random):
 #
 # Each referee takes the frame, the budget, its own seeded rng and
 # ``enumerated``, a call returning the frame's nuclei that enumerates them
-# on its first call in a run only.
+# on its first call in a run only. A referee draws all its containers first
+# and then computes their Kleene modalities in one batched call.
 
 
 def _check_retraction(frame: Frame, budget: Budget, rng: random.Random, enumerated):
     nuclei = enumerated() + budget.extra_nuclei
-    failures = []
-    for j in nuclei:
-        k = oracle_modality_kleene(pred_of_nucleus(j))
-        if k != j:
-            failures.append(
-                f"nucleus {list(map(int, j.table))} came back as {list(map(int, k.table))}"
-            )
+    modalities = oracle_modalities_kleene([pred_of_nucleus(j) for j in nuclei])
+    failures = [
+        f"nucleus {list(map(int, j.table))} came back as {list(map(int, k.table))}"
+        for j, k in zip(nuclei, modalities)
+        if k != j
+    ]
     return len(nuclei), failures, "exhaustive"
 
 
@@ -168,10 +175,11 @@ def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random, enumera
             for _ in range(budget.cases)
         ]
         coverage = f"sampled {budget.cases}"
+    modalities = oracle_modalities_kleene([c for _, c in pairs])
     failures = []
-    for j, c in pairs:
+    for (j, c), k in zip(pairs, modalities):
         lhs = forces(j, c)
-        rhs = nucleus_leq(oracle_modality_kleene(c), j)
+        rhs = nucleus_leq(k, j)
         if lhs != rhs:
             failures.append(
                 f"forces={lhs} but order={rhs} for j={list(map(int, j.table))}, c={c!r}"
@@ -190,10 +198,10 @@ def _check_oracle_leq(frame: Frame, budget: Budget, rng: random.Random, enumerat
             for _ in range(budget.cases)
         ]
         coverage = f"sampled {budget.cases}"
+    modalities = oracle_modalities_kleene([x for pair in pairs for x in pair])
     failures = []
-    for c, d in pairs:
-        od = oracle_modality_kleene(d)
-        lhs = nucleus_leq(oracle_modality_kleene(c), od)
+    for (c, d), oc, od in zip(pairs, modalities[0::2], modalities[1::2]):
+        lhs = nucleus_leq(oc, od)
         rhs = bool(frame.leq_table[c.ext, od.table[c.prd]].all())
         if lhs != rhs:
             failures.append(f"order={lhs} but forcing={rhs} for c={c!r}, d={d!r}")
@@ -204,9 +212,8 @@ def _check_least_above(frame: Frame, budget: Budget, rng: random.Random, enumera
     nuclei = enumerated()
     cs, coverage = _containers_for(frame, budget, rng)
     failures = []
-    for c in cs:
+    for c, om in zip(cs, oracle_modalities_kleene(cs)):
         pre = instance_prenucleus(c)
-        om = oracle_modality_kleene(c)
         if not frame.leq_table[pre.table, om.table].all():
             failures.append(f"modality not above single-query map for {c!r}")
             continue
@@ -233,15 +240,15 @@ def _check_sup(frame: Frame, budget: Budget, rng: random.Random, enumerated):
     # Referee: the sup of two modalities is taken as the least dominator among
     # all enumerated nuclei, independently of the closed form in sup_nuclei.
     nuclei = enumerated()
-    failures = []
     n_pairs = budget.cases
-    for _ in range(n_pairs):
-        c1 = random_container(frame, rng)
-        c2 = random_container(frame, rng)
-        lhs = oracle_modality_kleene(container_sum([c1, c2]))
-        rhs = _sup_by_enumeration(
-            frame, nuclei, [oracle_modality_kleene(c1), oracle_modality_kleene(c2)]
-        )
+    pairs = [(random_container(frame, rng), random_container(frame, rng))
+             for _ in range(n_pairs)]
+    modalities = oracle_modalities_kleene(
+        [x for c1, c2 in pairs for x in (container_sum([c1, c2]), c1, c2)])
+    failures = []
+    for (c1, c2), lhs, m1, m2 in zip(pairs, modalities[0::3], modalities[1::3],
+                                     modalities[2::3]):
+        rhs = _sup_by_enumeration(frame, nuclei, [m1, m2])
         if lhs != rhs:
             failures.append(f"sum modality {list(map(int, lhs.table))} != "
                             f"sup {list(map(int, rhs.table))} for {c1!r}, {c2!r}")
@@ -249,11 +256,14 @@ def _check_sup(frame: Frame, budget: Budget, rng: random.Random, enumerated):
 
 
 def _check_surjection(frame: Frame, budget: Budget, rng: random.Random, enumerated):
-    failures = []
+    pairs = []
     for _ in range(budget.cases):
         c = random_container(frame, rng)
-        cq = surjective_relabeling(c, rng)
-        if oracle_modality_kleene(cq) != oracle_modality_kleene(c):
+        pairs.append((c, surjective_relabeling(c, rng)))
+    modalities = oracle_modalities_kleene([x for pair in pairs for x in pair])
+    failures = []
+    for (c, cq), mc, mcq in zip(pairs, modalities[0::2], modalities[1::2]):
+        if mcq != mc:
             failures.append(f"relabeling changed the modality for {c!r} -> {cq!r}")
     return budget.cases, failures, f"sampled {budget.cases}"
 
@@ -294,18 +304,39 @@ def verify_theorems(
     suite: tuple[str, ...] | None = None,
     budget: Budget | None = None,
 ) -> list[TheoremReport]:
-    """Run the requested referees and return one report per theorem id."""
+    """Run the requested referees and return one report per theorem id.
+
+    A referee whose enumeration of nuclei is refused reports nothing checked
+    with coverage "refused"; the enumeration is attempted once per run and
+    the other referees still run."""
     budget = budget or Budget()
     ids = THEOREM_IDS if suite is None else tuple(suite)
-    # Looked up at call time, so a wrapped enumerate_nuclei is the one called.
-    enumerated = functools.cache(lambda: enumerate_nuclei(frame))
+
+    @functools.cache
+    def attempt():
+        # Looked up at call time, so a wrapped enumerate_nuclei is the one called.
+        try:
+            return enumerate_nuclei(frame)
+        except SizeLimitExceeded as e:
+            return e
+
+    def enumerated():
+        nuclei = attempt()
+        if isinstance(nuclei, SizeLimitExceeded):
+            raise nuclei
+        return nuclei
+
     reports = []
     for name in ids:
         if name not in _CHECKERS:
             raise ValueError(f"unknown theorem id {name!r}")
         rng = random.Random(f"{budget.seed}:{name}")
         t0 = time.perf_counter()
-        checked, failures, coverage = _CHECKERS[name](frame, budget, rng, enumerated)
+        refusal = None
+        try:
+            checked, failures, coverage = _CHECKERS[name](frame, budget, rng, enumerated)
+        except SizeLimitExceeded as e:
+            checked, failures, coverage, refusal = 0, [], "refused", str(e)
         reports.append(
             TheoremReport(
                 theorem=name,
@@ -314,6 +345,7 @@ def verify_theorems(
                 seed=budget.seed,
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                 coverage=coverage,
+                refusal=refusal,
             )
         )
     return reports

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oraclemod import cli, io
+from oraclemod import cli, io, theorems
 from oraclemod.errors import InternalInvariantViolation
 from oraclemod.frames import downset_frame
 from oraclemod.nuclei import canonical_nuclei
@@ -443,3 +443,95 @@ def test_long_chain_enumeration_exits_3_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert ("2**24 nuclei on carrier 25 exceed the enumeration limit of 16384 table cells"
             in capsys.readouterr().err)
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start and leave the test with no cached parser."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_reuse_keeps_no_injected_nuclei(fresh_parser, poset_file, tmp_path,
+                                               capsys):
+    plain = ["--format", "json", "verify", "retraction", "--poset", poset_file]
+    bad = tmp_path / "bad.json"
+    io.dump_json({"table": {"": ["p"], "p": ["p", "q"], "p,q": ["p", "q"]}}, bad)
+    first = run_capture(capsys, plain)
+    assert run_capture(capsys, plain + ["--nucleus", str(bad)])[0] == 1
+    code, out = run_capture(capsys, plain)
+    assert (code, out) == first
+    assert json.loads(out)["body"]["reports"][0]["checked"] == 4
+
+
+def test_parser_reuse_after_usage_error(fresh_parser, poset_file, capsys):
+    argv = ["--format", "json", "verify", "retraction", "--poset", poset_file]
+    first = run_capture(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "no-such-suite", "--poset", poset_file])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert first[0] == 0 and run_capture(capsys, argv) == first
+
+
+def test_parser_reuse_after_output_file(fresh_parser, poset_file, tmp_path, capsys):
+    argv = ["--format", "json", "frame", "build", "--poset", poset_file]
+    out_path = tmp_path / "report.json"
+    assert run_capture(capsys, argv[:2] + ["--output", str(out_path)] + argv[2:]) == (0, "")
+    written = out_path.read_text()
+    assert run_capture(capsys, argv) == (0, written)
+    assert out_path.read_text() == written
+
+
+def test_parser_built_once_per_process(fresh_parser, monkeypatch, poset_file, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["frame", "build"], ["nuclei", "enumerate"], ["verify", "sup"]):
+        assert cli.run(argv + ["--poset", poset_file]) == 0
+    assert len(built) == 1
+
+
+# -- refused enumeration -------------------------------------------------------
+
+
+def test_verify_all_reports_refused_enumeration(monkeypatch, pairs4_file, capsys):
+    attempts = []
+    real = theorems.enumerate_nuclei
+
+    def counting(frame):
+        attempts.append(frame)
+        return real(frame)
+
+    monkeypatch.setattr(theorems, "enumerate_nuclei", counting)
+    code = cli.run(["--format", "json", "verify", "all", "--poset", pairs4_file,
+                    "--cases", "4"])
+    captured = capsys.readouterr()
+    reports = {r["theorem"]: r for r in json.loads(captured.out)["body"]["reports"]}
+    assert code == 3 and len(reports) == 7 and len(attempts) == 1
+    assert captured.err.count("exceed the enumeration limit of 16384 table cells") == 1
+    for name in ("oracle-leq", "surjection", "instance-vs-forcing"):
+        assert reports[name]["checked"] > 0 and reports[name]["failures"] == []
+    for name in ("retraction", "forcing-iff", "least-above-instance", "sup"):
+        assert reports[name]["checked"] == 0 and reports[name]["failures"] == []
+        assert reports[name]["coverage"] == "refused"
+    assert json.loads(captured.out)["status"] == 3
+
+
+def test_failure_beside_refused_enumeration_exits_1(monkeypatch, pairs4_file, capsys):
+    monkeypatch.setitem(theorems._CHECKERS, "surjection",
+                        lambda *args: (1, ["synthetic"], "sampled 1"))
+    code = cli.run(["--format", "json", "verify", "all", "--poset", pairs4_file,
+                    "--cases", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and json.loads(captured.out)["status"] == 1
+    assert "exceed the enumeration limit" in captured.err

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from oraclemod import _kernels, frames
-from oraclemod.containers import container_sum, empty_container, pred_of_nucleus
-from oraclemod.nuclei import canonical_nuclei
+from oraclemod.containers import (
+    container_sum,
+    empty_container,
+    instance_prenucleus,
+    oracle_modalities_kleene,
+    pred_of_nucleus,
+)
+from oraclemod.errors import InternalInvariantViolation
+from oraclemod.nuclei import canonical_nuclei, enumerate_nuclei, law_scan
 from oraclemod.theorems import random_container
 
 from catalog import SMALL, make_frame, pairs_frame
@@ -13,9 +20,9 @@ from catalog import SMALL, make_frame, pairs_frame
 
 def both_routes(frame, c):
     """The Kleene table and the prefixed-point table of one container."""
-    kle = _kernels.kleene_table(
+    (kle,) = _kernels.kleene_table(
         frame.meet_table, frame.join_table, frame.implies_table,
-        c.ext, c.prd, frame.bot_index,
+        c.ext, c.prd, [len(c)], frame.bot_index,
     )
     bru = _kernels.bruteforce_table(
         frame.leq_table, frame.meet_table, frame.implies_table,
@@ -62,3 +69,91 @@ def test_sum_with_one_shape_row_per_block(monkeypatch):
     monkeypatch.setattr(frames, "BLOCK_CELLS", len(frame))
     kle, bru = both_routes(frame, c)
     assert (kle == bru).all() and (kle == whole).all()
+
+
+def kleene_tables(frame, cs):
+    """The batched Kleene tables of a list of containers."""
+    return _kernels.kleene_table(
+        frame.meet_table, frame.join_table, frame.implies_table,
+        np.concatenate([c.ext for c in cs] + [np.zeros(0, dtype=np.int32)]),
+        np.concatenate([c.prd for c in cs] + [np.zeros(0, dtype=np.int32)]),
+        [len(c) for c in cs], frame.bot_index,
+    )
+
+
+def kleene_rounds(frame, c):
+    """Rounds of t := s \\/ q(t) before the table of one container is stable."""
+    q, join = instance_prenucleus(c).table, frame.join_table
+    starts = np.arange(len(frame))
+    t, rounds = starts, 0
+    while True:
+        nxt = join[starts, q[t]]
+        if (nxt == t).all():
+            return rounds
+        t, rounds = nxt, rounds + 1
+
+
+def container_mix(frame, rng):
+    """Random containers, two empty ones and the stable-query containers of
+    two nuclei, shuffled."""
+    cs = [random_container(frame, rng) for _ in range(10)]
+    cs += [empty_container(frame), empty_container(frame)]
+    ns = enumerate_nuclei(frame)
+    cs += [pred_of_nucleus(ns[0]), pred_of_nucleus(ns[len(ns) // 2])]
+    rng.shuffle(cs)
+    return cs
+
+
+@pytest.mark.parametrize("one_row_blocks", (False, True))
+@pytest.mark.parametrize("name", ("chain2", "chain7", "diamond", "anti4"))
+def test_batched_kleene_equals_batches_of_one(monkeypatch, name, one_row_blocks):
+    frame = make_frame(name)
+    if one_row_blocks:
+        monkeypatch.setattr(frames, "BLOCK_CELLS", len(frame))
+    rng = random.Random(f"batched:{name}")
+    for _ in range(4):
+        cs = container_mix(frame, rng)
+        batch = kleene_tables(frame, cs)
+        assert batch.shape == (len(cs), len(frame))
+        for c, row in zip(cs, batch):
+            kle, bru = both_routes(frame, c)
+            assert (row == kle).all() and (row == bru).all(), c
+    assert kleene_tables(frame, []).shape == (0, len(frame))
+
+
+def test_container_mix_converges_in_different_rounds():
+    frame = make_frame("chain7")
+    cs = container_mix(frame, random.Random("batched:chain7"))
+    assert len({kleene_rounds(frame, c) for c in cs}) >= 3
+
+
+def test_batched_query_table_rows(monkeypatch):
+    frame = make_frame("anti4")
+    cs = container_mix(frame, random.Random("query"))
+    args = (frame.meet_table, frame.join_table, frame.implies_table,
+            np.concatenate([c.ext for c in cs]), np.concatenate([c.prd for c in cs]),
+            [len(c) for c in cs], frame.bot_index)
+    want = [instance_prenucleus(c).table for c in cs]
+    for cells in (frames.BLOCK_CELLS, len(frame)):
+        monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
+        assert all((row == w).all() for row, w in zip(_kernels.query_table(*args), want))
+
+
+def test_non_inflationary_kleene_row_raises(monkeypatch):
+    frame = make_frame("diamond")
+    cs = [random_container(frame, random.Random(i)) for i in range(3)]
+    real = _kernels.kleene_table
+    broken_rows = []
+
+    def top_to_bottom(*args):
+        tables = real(*args)
+        tables[1, frame.top_index] = frame.bot_index
+        broken_rows.append(tables[1].copy())
+        return tables
+
+    monkeypatch.setattr(_kernels, "kleene_table", top_to_bottom)
+    with pytest.raises(InternalInvariantViolation) as exc:
+        oracle_modalities_kleene(cs)
+    names = law_scan(frame, broken_rows[0]).law_names()
+    assert "inflationary" in names
+    assert str(exc.value) == f"computed modality violates nucleus laws: {names}"

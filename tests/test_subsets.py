@@ -23,6 +23,7 @@ from oraclemod.containers import (
     oracle_modality_kleene,
     pred_of_nucleus,
 )
+from oraclemod import frames
 from oraclemod.frames import downset_frame, poset_from_relation
 from oraclemod.nuclei import (
     Nucleus,
@@ -30,6 +31,7 @@ from oraclemod.nuclei import (
     fixed_points_frame,
     j_table,
     law_scan,
+    nucleus_rows,
     subset_of,
     sup_nuclei,
     validate_nucleus,
@@ -113,7 +115,7 @@ def one_cell_changes(frame, table, rng, count):
 
 
 @pytest.mark.parametrize("name, build", FRAMES, ids=IDS)
-def test_validation_matches_law_scan(name, build):
+def test_validation_matches_law_scan(monkeypatch, name, build):
     frame = build()
     rng = random.Random(f"validate:{name}")
     n = len(frame)
@@ -126,6 +128,11 @@ def test_validation_matches_law_scan(name, build):
         got, want = validate_nucleus(frame, t), law_scan(frame, t)
         assert got.valid == want.valid
         assert got.violations == want.violations
+    # the batched accept test, at the default block size and one table a block
+    valid = [law_scan(frame, t).valid for t in tables]
+    assert nucleus_rows(frame, np.stack(tables)).tolist() == valid
+    monkeypatch.setattr(frames, "BLOCK_CELLS", n)
+    assert nucleus_rows(frame, np.stack(tables)).tolist() == valid
 
 
 def _inflationary_table_count(frame):

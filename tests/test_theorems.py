@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,28 @@ def test_sampling_decided_before_building_pairs(monkeypatch, o4, suite):
     (report,) = verify_theorems(o4, suite=(suite,), budget=Budget(seed=1, cases=4))
     assert report.passed and report.checked == 4
     assert report.coverage == "sampled 4"
+
+
+def _column_scan_container(frame, rng):
+    """``random_container`` as it drew before ``Frame.below``: the list of
+    elements below each extent is scanned from the order table per shape."""
+    k = rng.randint(1, 3)
+    pred, extent = {}, {}
+    for i in range(k):
+        e = frame.top_index if rng.random() < 0.5 else rng.randrange(len(frame))
+        p = int(rng.choice(list(np.flatnonzero(frame.leq_table[:, e]))))
+        pred[f"a{i}"], extent[f"a{i}"] = frame.el(p), frame.el(e)
+    return IndexedPropContainer(frame, pred, extent)
+
+
+@pytest.mark.parametrize("name", ("chain2", "diamond", "chain7", "anti4"))
+def test_random_container_draws_as_the_column_scan(name):
+    frame = make_frame(name)
+    a, b = random.Random(name), random.Random(name)
+    for _ in range(200):
+        c, d = theorems.random_container(frame, a), _column_scan_container(frame, b)
+        assert (c.shapes, c.ext.tolist(), c.prd.tolist()) == (
+            d.shapes, d.ext.tolist(), d.prd.tolist())
+    assert frame.below is frame.below
+    assert [x.tolist() for x in frame.below] == [
+        np.flatnonzero(col).tolist() for col in frame.leq_table.T]
