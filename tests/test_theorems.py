@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -135,3 +136,91 @@ def test_random_container_draws_as_the_column_scan(name):
     assert frame.below is frame.below
     assert [x.tolist() for x in frame.below] == [
         np.flatnonzero(col).tolist() for col in frame.leq_table.T]
+
+
+# -- failure paths -------------------------------------------------------
+#
+# ``oracle_modalities_kleene`` is replaced by one that returns a wrong
+# modality for some containers, chosen by the container itself (never by
+# its position in a batch), and every report is pinned: which checks fail,
+# and with which messages, does not depend on how a referee batches.
+
+
+def _wrong_table(mode, c):
+    """The wrong modality ``mode`` gives container c, or None to keep its own:
+    identity or top for every container, or top for the single-shape
+    containers and the sums, whose shapes are named ``0:...``/``1:...``."""
+    frame = c.frame
+    if mode == "identity":
+        return np.arange(len(frame))
+    if mode == "top" or len(c) == 1 or any(a[:2] in ("0:", "1:") for a in c.shapes):
+        return np.full(len(frame), frame.top_index)
+    return None
+
+
+# (mode, poset, cases) -> ((checked, failures) per referee, digest of every
+# (theorem, checked, coverage, failures) tuple). At 10 000 cases only the
+# referees that are then exhaustive on chain2 run.
+_FAULTED_REPORTS = {
+    ("identity", "chain2", 5): (((4, 3), (5, 2), (5, 4), (5, 3), (5, 0), (5, 0), (5, 0)), "3181f5ad70d2f906"),
+    ("identity", "chain2", 30): (((4, 3), (24, 7), (30, 25), (30, 19), (30, 0), (30, 0), (30, 0)), "08ac87254f02349c"),
+    ("identity", "vee", 5): (((8, 7), (5, 2), (5, 4), (5, 3), (5, 0), (5, 0), (5, 0)), "a4a21d1f123ed938"),
+    ("identity", "vee", 30): (((8, 7), (30, 17), (30, 25), (30, 22), (30, 0), (30, 0), (30, 0)), "4317277a74444709"),
+    ("identity", "diamond", 5): (((16, 15), (5, 4), (5, 4), (5, 4), (5, 0), (5, 0), (5, 0)), "e678d20bb4a597c3"),
+    ("identity", "diamond", 30): (((16, 15), (30, 20), (30, 26), (30, 22), (30, 0), (30, 0), (30, 0)), "8ac17e1d8a4a5664"),
+    ("identity", "chain7", 5): (((128, 127), (5, 4), (5, 5), (5, 3), (5, 0), (5, 0), (5, 0)), "0569e4cdff65042e"),
+    ("identity", "chain7", 30): (((128, 127), (30, 21), (30, 28), (30, 23), (30, 0), (30, 0), (30, 0)), "ba4695cbd02389aa"),
+    ("identity", "anti4", 5): (((16, 15), (5, 4), (5, 4), (5, 3), (5, 0), (5, 0), (5, 0)), "5bd46c3f60d36d62"),
+    ("identity", "anti4", 30): (((16, 15), (30, 22), (30, 27), (30, 28), (30, 0), (30, 0), (30, 0)), "77e5b4d3845cc993"),
+    ("top", "chain2", 5): (((4, 3), (5, 2), (5, 0), (5, 2), (5, 0), (5, 0), (5, 0)), "311237097ed661a6"),
+    ("top", "chain2", 30): (((4, 3), (24, 11), (30, 0), (30, 19), (30, 0), (30, 0), (30, 0)), "b9be679217f95bb9"),
+    ("top", "vee", 5): (((8, 7), (5, 3), (5, 0), (5, 4), (5, 0), (5, 0), (5, 0)), "a1d10e52323f682b"),
+    ("top", "vee", 30): (((8, 7), (30, 11), (30, 0), (30, 25), (30, 0), (30, 0), (30, 0)), "5fc82c71ebc574fd"),
+    ("top", "diamond", 5): (((16, 15), (5, 1), (5, 0), (5, 3), (5, 0), (5, 0), (5, 0)), "b475a4eb2085baa6"),
+    ("top", "diamond", 30): (((16, 15), (30, 9), (30, 0), (30, 27), (30, 0), (30, 0), (30, 0)), "9593ccbbbe2e9b09"),
+    ("top", "chain7", 5): (((128, 127), (5, 1), (5, 0), (5, 5), (5, 0), (5, 0), (5, 0)), "462257c2ea589349"),
+    ("top", "chain7", 30): (((128, 127), (30, 9), (30, 0), (30, 27), (30, 0), (30, 0), (30, 0)), "bda8d12512aa433a"),
+    ("top", "anti4", 5): (((16, 15), (5, 1), (5, 0), (5, 5), (5, 0), (5, 0), (5, 0)), "0eee5776303d4c2b"),
+    ("top", "anti4", 30): (((16, 15), (30, 7), (30, 0), (30, 26), (30, 0), (30, 0), (30, 0)), "92f180ed85dcce2b"),
+    ("single-or-sum", "chain2", 5): (((4, 0), (5, 1), (5, 0), (5, 2), (5, 0), (5, 0), (5, 0)), "a3dc68d0c6ab3380"),
+    ("single-or-sum", "chain2", 30): (((4, 0), (24, 11), (30, 1), (30, 11), (30, 0), (30, 6), (30, 0)), "4e836ce45b5cf1f5"),
+    ("single-or-sum", "vee", 5): (((8, 0), (5, 2), (5, 1), (5, 2), (5, 0), (5, 0), (5, 0)), "fa147f9a3fa61bea"),
+    ("single-or-sum", "vee", 30): (((8, 0), (30, 7), (30, 2), (30, 17), (30, 1), (30, 6), (30, 0)), "528cf3ff97deebee"),
+    ("single-or-sum", "diamond", 5): (((16, 0), (5, 1), (5, 0), (5, 2), (5, 0), (5, 0), (5, 0)), "e534318d3388f5cf"),
+    ("single-or-sum", "diamond", 30): (((16, 0), (30, 3), (30, 1), (30, 22), (30, 3), (30, 5), (30, 0)), "aedc98f48dfd1a0a"),
+    ("single-or-sum", "chain7", 5): (((128, 0), (5, 1), (5, 0), (5, 2), (5, 0), (5, 0), (5, 0)), "1efd0afb7e0d28fd"),
+    ("single-or-sum", "chain7", 30): (((128, 0), (30, 8), (30, 1), (30, 10), (30, 6), (30, 6), (30, 0)), "d200b6ef83c5841f"),
+    ("single-or-sum", "anti4", 5): (((16, 0), (5, 1), (5, 0), (5, 2), (5, 0), (5, 0), (5, 0)), "2c30c245bbce9682"),
+    ("single-or-sum", "anti4", 30): (((16, 0), (30, 7), (30, 5), (30, 10), (30, 1), (30, 6), (30, 0)), "4b1023297b2e722d"),
+}
+_EXHAUSTIVE_ON_CHAIN2 = ("retraction", "forcing-iff", "oracle-leq")
+
+
+def _faulted_reports(monkeypatch, mode, name, cases, suite=None):
+    real = theorems.oracle_modalities_kleene
+
+    def faulty(cs):
+        return [k if (t := _wrong_table(mode, c)) is None else Nucleus(c.frame, t)
+                for c, k in zip(cs, real(cs))]
+
+    monkeypatch.setattr(theorems, "oracle_modalities_kleene", faulty)
+    reports = verify_theorems(make_frame(name), suite, Budget(seed=0, cases=cases))
+    rows = [(r.theorem, r.checked, r.coverage, r.failures) for r in reports]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    return tuple((r.checked, len(r.failures)) for r in reports), digest
+
+
+@pytest.mark.parametrize("mode, name, cases", sorted(_FAULTED_REPORTS))
+def test_wrong_modalities_fail_as_pinned(monkeypatch, mode, name, cases):
+    got = _faulted_reports(monkeypatch, mode, name, cases)
+    assert got == _FAULTED_REPORTS[mode, name, cases]
+
+
+@pytest.mark.parametrize("mode, want", (
+    ("identity", (((4, 3), (24, 7), (36, 18)), "ccb5bfef1643e8a6")),
+    ("top", (((4, 3), (24, 11), (36, 0)), "b9e2ad8ff456b32a")),
+    ("single-or-sum", (((4, 0), (24, 11), (36, 0)), "fd8d2a52e03d0e50")),
+))
+def test_wrong_modalities_fail_as_pinned_exhaustively(monkeypatch, mode, want):
+    got = _faulted_reports(monkeypatch, mode, "chain2", 10_000, _EXHAUSTIVE_ON_CHAIN2)
+    assert got == want
