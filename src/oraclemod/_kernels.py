@@ -10,12 +10,12 @@ checked against a route that shares no code with it:
   shapes concatenated with a count per container. The shapes are laid out
   as an (m, widest) grid of slots, the empty slots filled with a shape whose
   row is bottom; the rows are gathered with flat ``take`` from the raveled
-  tables, in blocks of at most ``frames.BLOCK_CELLS`` cells, and
-  join-reduced pairwise along the slots. It is also the table of
-  ``containers.instance_prenucleus``, a batch of one;
+  tables, in the blocks of ``frames.blocks``, and join-reduced along the
+  slots by ``frames.fold``. It is the stack of
+  ``containers.instance_prenuclei``;
 * ``kleene_table`` iterates t := s \\/ q(t) from t = s until it stabilizes,
-  for every start s of every container at once, in chunks of at most
-  ``frames.BLOCK_CELLS`` cells. Since q depends on t only through the
+  for every start s of every container at once, in the blocks of
+  ``frames.blocks``. Since q depends on t only through the
   value t(s), each round after the tabulation is two lookups per cell;
 * ``prefixed_mask`` / ``bruteforce_table`` realize the same operator for
   one container as the meet of all prefixed points, the second,
@@ -47,22 +47,14 @@ def query_table(meet, join, implies, ext, prd, counts, bot: int) -> np.ndarray:
     e_slots[filled], p_slots[filled] = ext, prd
     q = np.full((m, n), bot, dtype=np.int32)
     carrier = np.arange(n)
-    cols = max(1, min(width, frames.BLOCK_CELLS // n))
-    per = max(1, frames.BLOCK_CELLS // (n * cols))
-    for lo in range(0, m, per):
-        for c0 in range(0, width, cols):
-            # block[i, a, x] = E_a /\ (P_a => x); indices stay below n**2,
-            # which int32 holds for every carrier whose tables fit in memory.
-            e = e_slots[lo:lo + per, c0:c0 + cols, None] * n
-            p = p_slots[lo:lo + per, c0:c0 + cols, None] * n
-            block = meet_flat.take(e + imp_flat.take(p + carrier))
-            while block.shape[1] > 1:
-                # join the last half of the slots into the first, in place
-                half = block.shape[1] // 2
-                block[:, :half] = join_flat.take(block[:, :half] * n + block[:, -half:])
-                block = block[:, :block.shape[1] - half]
-            part = block[:, 0]
-            q[lo:lo + per] = part if c0 == 0 else join_flat.take(q[lo:lo + per] * n + part)
+    for cols in frames.blocks(width, n):
+        for rows in frames.blocks(m, n * (cols.stop - cols.start)):
+            # block[a, i, x] = E_a /\ (P_a => x) for slot a of container i;
+            # indices stay below n**2, which int32 holds under the carrier limit.
+            e = e_slots[rows, cols].T[:, :, None] * n
+            p = p_slots[rows, cols].T[:, :, None] * n
+            part = frames.fold(join, meet_flat.take(e + imp_flat.take(p + carrier)))
+            q[rows] = part if cols.start == 0 else join_flat.take(q[rows] * n + part)
     return q
 
 
@@ -73,9 +65,8 @@ def kleene_table(meet, join, implies, ext, prd, counts, bot: int) -> np.ndarray:
     q = query_table(meet, join, implies, ext, prd, counts, bot)
     join_flat = join.ravel()
     starts = np.arange(n, dtype=np.intp) * n  # row s of the raveled join
-    per = max(1, frames.BLOCK_CELLS // n)
-    for lo in range(0, q.shape[0], per):
-        chunk = q[lo:lo + per]
+    for block in frames.blocks(q.shape[0], n):
+        chunk = q[block]
         rows = np.arange(chunk.shape[0], dtype=np.intp)[:, None] * n
         q_flat = chunk.ravel()
         t = np.broadcast_to(np.arange(n, dtype=np.int32), chunk.shape)

@@ -325,11 +325,15 @@ def run(argv=None) -> int:
     }
     elapsed = (time.perf_counter() - t0) * 1000.0
     rendered = emit_report(report, args.format, elapsed if args.format == "text" else None)
-    if args.output:
+    if not args.output:
+        sys.stdout.write(rendered)
+        return status
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    except OSError as e:
+        sys.stderr.write(f"oraclemod: error: {e}\n")
+        return 2
     return status
 
 

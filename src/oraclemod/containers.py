@@ -16,16 +16,17 @@ least fixed point above s of
 one by Kleene iteration and one as the meet of all prefixed points
 (``oracle_modality_bruteforce``); neither computes its table through the
 closed form, which only validates them. ``oracle_modalities_kleene``
-iterates many containers in one kernel call and validates all their tables
-in one batched test; ``oracle_modality_kleene`` is its batch of one.
-Containers keep their shapes sorted by name with aligned ``ext``/``prd``
-index arrays; sums and stable-query containers are assembled from those
-arrays directly.
+iterates a batch of containers in one kernel call, validates all their
+tables in one batched test and returns them as an (m, n) stack;
+``oracle_modality_kleene`` wraps its one row as a ``Nucleus``.
+``instance_prenuclei`` tabulates the single-query maps of a batch the same
+way. Containers keep their shapes sorted by name with aligned
+``ext``/``prd`` index arrays; sums and stable-query containers are
+assembled from those arrays directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -138,47 +139,34 @@ def empty_container(frame: Frame) -> IndexedPropContainer:
     return IndexedPropContainer(frame, {})
 
 
-@dataclass
-class PrenucleusMap:
-    """A monotone (not necessarily inflationary or idempotent) table."""
-
-    frame: Frame
-    table: np.ndarray
-
-    def __call__(self, x: FrameElement) -> FrameElement:
-        return self.frame.el(int(self.table[self.frame.check_element(x)]))
-
-    def is_monotone(self) -> bool:
-        leq = self.frame.leq_table
-        return bool((~leq | leq[self.table[:, None], self.table[None, :]]).all())
+def _kernel_args(frame: Frame, cs: Sequence[IndexedPropContainer]) -> tuple:
+    """The arguments of ``_kernels.query_table`` and ``kleene_table`` for a
+    batch of containers on ``frame``: their shapes concatenated, with a
+    count per container."""
+    if any(c.frame is not frame for c in cs):
+        raise FrameMismatch("containers on different frames")
+    none = np.zeros(0, dtype=np.int32)
+    return (frame.meet_table, frame.join_table, frame.implies_table,
+            np.concatenate([c.ext for c in cs] + [none]),
+            np.concatenate([c.prd for c in cs] + [none]),
+            [len(c) for c in cs], frame.bot_index)
 
 
-def instance_prenucleus(c: IndexedPropContainer) -> PrenucleusMap:
-    """The single-query map t |-> \\/_a (E(a) /\\ (P(a) => t))."""
-    frame = c.frame
-    table = _kernels.query_table(
-        frame.meet_table,
-        frame.join_table,
-        frame.implies_table,
-        c.ext,
-        c.prd,
-        [len(c)],
-        frame.bot_index,
-    )
-    return PrenucleusMap(frame, table[0])
+def instance_prenuclei(frame: Frame, cs: Sequence[IndexedPropContainer]) -> np.ndarray:
+    """The single-query maps t |-> \\/_a (E(a) /\\ (P(a) => t)) of a batch of
+    containers, as an (m, n) stack of monotone tables."""
+    return _kernels.query_table(*_kernel_args(frame, cs))
+
+
+def instance_prenucleus(c: IndexedPropContainer) -> np.ndarray:
+    """The table of the single-query map of one container."""
+    return instance_prenuclei(c.frame, [c])[0]
 
 
 def _law_violation(report) -> InternalInvariantViolation:
     return InternalInvariantViolation(
         f"computed modality violates nucleus laws: {report.law_names()}"
     )
-
-
-def _as_nucleus(frame: Frame, table: np.ndarray) -> Nucleus:
-    report = validate_nucleus(frame, table)
-    if not report.valid:
-        raise _law_violation(report)
-    return Nucleus(frame, table)
 
 
 def oracle_modality(c: IndexedPropContainer) -> Nucleus:
@@ -189,34 +177,22 @@ def oracle_modality(c: IndexedPropContainer) -> Nucleus:
     return Nucleus(c.frame, j_table(c.frame, ~bad))
 
 
-def oracle_modalities_kleene(cs: Sequence[IndexedPropContainer]) -> list[Nucleus]:
+def oracle_modalities_kleene(frame: Frame, cs: Sequence[IndexedPropContainer]) -> np.ndarray:
     """Referee: the least nucleus forcing each container by Kleene iteration
-    from s, the paper's construction, in one kernel call for all of them.
-    Each table is checked to be a nucleus; the first that is not raises
-    ``InternalInvariantViolation`` naming the laws it violates."""
-    if not cs:
-        return []
-    frame = cs[0].frame
-    if any(c.frame is not frame for c in cs):
-        raise FrameMismatch("containers on different frames")
-    tables = _kernels.kleene_table(
-        frame.meet_table,
-        frame.join_table,
-        frame.implies_table,
-        np.concatenate([c.ext for c in cs]),
-        np.concatenate([c.prd for c in cs]),
-        [len(c) for c in cs],
-        frame.bot_index,
-    )
+    from s, the paper's construction, in one kernel call for all of them,
+    as an (m, n) stack of tables. Each table is checked to be a nucleus; the
+    first that is not raises ``InternalInvariantViolation`` naming the laws
+    it violates."""
+    tables = _kernels.kleene_table(*_kernel_args(frame, cs))
     bad = np.flatnonzero(~nucleus_rows(frame, tables))
     if bad.size:
         raise _law_violation(law_scan(frame, tables[bad[0]]))
-    return [Nucleus(frame, t) for t in tables]
+    return tables
 
 
 def oracle_modality_kleene(c: IndexedPropContainer) -> Nucleus:
     """Referee: ``oracle_modalities_kleene`` of the one container."""
-    return oracle_modalities_kleene([c])[0]
+    return Nucleus(c.frame, oracle_modalities_kleene(c.frame, [c])[0])
 
 
 def oracle_modality_bruteforce(c: IndexedPropContainer) -> Nucleus:
@@ -230,7 +206,10 @@ def oracle_modality_bruteforce(c: IndexedPropContainer) -> Nucleus:
         c.prd,
         frame.top_index,
     )
-    return _as_nucleus(frame, table)
+    report = validate_nucleus(frame, table)
+    if not report.valid:
+        raise _law_violation(report)
+    return Nucleus(frame, table)
 
 
 def forces(j: Nucleus, c: IndexedPropContainer) -> bool:

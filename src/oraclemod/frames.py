@@ -19,7 +19,9 @@ tables the closed form of nuclei reads (label membership, the index of
 ``down(x) - {x}`` and the single-label nuclei j_{x}), are derived from the
 masks on first use, so a build pays nothing for them. ``Frame.check_laws`` runs
 its three-index laws in blocks over the first index, so its temporaries
-hold about ``max(BLOCK_CELLS, n**2)`` cells instead of ``n**3``. The
+hold about ``max(BLOCK_CELLS, n**2)`` cells instead of ``n**3``. Every
+blocked pass takes its slices from ``blocks``, the one place that applies
+``BLOCK_CELLS``, and reduces by an operation table with ``fold``. The
 carrier is capped at ``DEFAULT_CARRIER_LIMIT = 4096`` downsets: the four
 tables take 13 bytes per pair, about 218 MB at 4096, and the law check is
 cubic. The implication pass costs labels x n**2 x W word operations, so a
@@ -49,8 +51,29 @@ DEFAULT_CARRIER_LIMIT = 1 << 12
 # the 4096 downsets of 12 incomparable labels, the frame the carrier limit
 # was sized on.
 BUILD_COST_LIMIT = 12 * DEFAULT_CARRIER_LIMIT ** 2
-# Cells per block of the table build and of the three-index laws.
+# Cells per block of every blocked pass (see ``blocks``).
 BLOCK_CELLS = 1 << 18
+
+
+def blocks(count: int, cells: int) -> list[slice]:
+    """Slices covering ``range(count)`` in order, none empty, each of at
+    most ``max(1, BLOCK_CELLS // cells)`` items: the blocks of a pass whose
+    items take ``cells`` cells each."""
+    per = max(1, BLOCK_CELLS // max(1, cells))
+    return [slice(lo, min(lo + per, count)) for lo in range(0, count, per)]
+
+
+def fold(op: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Reduce a non-empty stack of index arrays along its first axis by the
+    (n, n) operation table ``op``, pairwise and in place, in log2(len(rows))
+    gathers; ``rows`` is overwritten."""
+    n, flat = op.shape[0], op.ravel()
+    while rows.shape[0] > 1:
+        # combine the last half of the rows into the first
+        half = rows.shape[0] // 2
+        rows[:half] = flat.take(rows[:half] * n + rows[-half:])
+        rows = rows[:rows.shape[0] - half]
+    return rows[0]
 
 
 class Poset:
@@ -332,7 +355,6 @@ class Frame:
         # Order agrees with the operations: a <= b iff meet(a,b) == a.
         if not ((meet == rng[:, None]) == leq).all():
             bad.append("order does not match meet")
-        rows = max(1, BLOCK_CELLS // (n * n))
         # Each law compares [a, b, c] arrays for a in one block of rows.
         laws = (
             # op[op[a,b],c] == op[a,op[b,c]]
@@ -348,7 +370,7 @@ class Frame:
              lambda a: (meet[a][:, join], join[meet[a][:, :, None], meet[a][:, None, :]])),
         )
         for message, with_witness, sides in laws:
-            witness = _first_mismatch(n, rows, sides)
+            witness = _first_mismatch(blocks(n, n * n), sides)
             if witness is None:
                 continue
             bad.append(f"{message} at ({','.join(map(str, witness))})"
@@ -361,15 +383,15 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _first_mismatch(n: int, rows: int, sides) -> tuple[int, int, int] | None:
+def _first_mismatch(slices: list[slice], sides) -> tuple[int, int, int] | None:
     """Lexicographically first (a, b, c) where the two [a, b, c] arrays that
-    ``sides(slice)`` gives for a block of a differ, or None."""
-    for lo in range(0, n, rows):
-        lhs, rhs = sides(slice(lo, lo + rows))
+    ``sides(block)`` gives for each block of a, in order, differ, or None."""
+    for block in slices:
+        lhs, rhs = sides(block)
         diff = lhs != rhs
         if diff.any():
             a, b, c = map(int, np.argwhere(diff)[0])
-            return a + lo, b, c
+            return a + block.start, b, c
     return None
 
 
@@ -437,17 +459,16 @@ def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> F
     meet = np.empty((n, n), dtype=np.int32)
     join = np.empty((n, n), dtype=np.int32)
     imp = np.empty((n, n), dtype=np.int32)
-    rows = max(1, BLOCK_CELLS // (n * width))
-    for lo in range(0, n, rows):
-        a, b = masks[lo:lo + rows, None, :], masks[None, :, :]
+    for rows in blocks(n, n * width):
+        a, b = masks[rows, None, :], masks[None, :, :]
         outside = a & ~b
-        leq[lo:lo + rows] = ~outside.any(axis=-1)
-        meet[lo:lo + rows] = index_of(a & b)
-        join[lo:lo + rows] = index_of(a | b)
+        leq[rows] = ~outside.any(axis=-1)
+        meet[rows] = index_of(a & b)
+        join[rows] = index_of(a | b)
         # I => J keeps label x iff down(x) meets I only inside J.
         body = np.zeros_like(outside)
         for x, dx in enumerate(principal):
             keep = ~(outside & dx).any(axis=-1)
             body[..., x // 64] |= keep.astype(np.uint64) << np.uint64(x % 64)
-        imp[lo:lo + rows] = index_of(body)
+        imp[rows] = index_of(body)
     return Frame(poset, masks, leq, meet, join, imp)

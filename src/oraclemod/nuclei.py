@@ -12,7 +12,7 @@ A downset frame Down(P) is spatial, so its nuclei are exactly the
 distinct for distinct S, and S is read back from any nucleus j as
 S(j) = {x : x not in j(down(x) minus {x})}. ``j_table`` builds j_S as the
 meet of the single-label rows ``Frame.label_rows`` for x in S, folded
-pairwise, and ``subset_of`` reads S back with one gather; both also take a
+by ``frames.fold``, and ``subset_of`` reads S back with one gather; both also take a
 stack of m masks or tables. On this closed form a table is a nucleus iff it
 equals j of its own subset (O(n x labels); the law scan runs only on a
 table that fails, to name its violations). ``validate_nucleus`` applies
@@ -103,13 +103,7 @@ def j_table(frame: Frame, subset: np.ndarray) -> np.ndarray:
         rows = np.where(subset.T[:, :, None], frame.label_rows[:, None], frame.top_index)
     if rows.shape[0] == 0:
         return np.full(rows.shape[1:], frame.top_index, dtype=np.int32)
-    n, meet_flat = len(frame), frame.meet_table.ravel()
-    while rows.shape[0] > 1:
-        # meet the last half of the rows into the first, in place
-        half = rows.shape[0] // 2
-        rows[:half] = meet_flat.take(rows[:half] * n + rows[-half:])
-        rows = rows[:rows.shape[0] - half]
-    return rows[0]
+    return frames.fold(frame.meet_table, rows)
 
 
 def subset_of(frame: Frame, table: np.ndarray) -> np.ndarray:
@@ -129,10 +123,9 @@ def nucleus_rows(frame: Frame, tables: np.ndarray) -> np.ndarray:
     """Which rows of an (m, n) stack of tables are nuclei, by the accept test
     of ``validate_nucleus``, in chunks whose label rows fit
     ``frames.BLOCK_CELLS`` cells."""
-    per = max(1, frames.BLOCK_CELLS // (max(1, len(frame.poset)) * len(frame)))
     ok = np.empty(tables.shape[0], dtype=bool)
-    for lo in range(0, tables.shape[0], per):
-        ok[lo:lo + per] = _is_own_j(frame, tables[lo:lo + per])
+    for rows in frames.blocks(tables.shape[0], len(frame.poset) * len(frame)):
+        ok[rows] = _is_own_j(frame, tables[rows])
     return ok
 
 

@@ -115,6 +115,8 @@ def parse_term(src: str, auto_declare: bool = False) -> Term:
 
     def atom() -> Term:
         nonlocal pos
+        if pos == len(tokens):
+            raise TermSyntaxError("term ends where an atom was expected")
         tok = tokens[pos]
         if tok == "(":
             pos += 1

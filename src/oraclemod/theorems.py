@@ -7,9 +7,12 @@ the paper's construction, and checked against the nuclei that
 ``enumerate_nuclei`` lists in closed form, so no referee checks the closed
 form against itself. A referee draws all its containers before computing
 any modality, and then computes their modalities in one batched call to
-``oracle_modalities_kleene``. A run enumerates the nuclei at most once; if
-the enumeration is refused, each referee that needs it reports "refused"
-and the others still run.
+``oracle_modalities_kleene``, as a stack of tables compared row by row.
+``_least_above`` checks "least nucleus above" for ``least-above-instance``
+(above the single-query maps) and ``sup`` (above the join of two
+modalities). A run enumerates the nuclei at most once; if the enumeration
+is refused, each referee that needs it reports "refused" and the others
+still run.
 """
 
 from __future__ import annotations
@@ -21,18 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import frames
 from .containers import (
     IndexedPropContainer,
     container_sum,
-    forces,
-    instance_prenucleus,
+    instance_prenuclei,
     instance_reducible,
     oracle_modalities_kleene,
     pred_of_nucleus,
 )
 from .errors import InternalInvariantViolation, SizeLimitExceeded
 from .frames import Frame
-from .nuclei import Nucleus, enumerate_nuclei, nucleus_leq
+from .nuclei import Nucleus, enumerate_nuclei
 
 THEOREM_IDS = (
     "retraction",
@@ -147,111 +150,118 @@ def _containers_for(frame: Frame, budget: Budget, rng: random.Random):
 # -- individual referees --------------------------------------------------
 #
 # Each referee takes the frame, the budget, its own seeded rng and
-# ``enumerated``, a call returning the frame's nuclei that enumerates them
-# on its first call in a run only. A referee draws all its containers first
-# and then computes their Kleene modalities in one batched call.
+# ``enumerated``, a call returning the frame's nuclei as an (N, n) stack,
+# enumerated on the first call in a run only. A referee draws all its
+# containers first and then computes their Kleene modalities in one call.
 
 
 def _check_retraction(frame: Frame, budget: Budget, rng: random.Random, enumerated):
-    nuclei = enumerated() + budget.extra_nuclei
-    modalities = oracle_modalities_kleene([pred_of_nucleus(j) for j in nuclei])
+    nuclei = [Nucleus(frame, t) for t in enumerated()] + list(budget.extra_nuclei)
+    modalities = oracle_modalities_kleene(frame, [pred_of_nucleus(j) for j in nuclei])
     failures = [
-        f"nucleus {list(map(int, j.table))} came back as {list(map(int, k.table))}"
+        f"nucleus {list(map(int, j.table))} came back as {list(map(int, k))}"
         for j, k in zip(nuclei, modalities)
-        if k != j
+        if (k != j.table).any()
     ]
     return len(nuclei), failures, "exhaustive"
 
 
 def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random, enumerated):
+    # pairs index (nuclei, cs), so each single-shape container is listed once
     nuclei = enumerated()
     if len(nuclei) * _single_shape_count(frame) <= budget.cases:
-        singles = all_single_shape_containers(frame)
-        pairs = [(j, c) for j in nuclei for c in singles]
+        cs = all_single_shape_containers(frame)
+        pairs = [(j, k) for j in range(len(nuclei)) for k in range(len(cs))]
         coverage = "exhaustive-singles"
     else:
-        pairs = [
-            (rng.choice(nuclei), random_container(frame, rng))
-            for _ in range(budget.cases)
-        ]
+        drawn = [(rng.choice(range(len(nuclei))), random_container(frame, rng))
+                 for _ in range(budget.cases)]
+        cs, pairs = [c for _, c in drawn], [(j, k) for k, (j, _) in enumerate(drawn)]
         coverage = f"sampled {budget.cases}"
-    modalities = oracle_modalities_kleene([c for _, c in pairs])
+    modalities = oracle_modalities_kleene(frame, cs)
     failures = []
-    for (j, c), k in zip(pairs, modalities):
-        lhs = forces(j, c)
-        rhs = nucleus_leq(k, j)
+    for j, k in pairs:
+        c, table = cs[k], nuclei[j]
+        lhs = bool(frame.leq_table[c.ext, table[c.prd]].all())
+        rhs = bool(frame.leq_table[modalities[k], table].all())
         if lhs != rhs:
             failures.append(
-                f"forces={lhs} but order={rhs} for j={list(map(int, j.table))}, c={c!r}"
+                f"forces={lhs} but order={rhs} for j={list(map(int, table))}, c={c!r}"
             )
     return len(pairs), failures, coverage
 
 
 def _check_oracle_leq(frame: Frame, budget: Budget, rng: random.Random, enumerated):
+    # pairs index cs, so each single-shape container is listed once
     if _single_shape_count(frame) ** 2 <= budget.cases:
-        singles = all_single_shape_containers(frame)
-        pairs = [(c, d) for c in singles for d in singles]
+        cs = all_single_shape_containers(frame)
+        pairs = [(a, b) for a in range(len(cs)) for b in range(len(cs))]
         coverage = "exhaustive-singles"
     else:
-        pairs = [
-            (random_container(frame, rng), random_container(frame, rng))
-            for _ in range(budget.cases)
-        ]
+        cs = [random_container(frame, rng) for _ in range(2 * budget.cases)]
+        pairs = [(a, a + 1) for a in range(0, len(cs), 2)]
         coverage = f"sampled {budget.cases}"
-    modalities = oracle_modalities_kleene([x for pair in pairs for x in pair])
+    modalities = oracle_modalities_kleene(frame, cs)
     failures = []
-    for (c, d), oc, od in zip(pairs, modalities[0::2], modalities[1::2]):
-        lhs = nucleus_leq(oc, od)
-        rhs = bool(frame.leq_table[c.ext, od.table[c.prd]].all())
+    for a, b in pairs:
+        c, d, od = cs[a], cs[b], modalities[b]
+        lhs = bool(frame.leq_table[modalities[a], od].all())
+        rhs = bool(frame.leq_table[c.ext, od[c.prd]].all())
         if lhs != rhs:
             failures.append(f"order={lhs} but forcing={rhs} for c={c!r}, d={d!r}")
     return len(pairs), failures, coverage
 
 
+def _least_above(frame: Frame, nuclei: np.ndarray, lowers: np.ndarray) -> np.ndarray:
+    """For each row of ``lowers``, the pointwise meet of the ``nuclei`` rows
+    above it, which is the least of them unless it is none of the nuclei:
+    then it raises ``InternalInvariantViolation``."""
+    least = np.empty_like(lowers)
+    for block in frames.blocks(len(lowers), nuclei.size):
+        above = frame.leq_table[lowers[block, None, :], nuclei[None, :, :]].all(axis=-1)
+        # (nuclei, rows, n): each nucleus above the row, else top, the unit of meet
+        stack = np.where(above.T[:, :, None], nuclei[:, None, :], frame.top_index)
+        meet = frames.fold(frame.meet_table, stack)
+        if not (meet[:, None, :] == nuclei[None, :, :]).all(axis=-1).any(axis=1).all():
+            raise InternalInvariantViolation("pointwise meet of dominators is not one")
+        least[block] = meet
+    return least
+
+
 def _check_least_above(frame: Frame, budget: Budget, rng: random.Random, enumerated):
+    # The Kleene modality is a validated nucleus above its single-query map,
+    # so it is the least nucleus above that map iff it equals their meet.
     nuclei = enumerated()
     cs, coverage = _containers_for(frame, budget, rng)
+    pre = instance_prenuclei(frame, cs)
+    modalities = oracle_modalities_kleene(frame, cs)
+    above = frame.leq_table[pre, modalities].all(axis=1)
+    least = (_least_above(frame, nuclei, pre) == modalities).all(axis=1)
     failures = []
-    for c, om in zip(cs, oracle_modalities_kleene(cs)):
-        pre = instance_prenucleus(c)
-        if not frame.leq_table[pre.table, om.table].all():
+    for c, is_above, is_least in zip(cs, above, least):
+        if not is_above:
             failures.append(f"modality not above single-query map for {c!r}")
-            continue
-        above = [k for k in nuclei if frame.leq_table[pre.table, k.table].all()]
-        if any(not nucleus_leq(om, k) for k in above):
+        elif not is_least:
             failures.append(f"modality not least above single-query map for {c!r}")
     return len(cs), failures, coverage
 
 
-def _sup_by_enumeration(frame: Frame, nuclei, js) -> Nucleus:
-    # Closure operators that dominate a family are closed under pointwise
-    # meet, so folding meet over them lands back in the family.
-    dominating = [k for k in nuclei if all(nucleus_leq(j, k) for j in js)]
-    table = np.full(len(frame), frame.top_index, dtype=np.int32)
-    for k in dominating:
-        table = frame.meet_table[table, k.table]
-    best = Nucleus(frame, table)
-    if best not in dominating:
-        raise InternalInvariantViolation("pointwise meet of dominators is not one")
-    return best
-
-
 def _check_sup(frame: Frame, budget: Budget, rng: random.Random, enumerated):
-    # Referee: the sup of two modalities is taken as the least dominator among
-    # all enumerated nuclei, independently of the closed form in sup_nuclei.
+    # Referee: the sup of two modalities is taken as the least of all
+    # enumerated nuclei above both, that is above their pointwise join,
+    # independently of the closed form in sup_nuclei.
     nuclei = enumerated()
     n_pairs = budget.cases
     pairs = [(random_container(frame, rng), random_container(frame, rng))
              for _ in range(n_pairs)]
     modalities = oracle_modalities_kleene(
-        [x for c1, c2 in pairs for x in (container_sum([c1, c2]), c1, c2)])
-    failures = []
-    for (c1, c2), lhs, m1, m2 in zip(pairs, modalities[0::3], modalities[1::3],
-                                     modalities[2::3]):
-        rhs = _sup_by_enumeration(frame, nuclei, [m1, m2])
-        if lhs != rhs:
-            failures.append(f"sum modality {list(map(int, lhs.table))} != "
-                            f"sup {list(map(int, rhs.table))} for {c1!r}, {c2!r}")
+        frame, [x for c1, c2 in pairs for x in (container_sum([c1, c2]), c1, c2)])
+    sups = _least_above(frame, nuclei, frame.join_table[modalities[1::3], modalities[2::3]])
+    failures = [
+        f"sum modality {list(map(int, lhs))} != sup {list(map(int, rhs))} for {c1!r}, {c2!r}"
+        for (c1, c2), lhs, rhs in zip(pairs, modalities[0::3], sups)
+        if (lhs != rhs).any()
+    ]
     return n_pairs, failures, f"sampled {n_pairs}"
 
 
@@ -260,10 +270,10 @@ def _check_surjection(frame: Frame, budget: Budget, rng: random.Random, enumerat
     for _ in range(budget.cases):
         c = random_container(frame, rng)
         pairs.append((c, surjective_relabeling(c, rng)))
-    modalities = oracle_modalities_kleene([x for pair in pairs for x in pair])
+    modalities = oracle_modalities_kleene(frame, [x for pair in pairs for x in pair])
     failures = []
     for (c, cq), mc, mcq in zip(pairs, modalities[0::2], modalities[1::2]):
-        if mcq != mc:
+        if (mcq != mc).any():
             failures.append(f"relabeling changed the modality for {c!r} -> {cq!r}")
     return budget.cases, failures, f"sampled {budget.cases}"
 
@@ -273,15 +283,11 @@ def _check_instance_vs_forcing(frame: Frame, budget: Budget, rng: random.Random,
     # Cross-checks instance_reducible, the elementwise route, against the
     # tabulated single-query map: E_c(a) <= i_d(P_c(a)) for every shape a.
     cs, coverage = _containers_for(frame, budget, rng)
+    ds = [random_container(frame, rng) for _ in cs]
     failures = []
-    for c in cs:
-        d = random_container(frame, rng)
+    for c, d, i_d in zip(cs, ds, instance_prenuclei(frame, ds)):
         lhs = instance_reducible(c, d)
-        i_d = instance_prenucleus(d)
-        rhs = all(
-            frame.le(frame.el(int(e)), i_d(frame.el(int(p))))
-            for e, p in zip(c.ext, c.prd)
-        )
+        rhs = bool(frame.leq_table[c.ext, i_d[c.prd]].all())
         if lhs != rhs:
             failures.append(f"reducibility {lhs} != single-query forcing {rhs} "
                             f"for c={c!r}, d={d!r}")
@@ -316,9 +322,10 @@ def verify_theorems(
     def attempt():
         # Looked up at call time, so a wrapped enumerate_nuclei is the one called.
         try:
-            return enumerate_nuclei(frame)
+            nuclei = enumerate_nuclei(frame)
         except SizeLimitExceeded as e:
             return e
+        return np.array([k.table for k in nuclei])
 
     def enumerated():
         nuclei = attempt()

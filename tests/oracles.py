@@ -107,18 +107,24 @@ def _nuclei_array(frame):
     return np.array(bruteforce_nuclei(frame), dtype=np.int32)
 
 
-def bruteforce_sup(frame, js):
-    """Least brute-force nucleus table dominating every nucleus in js; the
-    nuclei of each frame are filtered once and reused."""
+def least_above(frame, lowers, nuclei):
+    """The table among ``nuclei`` that lies pointwise above every table in
+    ``lowers`` and below every other such table, found by comparing them
+    all pairwise."""
     leq = frame.leq_table
-    tables = _nuclei_array(frame)
-    above = np.ones(len(tables), dtype=bool)
-    for j in js:
-        above &= leq[j.table[None, :], tables].all(axis=1)
-    tables = tables[above]
+    above = np.ones(len(nuclei), dtype=bool)
+    for t in lowers:
+        above &= leq[np.asarray(t)[None, :], nuclei].all(axis=1)
+    tables = nuclei[above]
     below_all = leq[tables[:, None, :], tables[None, :, :]].all(axis=(1, 2))
     (least,) = tables[below_all]
     return tuple(map(int, least))
+
+
+def bruteforce_sup(frame, js):
+    """Least brute-force nucleus table dominating every nucleus in js; the
+    nuclei of each frame are filtered once and reused."""
+    return least_above(frame, [j.table for j in js], _nuclei_array(frame))
 
 
 def per_shape_query_table(frame, ext, prd):

@@ -277,6 +277,19 @@ def test_output_file(poset_file, tmp_path, capsys):
     assert json.loads(out_path.read_text())["body"]["carrier"] == 3
 
 
+def test_unwritable_output_exits_2(capsys):
+    code = cli.run(["--output", "/nonexistent/x.json", "pca", "eval", "--term", "K"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("oraclemod: error:") and "x.json" in captured.err
+
+
+@pytest.mark.parametrize("term", ("(", "K ("))
+def test_truncated_term_exits_2(term, capsys):
+    assert cli.run(["pca", "eval", "--term", term]) == 2
+    assert capsys.readouterr().err.startswith("oraclemod: error:")
+
+
 def test_emit_report_empty_body():
     report = {"header": {"command": "verify", "seed": 0, "version": "x"},
               "body": {"reports": []}, "status": 0}
@@ -329,6 +342,8 @@ def test_trees_suite_at_depth_0(capsys):
     ("nucleus", {"table": [1]}),
     ("weihrauch", {"entries": [{"instance": 5, "families": [["K"]]}]}),
     ("answers", [5]),
+    ("weihrauch", {"entries": [{"instance": "K (", "families": [["K"]]}]}),
+    ("weihrauch", {"entries": [{"instance": "K", "families": [["("]]}]}),
 ))
 def test_malformed_json_values_exit_2(poset_file, tmp_path, kind, doc, capsys):
     path = str(tmp_path / "bad.json")

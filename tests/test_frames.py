@@ -350,3 +350,30 @@ def test_heyting_dispatcher(o4):
     assert o4.join() == o4.bot
     assert o4.implies(a, o4.bot) == b
     assert o4.neg(a) == b
+
+
+@pytest.mark.parametrize("count", (0, 1, 15, 16, 17, 40))
+@pytest.mark.parametrize("cells", (0, 1, 3, 16, 17))
+def test_blocks_cover_the_range_in_bounded_slices(monkeypatch, count, cells):
+    monkeypatch.setattr(frames, "BLOCK_CELLS", 16)
+    slices = frames.blocks(count, cells)
+    assert [i for s in slices for i in range(s.start, s.stop)] == list(range(count))
+    assert all(s.step is None and s.start < s.stop <= count for s in slices)
+    assert all(s.stop - s.start <= max(1, 16 // max(1, cells)) for s in slices)
+
+
+def test_blocks_clamp_the_last_slice():
+    # a narrow pass must not size its other blocks from a nominal width
+    assert frames.blocks(3, 81) == [slice(0, 3)]
+    assert frames.blocks(5, frames.BLOCK_CELLS // 2) == [
+        slice(0, 2), slice(2, 4), slice(4, 5)]
+
+
+@pytest.mark.parametrize("count", range(1, 10))
+def test_fold_equals_the_left_fold(o4, count):
+    rng = np.random.default_rng(count)
+    rows = rng.integers(0, len(o4), size=(count, 2, len(o4))).astype(np.int32)
+    want = rows[0]
+    for row in rows[1:]:
+        want = o4.join_table[want, row]
+    assert (frames.fold(o4.join_table, rows.copy()) == want).all()

@@ -7,11 +7,12 @@ from oraclemod import _kernels, frames
 from oraclemod.containers import (
     container_sum,
     empty_container,
+    instance_prenuclei,
     instance_prenucleus,
     oracle_modalities_kleene,
     pred_of_nucleus,
 )
-from oraclemod.errors import InternalInvariantViolation
+from oraclemod.errors import FrameMismatch, InternalInvariantViolation
 from oraclemod.nuclei import canonical_nuclei, enumerate_nuclei, law_scan
 from oraclemod.theorems import random_container
 
@@ -83,7 +84,7 @@ def kleene_tables(frame, cs):
 
 def kleene_rounds(frame, c):
     """Rounds of t := s \\/ q(t) before the table of one container is stable."""
-    q, join = instance_prenucleus(c).table, frame.join_table
+    q, join = instance_prenucleus(c), frame.join_table
     starts = np.arange(len(frame))
     t, rounds = starts, 0
     while True:
@@ -133,7 +134,7 @@ def test_batched_query_table_rows(monkeypatch):
     args = (frame.meet_table, frame.join_table, frame.implies_table,
             np.concatenate([c.ext for c in cs]), np.concatenate([c.prd for c in cs]),
             [len(c) for c in cs], frame.bot_index)
-    want = [instance_prenucleus(c).table for c in cs]
+    want = [instance_prenucleus(c) for c in cs]
     for cells in (frames.BLOCK_CELLS, len(frame)):
         monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
         assert all((row == w).all() for row, w in zip(_kernels.query_table(*args), want))
@@ -153,7 +154,16 @@ def test_non_inflationary_kleene_row_raises(monkeypatch):
 
     monkeypatch.setattr(_kernels, "kleene_table", top_to_bottom)
     with pytest.raises(InternalInvariantViolation) as exc:
-        oracle_modalities_kleene(cs)
+        oracle_modalities_kleene(frame, cs)
     names = law_scan(frame, broken_rows[0]).law_names()
     assert "inflationary" in names
     assert str(exc.value) == f"computed modality violates nucleus laws: {names}"
+
+
+@pytest.mark.parametrize("batched", (instance_prenuclei, oracle_modalities_kleene))
+def test_batch_on_another_frame_is_refused(batched):
+    frame, other = make_frame("chain2"), make_frame("anti2")
+    cs = [empty_container(frame), empty_container(other)]
+    with pytest.raises(FrameMismatch):
+        batched(frame, cs)
+    assert batched(frame, []).shape == (0, len(frame))

@@ -43,8 +43,9 @@ def test_parse_atoms_and_association():
 
 
 def test_parse_errors():
-    with pytest.raises(TermSyntaxError):
-        parse_term("(S K")
+    for truncated in ("(S K", "(", "K ("):
+        with pytest.raises(TermSyntaxError):
+            parse_term(truncated)
     with pytest.raises(TermSyntaxError):
         parse_term("")
     with pytest.raises(TermSyntaxError):

@@ -4,9 +4,21 @@ import random
 import numpy as np
 import pytest
 
-from oraclemod import theorems
-from oraclemod.containers import IndexedPropContainer, container_sum, oracle_modality
-from oraclemod.nuclei import Nucleus, sup_nuclei
+from oraclemod import frames, theorems
+from oraclemod.containers import (
+    IndexedPropContainer,
+    container_sum,
+    instance_prenuclei,
+    oracle_modality,
+)
+from oraclemod.errors import InternalInvariantViolation
+from oraclemod.nuclei import (
+    Nucleus,
+    canonical_nuclei,
+    enumerate_nuclei,
+    j_table,
+    sup_nuclei,
+)
 from oraclemod.theorems import (
     THEOREM_IDS,
     Budget,
@@ -14,8 +26,8 @@ from oraclemod.theorems import (
     verify_theorems,
 )
 
-from catalog import make_frame
-from oracles import bruteforce_sup
+from catalog import POSETS, make_frame
+from oracles import bruteforce_nuclei, bruteforce_sup, closure_system_nuclei, least_above
 
 
 @pytest.mark.parametrize("name", ("chain2", "anti2"))
@@ -53,6 +65,40 @@ def test_sup_exhaustive_on_omega2(o2):
             want = bruteforce_sup(o2, js)
             assert tuple(map(int, oracle_modality(container_sum([c1, c2])).table)) == want
             assert tuple(map(int, sup_nuclei(o2, js).table)) == want
+
+
+@pytest.mark.parametrize("cells", (None, 1))
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_least_above_is_the_least_nucleus_above(monkeypatch, name, cells):
+    frame = make_frame(name)
+    # anti4 has 2**32 inflationary tables to filter; its nuclei come from the
+    # closure-system search instead
+    search = closure_system_nuclei if name == "anti4" else bruteforce_nuclei
+    naive = np.array(search(frame), dtype=np.int32)
+    nuclei = np.array([k.table for k in enumerate_nuclei(frame)])
+    rng = random.Random(f"least-above:{name}")
+    cs = [theorems.random_container(frame, rng) for _ in range(20)]
+    js = [nuclei[rng.randrange(len(nuclei))] for _ in range(20)]
+    lowers = np.concatenate([
+        instance_prenuclei(frame, cs),
+        frame.join_table[js[:10], js[10:]],
+        nuclei,
+        [[rng.randrange(len(frame)) for _ in range(len(frame))] for _ in range(20)],
+    ]).astype(np.int32)
+    if cells is not None:
+        monkeypatch.setattr(frames, "BLOCK_CELLS", cells)  # one row per block
+    got = theorems._least_above(frame, nuclei, lowers)
+    assert [tuple(map(int, row)) for row in got] == [
+        least_above(frame, [t], naive) for t in lowers]
+
+
+def test_least_above_raises_when_the_meet_is_missing(o4):
+    # j_{p} and j_{q} lie above the identity; their meet, the identity, is
+    # not listed
+    ident = canonical_nuclei(o4, "identity").table
+    nuclei = np.array([j_table(o4, np.array(s)) for s in ([True, False], [False, True])])
+    with pytest.raises(InternalInvariantViolation, match="meet of dominators"):
+        theorems._least_above(o4, nuclei, ident[None, :])
 
 
 def test_surjective_relabeling_is_surjective(o3):
@@ -199,9 +245,12 @@ _EXHAUSTIVE_ON_CHAIN2 = ("retraction", "forcing-iff", "oracle-leq")
 def _faulted_reports(monkeypatch, mode, name, cases, suite=None):
     real = theorems.oracle_modalities_kleene
 
-    def faulty(cs):
-        return [k if (t := _wrong_table(mode, c)) is None else Nucleus(c.frame, t)
-                for c, k in zip(cs, real(cs))]
+    def faulty(frame, cs):
+        tables = real(frame, cs)
+        for i, c in enumerate(cs):
+            if (t := _wrong_table(mode, c)) is not None:
+                tables[i] = t
+        return tables
 
     monkeypatch.setattr(theorems, "oracle_modalities_kleene", faulty)
     reports = verify_theorems(make_frame(name), suite, Budget(seed=0, cases=cases))
