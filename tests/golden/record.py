@@ -3,9 +3,11 @@
     PYTHONPATH=src python tests/golden/record.py
 
 For each poset in ``POSETS`` it writes the poset, three seeded containers,
-one valid and one broken nucleus table and two nuclei to take the sup of,
-then runs the verbs of ``cases()`` through ``cli.run`` and stores their
-stdout under ``expected/`` and their exit codes in ``cases.json``.
+one valid and one broken nucleus table and two nuclei to take the sup of;
+under ``inputs/realize/`` it writes two Weihrauch predicates and a set of
+answers for the verbs that build no frame. It then runs the verbs of
+``cases()`` through ``cli.run`` and stores their stdout under
+``expected/`` and their exit codes in ``cases.json``.
 ``tests/test_golden.py`` replays the same argv and compares the bytes, so
 run this only on a tree whose output is the reference, and commit what it
 writes.
@@ -26,6 +28,7 @@ sys.path.insert(0, str(HERE.parent))
 from catalog import POSETS, make_frame  # noqa: E402
 from oraclemod import cli, io  # noqa: E402
 from oraclemod.nuclei import enumerate_nuclei  # noqa: E402
+from oraclemod.pca import Const, pp, tag_leaf  # noqa: E402
 
 NAMES = ("chain2", "anti4", "diamond", "chain7")
 VERIFY_SUITES = ("retraction", "forcing", "oracle-leq", "least-above", "sup",
@@ -68,6 +71,37 @@ def write_inputs(name: str) -> None:
     io.dump_json(_nucleus(frame, ns[-2].table), out / "sup1.json")
 
 
+def write_realize_inputs() -> None:
+    """The Weihrauch predicates and answer set under ``inputs/realize/``."""
+    out = HERE / "inputs" / "realize"
+    out.mkdir(parents=True, exist_ok=True)
+    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]}, out / "f.json")
+    io.dump_json({"entries": [{"instance": "K", "families": [["K S"]]}]}, out / "g.json")
+    io.dump_json(["m0", "m1"], out / "s.json")
+
+
+def realize_cases() -> list[tuple[str, list[str]]]:
+    """The verbs that build no frame: pca, trees, weihrauch, oracle-tree."""
+    d = "inputs/realize"
+    weihrauch = ["weihrauch", "check", "--f", f"{d}/f.json", "--g", f"{d}/g.json",
+                 "--l1", "S K K"]
+    tree = ["oracle-tree", "check", "--pred", f"{d}/f.json", "--s", f"{d}/s.json",
+            "--term"]
+    return [
+        ("pca-eval-normalizes", ["pca", "eval", "--term", "S K K (K S)"]),
+        ("pca-eval-diverges", ["pca", "eval", "--fuel", "200", "--term",
+                               "S (S K K) (S K K) (S (S K K) (S K K))"]),
+        ("pca-eval-spine-400", ["pca", "eval", "--term", " ".join(["x"] * 400)]),
+        ("trees-suite-seed1", ["trees", "suite", "--seed", "1", "--cases", "40",
+                               "--depth", "3"]),
+        # K S is translated back into {S} by applying it to K
+        ("weihrauch-check-accepted", [*weihrauch, "--l2", "K (S (S K K) (K K))"]),
+        ("weihrauch-check-rejected", [*weihrauch, "--l2", "K (S K K)"]),
+        ("oracle-tree-check-member", [*tree, pp(tag_leaf(Const("m0")))]),
+        ("oracle-tree-check-not-member", [*tree, pp(tag_leaf(Const("zz")))]),
+    ]
+
+
 def cases() -> list[tuple[str, list[str]]]:
     """(case id, argv with paths relative to this directory)."""
     out = []
@@ -93,7 +127,7 @@ def cases() -> list[tuple[str, list[str]]]:
                         ["verify", suite, *poset, "--seed", "1", "--cases", "30"]))
         out.append((f"{name}-verify-retraction-broken",
                     ["verify", "retraction", *poset, "--nucleus", f"{d}/broken.json"]))
-    return out
+    return out + realize_cases()
 
 
 def absolute(argv: list[str]) -> list[str]:
@@ -111,6 +145,7 @@ def run_json(argv: list[str]) -> tuple[str, int]:
 def main() -> None:
     for name in NAMES:
         write_inputs(name)
+    write_realize_inputs()
     (HERE / "expected").mkdir(exist_ok=True)
     manifest = []
     for case, argv in cases():
