@@ -21,8 +21,10 @@ tables in one batched test and returns them as an (m, n) stack;
 ``oracle_modality_kleene`` wraps its one row as a ``Nucleus``.
 ``instance_prenuclei`` tabulates the single-query maps of a batch the same
 way. Containers keep their shapes sorted by name with aligned
-``ext``/``prd`` index arrays; sums and stable-query containers are
-assembled from those arrays directly.
+``ext``/``prd`` carrier-index arrays. Frame elements are the input route
+(files, tests); sums, stable-query containers and the referees' drawn
+containers are built from carrier indices by ``of_indices``, and
+``instance_reducible`` walks the operation tables index by index.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ class IndexedPropContainer:
         self._store(frame, shapes, ext, prd)
 
     @classmethod
-    def _of_arrays(cls, frame: Frame, shapes: Sequence[str], ext, prd):
-        """A container from index arrays aligned with ``shapes``, unchecked."""
+    def of_indices(cls, frame: Frame, shapes: Sequence[str], ext, prd):
+        """A container from carrier-index arrays aligned with ``shapes``,
+        unchecked: the route of every container the package builds itself."""
         c = cls.__new__(cls)
         c._store(frame, shapes, ext, prd)
         return c
@@ -127,7 +130,7 @@ def container_sum(
     if any(c.frame is not frame for c in cs):
         raise FrameMismatch("containers on different frames")
     shapes = [f"{i}:{a}" for i, c in enumerate(cs) for a in c.shapes]
-    return IndexedPropContainer._of_arrays(
+    return IndexedPropContainer.of_indices(
         frame,
         shapes,
         np.concatenate([c.ext for c in cs]),
@@ -225,24 +228,22 @@ def pred_of_nucleus(j: Nucleus) -> IndexedPropContainer:
     frame = j.frame
     names = [f"{{{key}}}" for key in frame.element_keys]
     prd = frame.meet_table[np.arange(len(frame)), j.table]
-    return IndexedPropContainer._of_arrays(frame, names, j.table, prd)
+    return IndexedPropContainer.of_indices(frame, names, j.table, prd)
 
 
 def instance_reducible(c: IndexedPropContainer, d: IndexedPropContainer) -> bool:
     """Every c-query is answerable from one d-query at its own stage:
-    E_c(a) <= \\/_b (E_d(b) /\\ (P_d(b) => P_c(a))), element by element: the
-    independent route of the ``instance-vs-forcing`` referee."""
+    E_c(a) <= \\/_b (E_d(b) /\\ (P_d(b) => P_c(a))), one shape pair at a
+    time through the operation tables, sharing no code with ``query_table``:
+    the independent route of the ``instance-vs-forcing`` referee."""
     if c.frame is not d.frame:
         raise FrameMismatch("containers on different frames")
     frame = c.frame
+    meet, join, imp = frame.meet_table, frame.join_table, frame.implies_table
     for ea, pa in zip(c.ext, c.prd):
-        answerable = frame.bot
+        answerable = frame.bot_index
         for eb, pb in zip(d.ext, d.prd):
-            step = frame.meet(
-                frame.el(int(eb)),
-                frame.implies(frame.el(int(pb)), frame.el(int(pa))),
-            )
-            answerable = frame.join(answerable, step)
-        if not frame.le(frame.el(int(ea)), answerable):
+            answerable = join[answerable, meet[eb, imp[pb, pa]]]
+        if not frame.leq_table[ea, answerable]:
             return False
     return True

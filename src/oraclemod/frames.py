@@ -412,8 +412,9 @@ def _check_build_cost(labels: int, n: int, width: int) -> None:
         )
 
 
-def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> Frame:
-    """The frame of downward-closed subsets of a poset, ordered by inclusion."""
+def downset_frame(poset: Poset) -> Frame:
+    """The frame of downward-closed subsets of a poset, ordered by inclusion,
+    refused past ``DEFAULT_CARRIER_LIMIT`` downsets."""
     labels = len(poset)
     width = max(1, -(-labels // 64))
     # a poset has at least one downset more than labels: the empty one and
@@ -428,9 +429,9 @@ def downset_frame(poset: Poset, carrier_limit: int = DEFAULT_CARRIER_LIMIT) -> F
             if not d >> i & 1 and not below & ~d:
                 nd = d | 1 << i
                 if nd not in downsets:
-                    if len(downsets) >= carrier_limit:
+                    if len(downsets) >= DEFAULT_CARRIER_LIMIT:
                         raise SizeLimitExceeded(
-                            f"carrier would exceed {carrier_limit} elements"
+                            f"carrier would exceed {DEFAULT_CARRIER_LIMIT} elements"
                         )
                     downsets.add(nd)
                     frontier.append(nd)

@@ -84,11 +84,8 @@ def nucleus_table_to_dict(frame: Frame, table) -> dict:
     return {keys[i]: list(labels[v]) for i, v in enumerate(np.asarray(table).tolist())}
 
 
-def nucleus_to_dict(j: Nucleus, frame_ref: str | None = None) -> dict:
-    out: dict = {"table": nucleus_table_to_dict(j.frame, j.table)}
-    if frame_ref is not None:
-        out["frame"] = frame_ref
-    return out
+def nucleus_to_dict(j: Nucleus) -> dict:
+    return {"table": nucleus_table_to_dict(j.frame, j.table)}
 
 
 def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
@@ -126,8 +123,8 @@ def container_from_dict(frame: Frame, d: Mapping) -> IndexedPropContainer:
     return IndexedPropContainer(frame, pred, extent)
 
 
-def container_to_dict(c: IndexedPropContainer, frame_ref: str | None = None) -> dict:
-    out: dict = {
+def container_to_dict(c: IndexedPropContainer) -> dict:
+    return {
         "shapes": list(c.shapes),
         "pred": {
             a: element_to_json(c.frame.el(int(p))) for a, p in zip(c.shapes, c.prd)
@@ -136,9 +133,6 @@ def container_to_dict(c: IndexedPropContainer, frame_ref: str | None = None) -> 
             a: element_to_json(c.frame.el(int(e))) for a, e in zip(c.shapes, c.ext)
         },
     }
-    if frame_ref is not None:
-        out["frame"] = frame_ref
-    return out
 
 
 # -- realizability -------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ArityError, TermSyntaxError, UnknownConstant
+from .errors import ArityError, SizeLimitExceeded, TermSyntaxError, UnknownConstant
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,14 @@ def app(*terms: Term) -> Term:
 
 
 def pp(t: Term) -> str:
-    """Print with minimal parentheses; application associates left."""
-    if isinstance(t, (Prim, Const)):
-        return t.name
-    head = pp(t.fn)
-    arg = pp(t.arg) if isinstance(t.arg, (Prim, Const)) else f"({pp(t.arg)})"
-    return f"{head} {arg}"
+    """Print with minimal parentheses; application associates left, so the
+    left spine is walked in a loop and only parenthesized arguments recurse."""
+    parts = []
+    while isinstance(t, App):
+        parts.append(f"({pp(t.arg)})" if isinstance(t.arg, App) else t.arg.name)
+        t = t.fn
+    parts.append(t.name)
+    return " ".join(reversed(parts))
 
 
 def mentions_constants(t: Term) -> bool:
@@ -108,6 +110,8 @@ def parse_term(src: str, auto_declare: bool = False) -> Term:
 
     Identifiers other than S and K are errors unless ``auto_declare`` is
     set, in which case each distinct name becomes one fresh inert constant.
+    The parser recurses once per parenthesis, so a term nested deeper than
+    the interpreter's recursion limit allows raises ``SizeLimitExceeded``.
     """
     constants: dict[str, Const] = {}
     tokens = _tokenize(src)
@@ -148,7 +152,10 @@ def parse_term(src: str, auto_declare: bool = False) -> Term:
 
     if not tokens:
         raise TermSyntaxError("empty term")
-    t = expr()
+    try:
+        t = expr()
+    except RecursionError:
+        raise SizeLimitExceeded("term nests parentheses too deeply to parse") from None
     if pos != len(tokens):
         raise TermSyntaxError("trailing input")
     return t

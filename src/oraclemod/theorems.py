@@ -10,9 +10,11 @@ any modality, and then computes their modalities in one batched call to
 ``oracle_modalities_kleene``, as a stack of tables compared row by row.
 ``_least_above`` checks "least nucleus above" for ``least-above-instance``
 (above the single-query maps) and ``sup`` (above the join of two
-modalities). A run enumerates the nuclei at most once; if the enumeration
-is refused, each referee that needs it reports "refused" and the others
-still run.
+modalities). The referees draw their containers as carrier indices and
+build them with ``IndexedPropContainer.of_indices``, never from frame
+elements. A run enumerates the nuclei at most once; if the enumeration is
+refused, each referee that needs it reports "refused" and the others still
+run.
 """
 
 from __future__ import annotations
@@ -93,28 +95,18 @@ def _single_shape_count(frame: Frame) -> int:
 
 def all_single_shape_containers(frame: Frame) -> list[IndexedPropContainer]:
     """Every single-shape container: one per pair P(a) <= E(a)."""
-    out = []
-    for e in frame.all_elements():
-        for pi in frame.below[e.index]:
-            out.append(
-                IndexedPropContainer(frame, {"a0": frame.el(int(pi))}, {"a0": e})
-            )
-    return out
+    return [IndexedPropContainer.of_indices(frame, ["a0"], [e], [p])
+            for e, p in zip(*np.nonzero(frame.leq_table.T))]
 
 
 def random_container(frame: Frame, rng: random.Random) -> IndexedPropContainer:
     k = rng.randint(1, 3)
-    pred: dict = {}
-    extent: dict = {}
-    for i in range(k):
-        if rng.random() < 0.5:
-            e = frame.top_index
-        else:
-            e = rng.randrange(len(frame))
-        p = int(rng.choice(frame.below[e]))
-        pred[f"a{i}"] = frame.el(p)
-        extent[f"a{i}"] = frame.el(e)
-    return IndexedPropContainer(frame, pred, extent)
+    ext, prd = [], []
+    for _ in range(k):
+        e = frame.top_index if rng.random() < 0.5 else rng.randrange(len(frame))
+        ext.append(e)
+        prd.append(rng.choice(frame.below[e]))
+    return IndexedPropContainer.of_indices(frame, [f"a{i}" for i in range(k)], ext, prd)
 
 
 def surjective_relabeling(
@@ -123,16 +115,10 @@ def surjective_relabeling(
     """Precompose a container with a random surjection onto its shapes."""
     k = len(c.shapes)
     m = k + rng.randint(0, 2)
-    targets = list(c.shapes) + [rng.choice(c.shapes) for _ in range(m - k)]
+    targets = list(range(k)) + [rng.choice(range(k)) for _ in range(m - k)]
     rng.shuffle(targets)
-    frame = c.frame
-    pred = {}
-    extent = {}
-    for i, a in enumerate(targets):
-        j = c.shapes.index(a)
-        pred[f"b{i}"] = frame.el(int(c.prd[j]))
-        extent[f"b{i}"] = frame.el(int(c.ext[j]))
-    return IndexedPropContainer(frame, pred, extent)
+    return IndexedPropContainer.of_indices(
+        c.frame, [f"b{i}" for i in range(m)], c.ext[targets], c.prd[targets])
 
 
 def _containers_for(frame: Frame, budget: Budget, rng: random.Random):

@@ -3,15 +3,18 @@
 Everything here stays deliberately naive: powerset filters, closure by
 saturation, frozenset lattice tables, residuation scans, the full
 inflationary-table filter, the closure-system search for fixed-point sets,
-the per-shape fold of the single-query map and the dictionary-built
-container of stable queries. None of it shares code with the package's own
-computation paths.
+the per-shape fold of the single-query map, the dictionary-built
+container of stable queries, and the frame-element routes that drew
+single-shape containers and relabelings and decided instance reducibility.
+None of it shares code with the package's own computation paths.
 """
 
 import functools
 import itertools
 
 import numpy as np
+
+from oraclemod.containers import IndexedPropContainer
 
 
 def transitive_closure_pairs(labels, pairs):
@@ -149,6 +152,44 @@ def dict_pred_of_nucleus(j):
         extent[name] = frame.el(int(j.table[i]))
         pred[name] = frame.meet(el, extent[name])
     return pred, extent
+
+
+def element_single_shape_containers(frame):
+    """Referee for ``theorems.all_single_shape_containers``: one container
+    per pair P(a) <= E(a), built from frame elements, extent by extent."""
+    out = []
+    for e in frame.all_elements():
+        for p in frame.all_elements():
+            if frame.le(p, e):
+                out.append(IndexedPropContainer(frame, {"a0": p}, {"a0": e}))
+    return out
+
+
+def element_surjective_relabeling(c, rng):
+    """Referee for ``theorems.surjective_relabeling``: the same rng calls,
+    with each new shape looked up by name and built from frame elements."""
+    k = len(c.shapes)
+    m = k + rng.randint(0, 2)
+    targets = list(c.shapes) + [rng.choice(c.shapes) for _ in range(m - k)]
+    rng.shuffle(targets)
+    pred, extent = {}, {}
+    for i, a in enumerate(targets):
+        pred[f"b{i}"], extent[f"b{i}"] = c.pred_of(a), c.extent_of(a)
+    return IndexedPropContainer(c.frame, pred, extent)
+
+
+def element_instance_reducible(c, d):
+    """Referee for ``containers.instance_reducible``: E_c(a) <= \\/_b
+    (E_d(b) /\\ (P_d(b) => P_c(a))) with the frame-element operations."""
+    frame = c.frame
+    for a in c.shapes:
+        answerable = frame.bot
+        for b in d.shapes:
+            step = frame.meet(d.extent_of(b), frame.implies(d.pred_of(b), c.pred_of(a)))
+            answerable = frame.join(answerable, step)
+        if not frame.le(c.extent_of(a), answerable):
+            return False
+    return True
 
 
 def _close_fixed_set(frame, seed):

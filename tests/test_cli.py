@@ -290,6 +290,22 @@ def test_truncated_term_exits_2(term, capsys):
     assert capsys.readouterr().err.startswith("oraclemod: error:")
 
 
+def test_long_spine_prints(capsys):
+    # 1500 applications on the left spine: printed without recursing per atom
+    term = " ".join(["x"] * 1500)
+    code, out = run_capture(capsys, ["--format", "json", "pca", "eval", "--term", term])
+    assert code == 0 and json.loads(out)["body"]["normal_form"] == term
+
+
+@pytest.mark.parametrize("term", ("K (" * 600 + "S" + ")" * 600,
+                                  "(" * 3000 + "S" + ")" * 3000))
+def test_deeply_nested_term_exits_3(term, capsys):
+    assert cli.run(["pca", "eval", "--term", term]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oraclemod: error: term nests parentheses too deeply to parse\n"
+
+
 def test_emit_report_empty_body():
     report = {"header": {"command": "verify", "seed": 0, "version": "x"},
               "body": {"reports": []}, "status": 0}
@@ -404,8 +420,7 @@ def test_poset_roundtrip():
 def test_nucleus_roundtrip():
     frame = downset_frame(io.poset_from_dict(CHAIN2))
     dn = canonical_nuclei(frame, "double_negation")
-    d = io.nucleus_to_dict(dn, frame_ref="chain2.json")
-    assert d["frame"] == "chain2.json"
+    d = io.nucleus_to_dict(dn)
     table = io.nucleus_table_from_dict(frame, d)
     assert (table == dn.table).all()
     # values may equally be given in comma-joined string form

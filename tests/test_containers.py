@@ -24,7 +24,7 @@ from oraclemod.nuclei import canonical_nuclei, enumerate_nuclei, nucleus, valida
 from oraclemod.theorems import all_single_shape_containers, random_container
 
 from catalog import SMALL, make_frame, pairs_frame
-from oracles import dict_pred_of_nucleus, per_shape_query_table
+from oracles import dict_pred_of_nucleus, element_instance_reducible, per_shape_query_table
 
 
 def table(j):
@@ -207,6 +207,26 @@ def test_empty_reduces_to_everything(o3):
     e = empty_container(o3)
     for d in all_single_shape_containers(o3):
         assert instance_reducible(e, d)
+
+
+def test_instance_reducible_as_the_element_route_on_singles():
+    f = make_frame("diamond")
+    singles = all_single_shape_containers(f)
+    for c in singles:
+        for d in singles:
+            assert instance_reducible(c, d) == element_instance_reducible(c, d)
+
+
+def test_instance_reducible_as_the_element_route_on_random_pairs():
+    f = make_frame("anti4")
+    rng = random.Random("reducible:anti4")
+    verdicts = set()
+    for _ in range(200):
+        c, d = random_container(f, rng), random_container(f, rng)
+        verdict = instance_reducible(c, d)
+        assert verdict == element_instance_reducible(c, d)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("name", SMALL)

@@ -148,10 +148,11 @@ def test_downset_carrier_matches_powerset_filter(name):
     )
 
 
-def test_downset_frame_size_limit():
+def test_downset_frame_size_limit(monkeypatch):
     labels, pairs = POSETS["anti4"]
+    monkeypatch.setattr(frames, "DEFAULT_CARRIER_LIMIT", 10)
     with pytest.raises(SizeLimitExceeded):
-        downset_frame(poset_from_relation(labels, pairs), carrier_limit=10)
+        downset_frame(poset_from_relation(labels, pairs))
 
 
 def chain_poset(length):

@@ -27,7 +27,14 @@ from oraclemod.theorems import (
 )
 
 from catalog import POSETS, make_frame
-from oracles import bruteforce_nuclei, bruteforce_sup, closure_system_nuclei, least_above
+from oracles import (
+    bruteforce_nuclei,
+    bruteforce_sup,
+    closure_system_nuclei,
+    element_single_shape_containers,
+    element_surjective_relabeling,
+    least_above,
+)
 
 
 @pytest.mark.parametrize("name", ("chain2", "anti2"))
@@ -182,6 +189,29 @@ def test_random_container_draws_as_the_column_scan(name):
     assert frame.below is frame.below
     assert [x.tolist() for x in frame.below] == [
         np.flatnonzero(col).tolist() for col in frame.leq_table.T]
+
+
+def _arrays(c):
+    return c.shapes, c.ext.tolist(), c.prd.tolist()
+
+
+@pytest.mark.parametrize("name", ("chain2", "diamond", "chain7", "anti4"))
+def test_surjective_relabeling_draws_as_the_element_route(name):
+    frame = make_frame(name)
+    draw, a, b = random.Random(name), random.Random(name), random.Random(name)
+    for _ in range(200):
+        c = theorems.random_container(frame, draw)
+        assert _arrays(surjective_relabeling(c, a)) == _arrays(
+            element_surjective_relabeling(c, b))
+
+
+@pytest.mark.parametrize("name", ("chain2", "diamond", "chain7", "anti4"))
+def test_single_shape_containers_as_the_element_route(name):
+    frame = make_frame(name)
+    got = theorems.all_single_shape_containers(frame)
+    assert [_arrays(c) for c in got] == [
+        _arrays(c) for c in element_single_shape_containers(frame)]
+    assert len(got) == theorems._single_shape_count(frame)
 
 
 # -- failure paths -------------------------------------------------------
