@@ -28,7 +28,7 @@ sys.path.insert(0, str(HERE.parent))
 from catalog import POSETS, make_frame  # noqa: E402
 from oraclemod import cli, io  # noqa: E402
 from oraclemod.nuclei import enumerate_nuclei  # noqa: E402
-from oraclemod.pca import Const, pp, tag_leaf  # noqa: E402
+from oraclemod.pca import App, Const, K, S, app, pp, tag_leaf, tag_node  # noqa: E402
 
 NAMES = ("chain2", "anti4", "diamond", "chain7")
 VERIFY_SUITES = ("retraction", "forcing", "oracle-leq", "least-above", "sup",
@@ -80,9 +80,18 @@ def write_realize_inputs() -> None:
     io.dump_json(["m0", "m1"], out / "s.json")
 
 
+_I = app(S, K, K)
+_W = app(S, _I, _I)  # W x = x x
+_OMEGA = App(_W, _W)  # has no normal form
+
+
 def realize_cases() -> list[tuple[str, list[str]]]:
     """The verbs that build no frame: pca, trees, weihrauch, oracle-tree."""
     d = "inputs/realize"
+    # a node at instance K whose branch c answers S with the leaf m0: c = K (leaf m0)
+    node = pp(tag_node(K, App(K, tag_leaf(Const("m0")))))
+    # a normal branch S (K W) (K W) whose value at S is W W, which diverges
+    diverging_node = pp(tag_node(K, app(S, App(K, _W), App(K, _W))))
     weihrauch = ["weihrauch", "check", "--f", f"{d}/f.json", "--g", f"{d}/g.json",
                  "--l1", "S K K"]
     tree = ["oracle-tree", "check", "--pred", f"{d}/f.json", "--s", f"{d}/s.json",
@@ -97,8 +106,14 @@ def realize_cases() -> list[tuple[str, list[str]]]:
         # K S is translated back into {S} by applying it to K
         ("weihrauch-check-accepted", [*weihrauch, "--l2", "K (S (S K K) (K K))"]),
         ("weihrauch-check-rejected", [*weihrauch, "--l2", "K (S K K)"]),
+        # l2 r s diverges, so no target family can be matched within the fuel
+        ("weihrauch-check-unknown", [*weihrauch, "--l2", pp(App(K, App(K, _OMEGA))),
+                                     "--fuel", "200"]),
         ("oracle-tree-check-member", [*tree, pp(tag_leaf(Const("m0")))]),
         ("oracle-tree-check-not-member", [*tree, pp(tag_leaf(Const("zz")))]),
+        ("oracle-tree-check-node-member", [*tree, node]),
+        ("oracle-tree-check-depth-unknown", [*tree, node, "--depth", "0"]),
+        ("oracle-tree-check-diverging-unknown", [*tree, diverging_node, "--fuel", "200"]),
     ]
 
 
