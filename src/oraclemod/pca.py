@@ -74,10 +74,15 @@ def pp(t: Term) -> str:
 
 
 def mentions_constants(t: Term) -> bool:
-    if isinstance(t, Const):
-        return True
-    if isinstance(t, App):
-        return mentions_constants(t.fn) or mentions_constants(t.arg)
+    """Whether t contains an oracle constant; walks an explicit stack, so
+    any depth of nesting is fine."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            todo += (t.fn, t.arg)
+        elif isinstance(t, Const):
+            return True
     return False
 
 
@@ -234,14 +239,19 @@ def _norm(t: Term, fuel: _Fuel, memo: dict) -> Term:
 
 
 def eval_term(t: Term, fuel: int = 100_000) -> EvalResult:
-    """Normalize a closed term within a step budget."""
+    """Normalize a closed term within a step budget.
+
+    The result is diverged only when the fuel runs out.  The normalizer
+    recurses once per nested argument, so a term nested deeper than the
+    interpreter's recursion limit allows raises ``SizeLimitExceeded``.
+    """
     cell = _Fuel(fuel)
     try:
         nf = _norm(t, cell, {})
     except _OutOfFuel:
         return EvalResult(term=None, steps=fuel)
     except RecursionError:
-        return EvalResult(term=None, steps=fuel - cell.left)
+        raise SizeLimitExceeded("term nests too deeply to normalize") from None
     return EvalResult(term=nf, steps=fuel - cell.left)
 
 

@@ -157,11 +157,11 @@ class EquiTree:
         return EquiTree(tree, res.values)
 
 
-def tree_bind(c: SetContainer, f: Callable[[str], Tree], t: Tree) -> Tree:
+def tree_bind(f: Callable[[str], Tree], t: Tree) -> Tree:
     """Graft f at every leaf."""
     if isinstance(t, Leaf):
         return f(t.value)
-    return Node(t.shape, tuple((u, tree_bind(c, f, sub)) for u, sub in t.children))
+    return Node(t.shape, tuple((u, tree_bind(f, sub)) for u, sub in t.children))
 
 
 @dataclass(frozen=True)
@@ -310,14 +310,14 @@ def _run_case(name: str, rng: random.Random, c: SetContainer,
     if name == "monad-laws":
         t = _rand_tree(rng, c, values, depth)
         x = rng.choice(list(values))
-        if tree_bind(c, f, Leaf(x)) != f(x):
+        if tree_bind(f, Leaf(x)) != f(x):
             return f"left unit at {x}"
-        if tree_bind(c, Leaf, t) != t:
+        if tree_bind(Leaf, t) != t:
             return "right unit"
         g_table = {v: _rand_tree(rng, c, values, depth - 1) for v in values}
         g = lambda v: g_table[v]  # noqa: E731
-        lhs = tree_bind(c, g, tree_bind(c, f, t))
-        rhs = tree_bind(c, lambda v: tree_bind(c, g, f(v)), t)
+        lhs = tree_bind(g, tree_bind(f, t))
+        rhs = tree_bind(lambda v: tree_bind(g, f(v)), t)
         if lhs != rhs:
             return "associativity"
         return None
@@ -325,14 +325,14 @@ def _run_case(name: str, rng: random.Random, c: SetContainer,
     if name == "equifoliate-bind":
         t = _rand_equifoliate_tree(rng, c, values, depth)
         etable = {v: _rand_equifoliate_tree(rng, c, values, depth - 1) for v in values}
-        bound = tree_bind(c, lambda v: etable[v], t)
+        bound = tree_bind(lambda v: etable[v], t)
         if not equifoliate(c, bound, values).ok:
             return "bind broke the equifoliate certificate"
         return None
 
     if name == "mem-bind":
         t = _rand_equifoliate_tree(rng, c, values, depth)
-        bound = tree_bind(c, f, t)
+        bound = tree_bind(f, t)
         for y in values:
             lhs = membership(c, y, bound)
             rhs = all(

@@ -1,5 +1,12 @@
 """Finite extended Weihrauch predicates and bounded oracle-tree checking.
 
+``ExtWeihrauchPredicate`` is the one predicate type; a partitioned assembly
+is the extended predicate that maps each realizer to the answer sets of the
+elements it realizes.  Reductions (``check_weihrauch``) and tree membership
+(``check_oracle_membership_w``) share one three-valued search,
+``_first_verified``: the first family whose obligations all hold, else
+Unknown if some obligation was undefined, else a failure.
+
 Membership in the least fixed point of the encoded-tree equation is checked
 certificate-first: a Member verdict always carries a finite well-founded
 certificate and is sound; NotMember is issued only when every alternative
@@ -10,7 +17,7 @@ depth-exhausted branch stays Unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotElementary, SizeLimitExceeded
 from .pca import (
@@ -38,28 +45,34 @@ def _normalize(t: Term, fuel: int, what: str) -> Term:
 
 
 class ExtWeihrauchPredicate:
-    """A finite map instance-realizer -> families of finite realizer sets."""
+    """A finite map instance-realizer -> families of finite realizer sets.
+
+    Instances are kept by normal form, and entries whose instances share one
+    are merged, their families concatenated in input order.  A partitioned
+    assembly is the predicate that maps each realizer to the answer sets of
+    the elements it realizes.
+    """
 
     def __init__(
         self,
         entries: Iterable[tuple[Term, Sequence[Sequence[Term]]]],
         fuel: int = 100_000,
     ):
-        normed = []
+        merged: list[tuple[Term, list[tuple[Term, ...]]]] = []
         for instance, families in entries:
             r = _normalize(instance, fuel, "instance realizer")
-            fams = tuple(
+            known = next((fams for inst, fams in merged if inst == r), None)
+            if known is None:
+                known = []
+                merged.append((r, known))
+            known.extend(
                 tuple(_normalize(m, fuel, "family member") for m in family)
                 for family in families
             )
-            normed.append((r, fams))
         self.entries: tuple[tuple[Term, tuple[tuple[Term, ...], ...]], ...] = tuple(
-            normed
+            (r, tuple(fams)) for r, fams in merged
         )
-
-    @property
-    def support(self) -> tuple[Term, ...]:
-        return tuple(r for r, fams in self.entries if fams)
+        self.support: tuple[Term, ...] = tuple(r for r, fams in self.entries if fams)
 
     def families_for(self, r: Term) -> tuple[tuple[Term, ...], ...]:
         for inst, fams in self.entries:
@@ -67,38 +80,29 @@ class ExtWeihrauchPredicate:
                 return fams
         return ()
 
-    def alternatives(self, b: Term):
-        """(label, answers) pairs for the existential at node realizer b:
-        one per family stored for b."""
-        for i, theta in enumerate(self.families_for(b)):
-            yield (f"family {i}", theta)
 
+def _first_verified(families, decide):
+    """The search of both checks: the first family whose obligations all hold.
 
-class PartitionedAssemblyPredicate:
-    """A finite carrier with one realizer per element and a set of answers
-    per element; distinct elements may share a realizer."""
-
-    def __init__(
-        self,
-        rho: Mapping[str, Term],
-        pred: Mapping[str, Sequence[Term]],
-        fuel: int = 100_000,
-    ):
-        if sorted(rho) != sorted(pred):
-            raise ValueError("rho and pred must cover the same elements")
-        self.elements: tuple[str, ...] = tuple(sorted(rho))
-        self.rho = {x: _normalize(rho[x], fuel, "element realizer") for x in self.elements}
-        self.pred = {
-            x: tuple(_normalize(d, fuel, "answer") for d in pred[x])
-            for x in self.elements
-        }
-
-    def alternatives(self, b: Term):
-        """(label, answers) pairs for the existential at node realizer b:
-        one per carrier element realized by b."""
-        for x in self.elements:
-            if self.rho[x] == b:
-                yield (f"element {x}", self.pred[x])
+    ``decide(x)`` returns evidence that obligation x holds (truthy), ``False``
+    if it fails, or ``None`` if it is undefined.  Returns ``(i, evidence)``
+    for the first family i whose members all hold, with decide's results in
+    member order.  With no such family it returns ``(None, None)`` if some
+    obligation was undefined, else ``(None, False)``.
+    """
+    outcome = False
+    for i, family in enumerate(families):
+        evidence = []
+        for x in family:
+            e = decide(x)
+            if not e:
+                if e is None:
+                    outcome = None
+                break
+            evidence.append(e)
+        else:
+            return i, evidence
+    return None, outcome
 
 
 # -- reducibility ------------------------------------------------------------
@@ -136,34 +140,23 @@ def check_weihrauch(
             log.append(f"l1 ({pp(r)}) diverged")
             return WeihrauchVerdict("unknown", log, witness=log[-1])
         r2 = e1.term
-        if r2 not in g.support:
+        targets = g.families_for(r2)
+        if not targets:
             log.append(f"l1 ({pp(r)}) = {pp(r2)} outside target support")
             return WeihrauchVerdict("rejected", log, witness=log[-1])
         log.append(f"l1 ({pp(r)}) = {pp(r2)} in target support")
         for ti, theta in enumerate(f.families_for(r)):
-            chosen = None
-            saw_unknown = False
-            for xi_i, xi in enumerate(g.families_for(r2)):
-                ok = True
-                unk = False
-                for s_el in xi:
-                    e2 = eval_term(app(l2, r, s_el), fuel)
-                    if e2.diverged:
-                        unk = True
-                        break
-                    if e2.term not in theta:
-                        ok = False
-                        break
-                if unk:
-                    saw_unknown = True
-                elif ok:
-                    chosen = xi_i
-                    break
+
+            def lands_in_theta(s_el: Term) -> bool | None:
+                e2 = eval_term(app(l2, r, s_el), fuel)
+                return None if e2.diverged else e2.term in theta
+
+            chosen, outcome = _first_verified(targets, lands_in_theta)
             if chosen is None:
                 msg = f"family {ti} of {pp(r)}: no target family is translated into it"
                 log.append(msg)
                 return WeihrauchVerdict(
-                    "unknown" if saw_unknown else "rejected", log, witness=msg
+                    "rejected" if outcome is False else "unknown", log, witness=msg
                 )
             log.append(f"family {ti} of {pp(r)}: target family {chosen} works")
     return WeihrauchVerdict("accepted", log)
@@ -214,72 +207,6 @@ def _decode(t_nf: Term):
     return ("malformed", f"tag {pp(tag)} is neither 0 nor 1")
 
 
-def _check_membership(alternatives_for, members, t, depth, fuel):
-    """Shared engine; ``alternatives_for(b)`` yields (label, answers) pairs
-    for the existential at a node realizer b."""
-    members = tuple(_normalize(m, fuel, "answer-set member") for m in members)
-    start = eval_term(t, fuel)
-    if start.diverged:
-        return MembershipVerdict("unknown", ("term itself diverged",))
-
-    def go(t_nf: Term, depth: int, path: tuple[str, ...]) -> MembershipVerdict:
-        dec = _decode(t_nf)
-        if dec[0] == "malformed":
-            return MembershipVerdict("not_member", path + (dec[1],))
-        if dec[0] == "leaf":
-            a = dec[1]
-            if a in members:
-                return MembershipVerdict(
-                    "member", path, {"kind": "leaf", "payload": pp(a)}
-                )
-            return MembershipVerdict(
-                "not_member", path + (f"leaf payload {pp(a)} not in the set",)
-            )
-        _, b, c = dec
-        alts = list(alternatives_for(b))
-        if not alts:
-            return MembershipVerdict(
-                "not_member", path + (f"node realizer {pp(b)} matches nothing",)
-            )
-        if depth <= 0:
-            return MembershipVerdict("unknown", path + ("depth exhausted",))
-        saw_unknown = False
-        for label, answers in alts:
-            children: dict[str, dict] = {}
-            failed = False
-            unk = False
-            for d in answers:
-                e = eval_term(App(c, d), fuel)
-                if e.diverged:
-                    unk = True
-                    break
-                sub = go(e.term, depth - 1, path + (f"{label}, answer {pp(d)}",))
-                if sub.verdict == "member":
-                    children[pp(d)] = sub.certificate
-                elif sub.verdict == "unknown":
-                    unk = True
-                    break
-                else:
-                    failed = True
-                    break
-            if unk:
-                saw_unknown = True
-            elif not failed:
-                cert = {
-                    "kind": "node",
-                    "realizer": pp(b),
-                    "choice": label,
-                    "children": children,
-                }
-                return MembershipVerdict("member", path, cert)
-        return MembershipVerdict(
-            "unknown" if saw_unknown else "not_member",
-            path + (f"no alternative at {pp(b)} verified",),
-        )
-
-    return go(start.term, depth, ())
-
-
 def check_oracle_membership_w(
     f: ExtWeihrauchPredicate,
     members: Sequence[Term],
@@ -288,24 +215,57 @@ def check_oracle_membership_w(
     fuel: int = 100_000,
 ) -> MembershipVerdict:
     """Membership of an encoded tree in the least set generated by leaves
-    over ``members`` and f-indexed nodes."""
-    return _check_membership(f.alternatives, members, t, depth, fuel)
+    over ``members`` and f-indexed nodes: a node with realizer b needs one
+    family of b whose answers all lead to members."""
+    members = tuple(_normalize(m, fuel, "answer-set member") for m in members)
+    start = eval_term(t, fuel)
+    if start.diverged:
+        return MembershipVerdict("unknown", ("term itself diverged",))
+
+    def go(t_nf: Term, depth: int) -> tuple[dict | bool | None, str | None]:
+        """(certificate, None) for a member, else (False or None, reason):
+        False when the tree is not a member, None when that is unknown."""
+        dec = _decode(t_nf)
+        if dec[0] == "malformed":
+            return False, dec[1]
+        if dec[0] == "leaf":
+            a = dec[1]
+            if a in members:
+                return {"kind": "leaf", "payload": pp(a)}, None
+            return False, f"leaf payload {pp(a)} not in the set"
+        _, b, c = dec
+        families = f.families_for(b)
+        if not families:
+            return False, f"node realizer {pp(b)} matches nothing"
+        if depth <= 0:
+            return None, "depth exhausted"
+
+        def child(d: Term) -> dict | bool | None:
+            e = eval_term(App(c, d), fuel)
+            return None if e.diverged else go(e.term, depth - 1)[0]
+
+        i, found = _first_verified(families, child)
+        if i is None:
+            return found, f"no alternative at {pp(b)} verified"
+        return {
+            "kind": "node",
+            "realizer": pp(b),
+            "choice": f"family {i}",
+            "children": dict(zip(map(pp, families[i]), found)),
+        }, None
+
+    cert, reason = go(start.term, depth)
+    if cert:
+        return MembershipVerdict("member", (), cert)
+    return MembershipVerdict("not_member" if cert is False else "unknown", (reason,))
 
 
-def check_oracle_membership_asm(
-    P: PartitionedAssemblyPredicate,
+def recheck_certificate_w(
+    f: ExtWeihrauchPredicate,
     members: Sequence[Term],
     t: Term,
-    depth: int = 8,
+    cert: dict,
     fuel: int = 100_000,
-) -> MembershipVerdict:
-    """Assembly flavour: a node realizer must be the realizer of some
-    carrier element, each such element giving one alternative."""
-    return _check_membership(P.alternatives, members, t, depth, fuel)
-
-
-def recheck_certificate(
-    alternatives_for, members, t: Term, cert: dict, fuel: int = 100_000
 ) -> bool:
     """Independently re-verify a Member certificate against the same data."""
     members = tuple(_normalize(m, fuel, "answer-set member") for m in members)
@@ -322,20 +282,10 @@ def recheck_certificate(
         _, b, c = dec
         if pp(b) != cert["realizer"]:
             return False
-        for label, answers in alternatives_for(b):
-            if label != cert["choice"]:
-                continue
-            if sorted(pp(d) for d in answers) != sorted(cert["children"]):
-                return False
-            return all(go(App(c, d), cert["children"][pp(d)]) for d in answers)
-        return False
+        labelled = {f"family {i}": fam for i, fam in enumerate(f.families_for(b))}
+        answers = labelled.get(cert["choice"])
+        if answers is None or sorted(pp(d) for d in answers) != sorted(cert["children"]):
+            return False
+        return all(go(App(c, d), cert["children"][pp(d)]) for d in answers)
 
     return go(t, cert)
-
-
-def recheck_certificate_w(f, members, t, cert, fuel: int = 100_000) -> bool:
-    return recheck_certificate(f.alternatives, members, t, cert, fuel)
-
-
-def recheck_certificate_asm(P, members, t, cert, fuel: int = 100_000) -> bool:
-    return recheck_certificate(P.alternatives, members, t, cert, fuel)

@@ -239,6 +239,40 @@ def test_oracle_tree_check(tmp_path, capsys):
     assert code == 1
 
 
+def test_instances_sharing_a_realizer_are_merged(tmp_path, capsys):
+    # S K K K normalizes to K, so the second entry adds family [K] to K:
+    # written apart or together, f has a family nothing in g translates into
+    apart = {"entries": [{"instance": "K", "families": [["S"]]},
+                         {"instance": "S K K K", "families": [["K"]]}]}
+    together = {"entries": [{"instance": "K", "families": [["S"], ["K"]]}]}
+    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+                 tmp_path / "g.json")
+    bodies = []
+    for name, doc in (("apart", apart), ("together", together)):
+        io.dump_json(doc, tmp_path / f"{name}.json")
+        code, out = run_capture(capsys, ["--format", "json", "weihrauch", "check",
+                                         "--f", str(tmp_path / f"{name}.json"),
+                                         "--g", str(tmp_path / "g.json"),
+                                         "--l1", "S K K", "--l2", "K (S K K)"])
+        assert code == 1
+        bodies.append(json.loads(out)["body"])
+    assert bodies[0] == bodies[1]
+    assert bodies[0]["verdict"] == "rejected"
+
+
+def test_long_reducer_spine_exits_3(tmp_path, capsys):
+    # 1500 atoms: checked for oracle constants without recursing per atom
+    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+                 tmp_path / "f.json")
+    code, out = run_capture(capsys, ["--format", "json", "weihrauch", "check",
+                                     "--f", str(tmp_path / "f.json"),
+                                     "--g", str(tmp_path / "f.json"),
+                                     "--l1", " ".join(["S"] * 1500),
+                                     "--l2", "K (S K K)", "--fuel", "2000"])
+    assert code == 3
+    assert json.loads(out)["body"]["witness"] == "l1 (K) diverged"
+
+
 DIVERGES = "S (S K K) (S K K) (S (S K K) (S K K))"
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclemod.errors import ArityError, TermSyntaxError, UnknownConstant
+from oraclemod.errors import ArityError, SizeLimitExceeded, TermSyntaxError, UnknownConstant
 from oraclemod.pca import (
     App,
     Const,
@@ -15,6 +15,7 @@ from oraclemod.pca import (
     app,
     eval_term,
     match_pair,
+    mentions_constants,
     numeral,
     pair,
     parse_term,
@@ -161,3 +162,14 @@ def test_evaluation_deterministic():
         a = eval_term(t, fuel=1000)
         b = eval_term(t, fuel=1000)
         assert (a.term, a.steps) == (b.term, b.steps)
+
+
+def test_nesting_past_the_recursion_limit_is_not_divergence():
+    # K (K (... S)) nested 5000 deep is already a normal form
+    t = S
+    for _ in range(5000):
+        t = App(K, t)
+    assert not mentions_constants(t)
+    assert mentions_constants(App(t, Const("c")))
+    with pytest.raises(SizeLimitExceeded, match="term nests too deeply to normalize"):
+        eval_term(t)

@@ -110,10 +110,10 @@ def test_monad_laws(case):
     f = lambda v: f_table[v]  # noqa: E731
     g = lambda v: g_table[v]  # noqa: E731
     for x in values:
-        assert tree_bind(c, f, Leaf(x)) == f(x)
-    assert tree_bind(c, Leaf, t) == t
-    assert tree_bind(c, g, tree_bind(c, f, t)) == tree_bind(
-        c, lambda v: tree_bind(c, g, f(v)), t
+        assert tree_bind(f, Leaf(x)) == f(x)
+    assert tree_bind(Leaf, t) == t
+    assert tree_bind(g, tree_bind(f, t)) == tree_bind(
+        lambda v: tree_bind(g, f(v)), t
     )
 
 
@@ -139,7 +139,7 @@ def test_mem_bind_full_enumeration(c):
     for t in trees:
         for _ in range(6):
             f_table = {v: rng.choice(images) for v in values}
-            bound = tree_bind(c, lambda v: f_table[v], t)
+            bound = tree_bind(lambda v: f_table[v], t)
             for y in values:
                 lhs = membership(c, y, bound)
                 rhs = all(

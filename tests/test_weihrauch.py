@@ -6,12 +6,9 @@ from oraclemod.errors import NotElementary
 from oraclemod.pca import App, Const, K, S, app, pair, tag_leaf, tag_node
 from oraclemod.weihrauch import (
     ExtWeihrauchPredicate,
-    PartitionedAssemblyPredicate,
-    check_oracle_membership_asm,
     check_oracle_membership_w,
     check_weihrauch,
     compose_reducers,
-    recheck_certificate_asm,
     recheck_certificate_w,
 )
 
@@ -140,25 +137,39 @@ def test_diverging_branch_is_unknown():
     assert v.verdict == "unknown"
 
 
+def test_instances_with_one_normal_form_are_merged():
+    # S K K K normalizes to K: its families follow K's, in input order
+    f = ExtWeihrauchPredicate([(K, [[S]]), (App(S, K), []), (app(S, K, K, K), [[K]])])
+    assert f.families_for(K) == ((S,), (K,))
+    assert f.support == (K,)
+    g = ExtWeihrauchPredicate([(K, [[S]])])
+    v = check_weihrauch(f, g, I, L2_ID)
+    assert v.verdict == "rejected"
+    assert v.witness == "family 1 of K: no target family is translated into it"
+
+
 def test_asm_examples():
-    P = PartitionedAssemblyPredicate(
-        {"x": K, "y": K, "z": App(S, K)},
-        {"x": [S], "y": [], "z": [S, App(K, K)]},
+    # A partitioned assembly with elements x, y realized by K (answers {S}
+    # and {}) and z realized by S K (answers {S, K K}): one entry per element,
+    # merged by realizer, so element y is family 1 of K.
+    P = ExtWeihrauchPredicate(
+        [(K, [[S]]), (K, [[]]), (App(S, K), [[S, App(K, K)]])]
     )
-    assert check_oracle_membership_asm(P, MEMBERS, tag_leaf(MEMBERS[0])).is_member
+    assert P.families_for(K) == ((S,), ())
+    assert check_oracle_membership_w(P, MEMBERS, tag_leaf(MEMBERS[0])).is_member
     # x and y share the realizer K; y's empty answer set gives a vacuous proof
     t = tag_node(K, Const("inert"))
-    v = check_oracle_membership_asm(P, MEMBERS, t)
-    assert v.is_member and v.certificate["choice"] == "element y"
-    assert recheck_certificate_asm(P, MEMBERS, t, v.certificate)
+    v = check_oracle_membership_w(P, MEMBERS, t)
+    assert v.is_member and v.certificate["choice"] == "family 1"
+    assert recheck_certificate_w(P, MEMBERS, t, v.certificate)
     # no element carries this realizer
     bad = tag_node(App(K, K), Const("inert"))
-    assert check_oracle_membership_asm(P, MEMBERS, bad).verdict == "not_member"
+    assert check_oracle_membership_w(P, MEMBERS, bad).verdict == "not_member"
     # z realizes a two-obligation node
     c = Const(
         "c2", rules=((S, tag_leaf(MEMBERS[0])), (App(K, K), tag_leaf(MEMBERS[1])))
     )
-    assert check_oracle_membership_asm(P, MEMBERS, tag_node(App(S, K), c)).is_member
+    assert check_oracle_membership_w(P, MEMBERS, tag_node(App(S, K), c)).is_member
 
 
 def test_malformed_terms_not_member():
