@@ -48,9 +48,7 @@ class ExtWeihrauchPredicate:
     """A finite map instance-realizer -> families of finite realizer sets.
 
     Instances are kept by normal form, and entries whose instances share one
-    are merged, their families concatenated in input order.  A partitioned
-    assembly is the predicate that maps each realizer to the answer sets of
-    the elements it realizes.
+    are merged, their families concatenated in input order.
     """
 
     def __init__(
