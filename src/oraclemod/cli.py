@@ -31,7 +31,7 @@ from .nuclei import (
     sup_nuclei,
     validate_nucleus,
 )
-from .pca import eval_term, parse_term, pp
+from .pca import DEFAULT_FUEL, eval_term, parse_term, pp
 from .theorems import THEOREM_IDS, Budget, verify_theorems
 from .trees import run_tree_suites
 from .weihrauch import check_oracle_membership_w, check_weihrauch
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("pca").add_subparsers(dest="sub", required=True)
     pe = pc.add_parser("eval")
     pe.add_argument("--term", required=True)
-    pe.add_argument("--fuel", type=_count, default=100_000)
+    pe.add_argument("--fuel", type=_count, default=DEFAULT_FUEL)
 
     wc = sub.add_parser("weihrauch").add_subparsers(dest="sub", required=True)
     w = wc.add_parser("check")
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--g", required=True)
     w.add_argument("--l1", required=True)
     w.add_argument("--l2", required=True)
-    w.add_argument("--fuel", type=_count, default=100_000)
+    w.add_argument("--fuel", type=_count, default=DEFAULT_FUEL)
 
     ot = sub.add_parser("oracle-tree").add_subparsers(dest="sub", required=True)
     oc = ot.add_parser("check")
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--s", required=True)
     oc.add_argument("--term", required=True)
     oc.add_argument("--depth", type=_count, default=8)
-    oc.add_argument("--fuel", type=_count, default=100_000)
+    oc.add_argument("--fuel", type=_count, default=DEFAULT_FUEL)
 
     return p
 

@@ -20,8 +20,8 @@ iterates a batch of containers in one kernel call, validates all their
 tables in one batched test and returns them as an (m, n) stack;
 ``oracle_modality_kleene`` wraps its one row as a ``Nucleus``.
 ``instance_prenuclei`` tabulates the single-query maps of a batch the same
-way. Containers keep their shapes sorted by name with aligned
-``ext``/``prd`` carrier-index arrays. Frame elements are the input route
+way. Containers keep their shapes as built, with aligned ``ext``/``prd``
+carrier-index arrays (joins commute). Frame elements are the input route
 (files, tests); sums, stable-query containers and the referees' drawn
 containers are built from carrier indices by ``of_indices``, and
 ``instance_reducible`` walks the operation tables index by index.
@@ -67,13 +67,10 @@ class IndexedPropContainer:
         return c
 
     def _store(self, frame: Frame, shapes: Sequence[str], ext, prd) -> None:
-        # The one place that orders shapes: by name, with their arrays.
-        order = sorted(range(len(shapes)), key=shapes.__getitem__)
-        index = np.array(order, dtype=np.intp)
         self.frame = frame
-        self.shapes: tuple[str, ...] = tuple([shapes[i] for i in order])
-        self.ext = np.asarray(ext, dtype=np.int32)[index]
-        self.prd = np.asarray(prd, dtype=np.int32)[index]
+        self.shapes: tuple[str, ...] = tuple(shapes)
+        self.ext = np.asarray(ext, dtype=np.int32)
+        self.prd = np.asarray(prd, dtype=np.int32)
 
     def extent_of(self, shape: str) -> FrameElement:
         return self.frame.el(int(self.ext[self.shapes.index(shape)]))
@@ -98,7 +95,7 @@ def validate_container(c: IndexedPropContainer) -> bool:
 
 
 def lem_container(frame: Frame) -> IndexedPropContainer:
-    """One query per element p, asking for p or its negation."""
+    """One query per element p, in carrier order, asking for p or its negation."""
     pred = {
         f"{{{el.key}}}": frame.join(el, frame.neg(el)) for el in frame.all_elements()
     }
@@ -223,8 +220,8 @@ def forces(j: Nucleus, c: IndexedPropContainer) -> bool:
 
 
 def pred_of_nucleus(j: Nucleus) -> IndexedPropContainer:
-    """The container of stable queries: one shape per element s, existing at
-    stage j(s) and asking for s itself."""
+    """The container of stable queries: one shape per element s, in carrier
+    order, existing at stage j(s) and asking for s itself."""
     frame = j.frame
     names = [f"{{{key}}}" for key in frame.element_keys]
     prd = frame.meet_table[np.arange(len(frame)), j.table]

@@ -9,7 +9,10 @@ lookup.
 A downset is stored once, as a bitmask over the poset's sorted labels. A
 poset keeps one int mask per label, closed from its generating pairs by
 OR-ing along a topological order; a cycle is reported by the first pair of
-labels, in label order, that lie on one. A frame keeps one row of
+labels, in label order, that lie on one. The downsets are generated once
+each, walking the labels along a linear extension (by the size of their
+principal downsets): a label extends every downset found so far that holds
+the rest of its principal downset. A frame keeps one row of
 ``W = ceil(labels / 64)`` uint64 words per element (Birkhoff): meet is
 ``&``, join is ``|``, and ``I => J`` keeps each label x with
 ``down(x) & I & ~J == 0``. The tables are filled by numpy broadcasting over
@@ -194,7 +197,7 @@ class Frame:
 
     The carrier is the downsets of ``poset``, stored once: row i of
     ``masks`` is element i as uint64 words over the poset's sorted labels,
-    sorted by (size, labels) so that bottom comes first and top last. The
+    sorted by (size, labels), so bottom is index 0 and top index n - 1. The
     label lists and keys of the elements, the mask lookup of ``element`` and
     the label tables (``label_members``, ``label_strict``, ``label_rows``)
     are derived from the masks on first use, and ``below``, the elements
@@ -211,12 +214,10 @@ class Frame:
         self.implies_table = implies
         for t in (self.leq_table, self.meet_table, self.join_table, self.implies_table):
             t.flags.writeable = False
-        n = len(masks)
-        self.bot_index = int(np.flatnonzero(leq.all(axis=1))[0])
-        self.top_index = int(np.flatnonzero(leq.all(axis=0))[0])
+        self._n = len(masks)
+        self.bot_index, self.top_index = 0, self._n - 1
         self.neg_table = implies[:, self.bot_index].copy()
         self.neg_table.flags.writeable = False
-        self._n = n
 
     # -- element access ------------------------------------------------
 
@@ -420,21 +421,13 @@ def downset_frame(poset: Poset) -> Frame:
     # a poset has at least one downset more than labels: the empty one and
     # the principal ones
     _check_build_cost(labels, labels + 1, width)
-    strict = [d & ~(1 << i) for i, d in enumerate(poset.masks)]
-    downsets = {0}
-    frontier = [0]
-    while frontier:
-        d = frontier.pop()
-        for i, below in enumerate(strict):
-            if not d >> i & 1 and not below & ~d:
-                nd = d | 1 << i
-                if nd not in downsets:
-                    if len(downsets) >= DEFAULT_CARRIER_LIMIT:
-                        raise SizeLimitExceeded(
-                            f"carrier would exceed {DEFAULT_CARRIER_LIMIT} elements"
-                        )
-                    downsets.add(nd)
-                    frontier.append(nd)
+    # Labels by principal-downset size are a linear extension, so label x
+    # extends each downset found so far that holds down(x) minus {x}.
+    downsets = [0]
+    for x in sorted(range(labels), key=lambda x: poset.masks[x].bit_count()):
+        downsets += [d | 1 << x for d in downsets if poset.masks[x] & ~d == 1 << x]
+        if len(downsets) > DEFAULT_CARRIER_LIMIT:
+            raise SizeLimitExceeded(f"carrier would exceed {DEFAULT_CARRIER_LIMIT} elements")
     n = len(downsets)
     _check_build_cost(labels, n, width)
     # Labels are sorted, so ordering by (size, set-bit positions) is the

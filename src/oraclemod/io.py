@@ -17,7 +17,7 @@ from .containers import IndexedPropContainer
 from .errors import OracleModError
 from .frames import Frame, FrameElement, Poset, downset_frame, poset_from_relation
 from .nuclei import Nucleus, _coerce_table
-from .pca import Term, parse_term
+from .pca import DEFAULT_FUEL, Term, parse_term
 from .weihrauch import ExtWeihrauchPredicate
 
 
@@ -147,7 +147,7 @@ def _is_entry(entry) -> bool:
     )
 
 
-def weihrauch_predicate_from_dict(d: Mapping, fuel: int = 100_000) -> ExtWeihrauchPredicate:
+def weihrauch_predicate_from_dict(d: Mapping, fuel: int = DEFAULT_FUEL) -> ExtWeihrauchPredicate:
     if not (isinstance(d, Mapping) and isinstance(d["entries"], list)
             and all(_is_entry(entry) for entry in d["entries"])):
         raise OracleModError(

@@ -18,9 +18,9 @@ equals j of its own subset (O(n x labels); the law scan runs only on a
 table that fails, to name its violations). ``validate_nucleus`` applies
 that test to one table and ``nucleus_rows`` to a stack of them, such as
 the Kleene tables of a batch of containers. The
-sup of a family is j of the intersection of their subsets, enumeration
-lists the 2^labels subsets, and the frame of fixed points is the downset
-frame of the subposet S.
+sup of a family is j of the intersection of their subsets, enumeration is
+one ``j_table`` call on all 2^labels subset masks, and the frame of fixed
+points is the downset frame of the subposet S.
 """
 
 from __future__ import annotations
@@ -221,10 +221,10 @@ def enumerate_nuclei(frame: Frame) -> tuple[Nucleus, ...]:
             f"2**{len(frame.poset)} nuclei on carrier {len(frame)} exceed the"
             f" enumeration limit of {ENUMERATION_LIMIT} table cells"
         )
-    tables = np.full((1, len(frame)), frame.top_index, dtype=np.int32)
-    for row in frame.label_rows:
-        # j of S with x added is j_S /\ j_{x}
-        tables = np.concatenate([tables, frame.meet_table[tables, row]])
+    labels = len(frame.poset)
+    # row s holds label x iff bit x of s is set
+    subsets = (np.arange(1 << labels)[:, None] >> np.arange(labels) & 1).astype(bool)
+    tables = j_table(frame, subsets)
     tables = tables[np.lexsort(tables.T[::-1])]
     return tuple(Nucleus(frame, t) for t in tables)
 

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 from .errors import ArityError, SizeLimitExceeded, TermSyntaxError, UnknownConstant
 
+# Contraction steps an evaluation may spend unless its caller says otherwise.
+DEFAULT_FUEL = 100_000
+
 
 @dataclass(frozen=True)
 class Prim:
@@ -238,7 +241,7 @@ def _norm(t: Term, fuel: _Fuel, memo: dict) -> Term:
     return out
 
 
-def eval_term(t: Term, fuel: int = 100_000) -> EvalResult:
+def eval_term(t: Term, fuel: int = DEFAULT_FUEL) -> EvalResult:
     """Normalize a closed term within a step budget.
 
     The result is diverged only when the fuel runs out.  The normalizer

@@ -5,7 +5,8 @@ degenerate (some shape has no positions, so the induced modality is
 trivial and equality collapses) or not (the modality is identity).  Trees
 are plain inductive values; the equifoliate predicate singles out those
 that compute at most one value up to that collapsed equality, and such
-trees descend to canonical sheaf elements.
+trees descend to canonical sheaf elements. ``membership`` is the one
+recursive walk; a member set is the values that pass it.
 """
 
 from __future__ import annotations
@@ -87,12 +88,8 @@ def membership(c: SetContainer, x: str, t: Tree) -> bool:
 
 
 def member_set(c: SetContainer, t: Tree, values: Sequence[str]) -> frozenset[str]:
-    if isinstance(t, Leaf):
-        return frozenset(x for x in values if modal_eq(c, x, t.value))
-    acc = frozenset(values)
-    for _, sub in t.children:
-        acc &= member_set(c, sub, values)
-    return acc
+    """The values that t computes, by ``membership``."""
+    return frozenset(x for x in values if membership(c, x, t))
 
 
 def _ambient_values(t: Tree, values: Sequence[str] | None) -> tuple[str, ...]:

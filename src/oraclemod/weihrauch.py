@@ -11,7 +11,9 @@ Membership in the least fixed point of the encoded-tree equation is checked
 certificate-first: a Member verdict always carries a finite well-founded
 certificate and is sound; NotMember is issued only when every alternative
 fails with defined evaluations; anything resting on a diverging or
-depth-exhausted branch stays Unknown.
+depth-exhausted branch stays Unknown. Any other verdict's ``path`` gives,
+from the root down, each node's reason along the branch of the obligation
+that decided it, each entry below the root prefixed ``family i, answer d:``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Iterable, Sequence
 
 from .errors import NotElementary, SizeLimitExceeded
 from .pca import (
+    DEFAULT_FUEL,
     App,
     K,
     S,
@@ -54,7 +57,7 @@ class ExtWeihrauchPredicate:
     def __init__(
         self,
         entries: Iterable[tuple[Term, Sequence[Sequence[Term]]]],
-        fuel: int = 100_000,
+        fuel: int = DEFAULT_FUEL,
     ):
         merged: list[tuple[Term, list[tuple[Term, ...]]]] = []
         for instance, families in entries:
@@ -85,22 +88,23 @@ def _first_verified(families, decide):
     ``decide(x)`` returns evidence that obligation x holds (truthy), ``False``
     if it fails, or ``None`` if it is undefined.  Returns ``(i, evidence)``
     for the first family i whose members all hold, with decide's results in
-    member order.  With no such family it returns ``(None, None)`` if some
-    obligation was undefined, else ``(None, False)``.
+    member order.  With no such family (of a non-empty list) it returns
+    ``(None, (k, x, e))``: the first undefined obligation x, else the first
+    failed one, its family k and decide's result e, ``None`` or ``False``.
     """
-    outcome = False
+    blame = None
     for i, family in enumerate(families):
         evidence = []
         for x in family:
             e = decide(x)
             if not e:
-                if e is None:
-                    outcome = None
+                if blame is None or (e is None and blame[2] is not None):
+                    blame = (i, x, e)
                 break
             evidence.append(e)
         else:
             return i, evidence
-    return None, outcome
+    return None, blame
 
 
 # -- reducibility ------------------------------------------------------------
@@ -122,7 +126,7 @@ def check_weihrauch(
     g: ExtWeihrauchPredicate,
     l1: Term,
     l2: Term,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
 ) -> WeihrauchVerdict:
     """Check that (l1, l2) witnesses f <= g over the stored finite predicates.
 
@@ -149,12 +153,12 @@ def check_weihrauch(
                 e2 = eval_term(app(l2, r, s_el), fuel)
                 return None if e2.diverged else e2.term in theta
 
-            chosen, outcome = _first_verified(targets, lands_in_theta)
+            chosen, blame = _first_verified(targets, lands_in_theta)
             if chosen is None:
                 msg = f"family {ti} of {pp(r)}: no target family is translated into it"
                 log.append(msg)
                 return WeihrauchVerdict(
-                    "rejected" if outcome is False else "unknown", log, witness=msg
+                    "rejected" if blame[2] is False else "unknown", log, witness=msg
                 )
             log.append(f"family {ti} of {pp(r)}: target family {chosen} works")
     return WeihrauchVerdict("accepted", log)
@@ -210,7 +214,7 @@ def check_oracle_membership_w(
     members: Sequence[Term],
     t: Term,
     depth: int = 8,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
 ) -> MembershipVerdict:
     """Membership of an encoded tree in the least set generated by leaves
     over ``members`` and f-indexed nodes: a node with realizer b needs one
@@ -220,42 +224,47 @@ def check_oracle_membership_w(
     if start.diverged:
         return MembershipVerdict("unknown", ("term itself diverged",))
 
-    def go(t_nf: Term, depth: int) -> tuple[dict | bool | None, str | None]:
-        """(certificate, None) for a member, else (False or None, reason):
-        False when the tree is not a member, None when that is unknown."""
+    def go(t_nf: Term, depth: int) -> tuple[dict | bool | None, tuple[str, ...]]:
+        """(certificate, ()) for a member, else (False or None, path): False
+        when the tree is not a member, None when that is unknown."""
         dec = _decode(t_nf)
         if dec[0] == "malformed":
-            return False, dec[1]
+            return False, (dec[1],)
         if dec[0] == "leaf":
             a = dec[1]
             if a in members:
-                return {"kind": "leaf", "payload": pp(a)}, None
-            return False, f"leaf payload {pp(a)} not in the set"
+                return {"kind": "leaf", "payload": pp(a)}, ()
+            return False, (f"leaf payload {pp(a)} not in the set",)
         _, b, c = dec
         families = f.families_for(b)
         if not families:
-            return False, f"node realizer {pp(b)} matches nothing"
+            return False, (f"node realizer {pp(b)} matches nothing",)
         if depth <= 0:
-            return None, "depth exhausted"
+            return None, ("depth exhausted",)
+        below: dict[int, tuple[str, ...]] = {}  # path under each answer, by id
 
         def child(d: Term) -> dict | bool | None:
             e = eval_term(App(c, d), fuel)
-            return None if e.diverged else go(e.term, depth - 1)[0]
+            cert, below[id(d)] = (None, ("diverged",)) if e.diverged else go(e.term, depth - 1)
+            return cert
 
         i, found = _first_verified(families, child)
         if i is None:
-            return found, f"no alternative at {pp(b)} verified"
+            k, d, outcome = found
+            first, *rest = below[id(d)]
+            return outcome, (f"no alternative at {pp(b)} verified",
+                             f"family {k}, answer {pp(d)}: {first}", *rest)
         return {
             "kind": "node",
             "realizer": pp(b),
             "choice": f"family {i}",
             "children": dict(zip(map(pp, families[i]), found)),
-        }, None
+        }, ()
 
-    cert, reason = go(start.term, depth)
+    cert, path = go(start.term, depth)
     if cert:
         return MembershipVerdict("member", (), cert)
-    return MembershipVerdict("not_member" if cert is False else "unknown", (reason,))
+    return MembershipVerdict("not_member" if cert is False else "unknown", path)
 
 
 def recheck_certificate_w(
@@ -263,7 +272,7 @@ def recheck_certificate_w(
     members: Sequence[Term],
     t: Term,
     cert: dict,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
 ) -> bool:
     """Independently re-verify a Member certificate against the same data."""
     members = tuple(_normalize(m, fuel, "answer-set member") for m in members)

@@ -472,6 +472,13 @@ def test_container_roundtrip():
     assert c2.extent_of("a0") == frame.top
 
 
+def test_container_roundtrip_keeps_shape_order():
+    frame = downset_frame(io.poset_from_dict(CHAIN2))
+    d = {"shapes": ["b", "a"], "pred": {"b": ["p"], "a": []},
+         "extent": {"b": ["p", "q"], "a": ["p"]}}
+    assert io.container_to_dict(io.container_from_dict(frame, d)) == d
+
+
 def test_thousand_label_chain_build_exits_3_fast(tmp_path, capsys):
     labels = [f"x{i:04d}" for i in range(1000)]
     path = str(tmp_path / "chain1000.json")

@@ -43,6 +43,25 @@ REFEREE_POSETS = {
 }
 
 
+def random_poset(rng):
+    """A poset of 1-9 labels, each in one of three parts with no relation
+    across them; names count down along the drawn order, so whenever a < b
+    holds, b's name sorts first and name order is not a linear extension."""
+    size = rng.randint(1, 9)
+    rank = list(range(size))
+    rng.shuffle(rank)
+    part = [rng.randrange(3) for _ in range(size)]
+    name = [f"x{size - 1 - r}" for r in rank]
+    pairs = [(name[i], name[j]) for i in range(size) for j in range(size)
+             if rank[i] < rank[j] and part[i] == part[j] and rng.random() < 0.4]
+    return name, pairs
+
+
+# Posets whose name order is no linear extension, for the tables referee.
+RANDOM_POSETS = {f"random{seed}": random_poset(random.Random(f"poset:{seed}"))
+                 for seed in range(40)}
+
+
 def test_poset_empty():
     p = poset_from_relation([], [])
     assert len(p) == 0
@@ -220,9 +239,9 @@ def test_label_tables_match_definitions(name):
     assert frame.label_rows.dtype == np.int32
 
 
-@pytest.mark.parametrize("name", sorted(REFEREE_POSETS))
+@pytest.mark.parametrize("name", sorted(REFEREE_POSETS) + list(RANDOM_POSETS))
 def test_tables_match_frozenset_referee(monkeypatch, name):
-    poset = poset_from_relation(*REFEREE_POSETS[name])
+    poset = poset_from_relation(*{**REFEREE_POSETS, **RANDOM_POSETS}[name])
     elements, *want = frozenset_tables(poset)
     # the default blocks, and one row per block
     for cells in (frames.BLOCK_CELLS, 1):
@@ -232,6 +251,37 @@ def test_tables_match_frozenset_referee(monkeypatch, name):
         got = (frame.leq_table, frame.meet_table, frame.join_table, frame.implies_table)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and (g == w).all()
+        assert (frame.bot_index, frame.top_index) == (0, len(frame) - 1)
+        assert frame.leq_table[frame.bot_index].all()
+        assert frame.leq_table[:, frame.top_index].all()
+
+
+def connected_parts(poset):
+    """The number of connected parts of the poset's comparability graph."""
+    root = list(range(len(poset)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for j, mask in enumerate(poset.masks):
+        for i in range(len(poset)):
+            if mask >> i & 1:
+                root[find(i)] = find(j)
+    return len({find(i) for i in range(len(poset))})
+
+
+def test_random_posets_cover_ties_parts_and_misleading_names():
+    ties = split = misleading = 0
+    for labels, pairs in RANDOM_POSETS.values():
+        poset = poset_from_relation(labels, pairs)
+        sizes = [m.bit_count() for m in poset.masks]
+        ties += len(set(sizes)) < len(sizes)
+        split += connected_parts(poset) > 1
+        # b below a, though a's name sorts first
+        misleading += any(poset.le(b, a) and a < b for a in poset.labels for b in poset.labels)
+    assert min(ties, split, misleading) >= 10
 
 
 # One corrupted cell of the diamond's tables (carrier {}, {p}, {q}, {p,q}),

@@ -137,6 +137,28 @@ def test_diverging_branch_is_unknown():
     assert v.verdict == "unknown"
 
 
+def test_path_follows_the_failed_leaf_two_levels_down():
+    from treebuilder import BLeaf, BNode
+
+    # K -(S)-> K -(S)-> leaf "bad"; answer K K of family 1 is stuck at each node
+    t = to_term(BNode(K, 0, [(S, BNode(K, 0, [(S, BLeaf(NON_MEMBER))]))]))
+    v = check_oracle_membership_w(TOY_F, MEMBERS, t)
+    assert (v.verdict, v.certificate) == ("not_member", None)
+    assert v.path == (
+        "no alternative at K verified",
+        "family 0, answer S: no alternative at K verified",
+        "family 0, answer S: leaf payload bad not in the set",
+    )
+
+
+def test_path_of_unknown_follows_the_first_undefined_obligation():
+    # family 0 (answer S) fails first, family 1 (answer K K) diverges
+    c = Const("c", rules=((S, tag_leaf(NON_MEMBER)), (App(K, K), App(OMEGA, OMEGA))))
+    v = check_oracle_membership_w(TOY_F, MEMBERS, tag_node(K, c), fuel=2_000)
+    assert v.verdict == "unknown"
+    assert v.path == ("no alternative at K verified", "family 1, answer K K: diverged")
+
+
 def test_instances_with_one_normal_form_are_merged():
     # S K K K normalizes to K: its families follow K's, in input order
     f = ExtWeihrauchPredicate([(K, [[S]]), (App(S, K), []), (app(S, K, K, K), [[K]])])
