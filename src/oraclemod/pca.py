@@ -1,21 +1,29 @@
 """A small partial combinatory algebra: S, K, oracle constants, and
 fuel-bounded normal-order evaluation.
 
-Terms are finite application trees.  Evaluation contracts the leftmost
-outermost redex (K x y, S x y z, or a constant applied to a listed normal
-form) and then normalizes the remaining arguments, so a returned value has
-no enabled redex anywhere.  Running out of fuel is an ordinary result, not
-an error: definedness is only semi-decidable.
+Terms are finite application trees, read and printed at any depth by
+explicit stacks; the printed form of a term identifies it.  Evaluation
+contracts the leftmost outermost redex (K x y, S x y z, or a constant
+applied to a listed normal form) and then normalizes the remaining
+arguments, so a returned value has no enabled redex anywhere.  Running out
+of fuel is an ordinary result, not an error: definedness is only
+semi-decidable.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ArityError, SizeLimitExceeded, TermSyntaxError, UnknownConstant
 
 # Contraction steps an evaluation may spend unless its caller says otherwise.
 DEFAULT_FUEL = 100_000
+
+# A name is a run of \w (exactly str.isalnum plus "_") and "'"; a token is a
+# parenthesis, a name, or (group 1) any other character outside whitespace.
+_NAME = re.compile(r"[\w']+")
+_TOKEN = re.compile(r"[()]|[\w']+|(\S)")
 
 
 @dataclass(frozen=True)
@@ -28,13 +36,19 @@ class Prim:
 
 @dataclass(frozen=True)
 class Const:
-    """A named oracle constant; identity is the name, the rewrite rules are
-    evaluation behaviour only."""
+    """A named oracle constant; identity is the name, a token other than S
+    and K so that printing is injective; the rules are evaluation only."""
 
     name: str
     rules: tuple[tuple["Term", "Term"], ...] = field(
         default=(), compare=False, hash=False
     )
+
+    def __post_init__(self) -> None:
+        if self.name in ("S", "K") or not _NAME.fullmatch(self.name):
+            raise TermSyntaxError(
+                f"constant name {self.name!r} is not an identifier other than S and K"
+            )
 
     def __repr__(self) -> str:
         return self.name
@@ -66,14 +80,18 @@ def app(*terms: Term) -> Term:
 
 
 def pp(t: Term) -> str:
-    """Print with minimal parentheses; application associates left, so the
-    left spine is walked in a loop and only parenthesized arguments recurse."""
-    parts = []
-    while isinstance(t, App):
-        parts.append(f"({pp(t.arg)})" if isinstance(t.arg, App) else t.arg.name)
-        t = t.fn
-    parts.append(t.name)
-    return " ".join(reversed(parts))
+    """Print with minimal parentheses; application associates left.  Each left
+    spine is unrolled in a loop, its arguments and their parentheses pushed
+    right to left on an explicit stack of text and subterms still to print."""
+    out: list[str] = []
+    todo: list[Term | str] = [t]
+    while todo:
+        t = todo.pop()
+        while isinstance(t, App):
+            todo += (")", t.arg, " (") if isinstance(t.arg, App) else (f" {t.arg.name}",)
+            t = t.fn
+        out.append(t if isinstance(t, str) else t.name)
+    return "".join(out)
 
 
 def mentions_constants(t: Term) -> bool:
@@ -94,22 +112,10 @@ def mentions_constants(t: Term) -> bool:
 
 def _tokenize(src: str) -> list[str]:
     out: list[str] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            out.append(ch)
-            i += 1
-        elif ch.isalnum() or ch in "_'":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            out.append(src[i:j])
-            i = j
-        else:
-            raise TermSyntaxError(f"unexpected character {ch!r} at offset {i}")
+    for m in _TOKEN.finditer(src):
+        if m.group(1):
+            raise TermSyntaxError(f"unexpected character {m.group(1)!r} at offset {m.start()}")
+        out.append(m.group())
     return out
 
 
@@ -118,55 +124,38 @@ def parse_term(src: str, auto_declare: bool = False) -> Term:
 
     Identifiers other than S and K are errors unless ``auto_declare`` is
     set, in which case each distinct name becomes one fresh inert constant.
-    The parser recurses once per parenthesis, so a term nested deeper than
-    the interpreter's recursion limit allows raises ``SizeLimitExceeded``.
+    One partial application is kept per open parenthesis, so any depth of
+    nesting parses.
     """
-    constants: dict[str, Const] = {}
     tokens = _tokenize(src)
-    pos = 0
-
-    def atom() -> Term:
-        nonlocal pos
-        if pos == len(tokens):
-            raise TermSyntaxError("term ends where an atom was expected")
-        tok = tokens[pos]
-        if tok == "(":
-            pos += 1
-            t = expr()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise TermSyntaxError("unbalanced parenthesis")
-            pos += 1
-            return t
-        if tok == ")":
-            raise TermSyntaxError("unexpected ')'")
-        pos += 1
-        if tok == "S":
-            return S
-        if tok == "K":
-            return K
-        if tok in constants:
-            return constants[tok]
-        if auto_declare:
-            constants[tok] = Const(tok)
-            return constants[tok]
-        raise UnknownConstant(f"undeclared constant {tok!r}")
-
-    def expr() -> Term:
-        nonlocal pos
-        t = atom()
-        while pos < len(tokens) and tokens[pos] != ")":
-            t = App(t, atom())
-        return t
-
     if not tokens:
         raise TermSyntaxError("empty term")
-    try:
-        t = expr()
-    except RecursionError:
-        raise SizeLimitExceeded("term nests parentheses too deeply to parse") from None
-    if pos != len(tokens):
-        raise TermSyntaxError("trailing input")
-    return t
+    constants: dict[str, Term] = {"S": S, "K": K}
+    outer: list[Term | None] = []  # the partial application each '(' interrupted
+    acc: Term | None = None
+    for tok in tokens:
+        if tok == "(":
+            outer.append(acc)
+            acc = None
+            continue
+        if tok == ")":
+            if acc is None:
+                raise TermSyntaxError("unexpected ')'")
+            if not outer:
+                raise TermSyntaxError("trailing input")
+            t, acc = acc, outer.pop()
+        elif tok in constants:
+            t = constants[tok]
+        elif auto_declare:
+            t = constants[tok] = Const(tok)
+        else:
+            raise UnknownConstant(f"undeclared constant {tok!r}")
+        acc = t if acc is None else App(acc, t)
+    if acc is None:
+        raise TermSyntaxError("term ends where an atom was expected")
+    if outer:
+        raise TermSyntaxError("unbalanced parenthesis")
+    return acc
 
 
 # -- evaluation ----------------------------------------------------------

@@ -5,8 +5,8 @@ degenerate (some shape has no positions, so the induced modality is
 trivial and equality collapses) or not (the modality is identity).  Trees
 are plain inductive values; the equifoliate predicate singles out those
 that compute at most one value up to that collapsed equality, and such
-trees descend to canonical sheaf elements. ``membership`` is the one
-recursive walk; a member set is the values that pass it.
+trees descend to canonical sheaf elements. A member set is the values that
+pass ``membership``.
 """
 
 from __future__ import annotations
@@ -118,22 +118,25 @@ def equifoliate(
     subtrees have the same member set over the ambient values."""
     vals = _ambient_values(t, values)
 
-    def go(s: Tree) -> tuple[str, str, str] | None:
+    def go(s: Tree) -> tuple[tuple[str, str, str] | None, frozenset[str]]:
+        # One post-order pass: the first witness, else s's member set.
         if isinstance(s, Leaf):
-            return None
-        for _, sub in s.children:
-            w = go(sub)
+            return None, member_set(c, s, vals)
+        sets = []
+        for u, sub in s.children:
+            w, mu = go(sub)
             if w is not None:
-                return w
-        sets = [(u, member_set(c, sub, vals)) for u, sub in s.children]
+                return w, mu
+            sets.append((u, mu))
         for u, mu in sets:
             for v, mv in sets:
                 missing = mu - mv
                 if missing:
-                    return (sorted(missing)[0], u, v)
-        return None
+                    return (sorted(missing)[0], u, v), mu
+        # equal sibling sets are the node's own; a childless node has all
+        return None, sets[0][1] if sets else frozenset(vals)
 
-    w = go(t)
+    w, _ = go(t)
     return EquiCheck(ok=w is None, witness=w, values=vals)
 
 
@@ -226,7 +229,7 @@ def sheaf_classify(p: Mapping[str, bool], xsize: int) -> SheafClassification:
     if xsize == 0:
         return SheafClassification("singletons_only", xsize, False, None, "i")
     if xsize == 1:
-        d = {a: [0] * (xsize if p[a] else 1) for a in shapes}
+        d = {a: [0] for a in shapes}
         return SheafClassification("singletons_only", xsize, True, d, None)
     return SheafClassification("singletons_only", xsize, False, None, "iii")
 

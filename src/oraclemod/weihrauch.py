@@ -5,7 +5,8 @@ is the extended predicate that maps each realizer to the answer sets of the
 elements it realizes.  Reductions (``check_weihrauch``) and tree membership
 (``check_oracle_membership_w``) share one three-valued search,
 ``_first_verified``: the first family whose obligations all hold, else
-Unknown if some obligation was undefined, else a failure.
+Unknown if some obligation was undefined, else a failure.  Realizers are
+matched by their printed normal forms, which identify them.
 
 Membership in the least fixed point of the encoded-tree equation is checked
 certificate-first: a Member verdict always carries a finite well-founded
@@ -50,8 +51,8 @@ def _normalize(t: Term, fuel: int, what: str) -> Term:
 class ExtWeihrauchPredicate:
     """A finite map instance-realizer -> families of finite realizer sets.
 
-    Instances are kept by normal form, and entries whose instances share one
-    are merged, their families concatenated in input order.
+    Instances are kept by printed normal form, and entries whose instances
+    share one are merged, their families concatenated in input order.
     """
 
     def __init__(
@@ -59,27 +60,21 @@ class ExtWeihrauchPredicate:
         entries: Iterable[tuple[Term, Sequence[Sequence[Term]]]],
         fuel: int = DEFAULT_FUEL,
     ):
-        merged: list[tuple[Term, list[tuple[Term, ...]]]] = []
+        merged: dict[str, tuple[Term, list[tuple[Term, ...]]]] = {}
         for instance, families in entries:
             r = _normalize(instance, fuel, "instance realizer")
-            known = next((fams for inst, fams in merged if inst == r), None)
-            if known is None:
-                known = []
-                merged.append((r, known))
-            known.extend(
+            merged.setdefault(pp(r), (r, []))[1].extend(
                 tuple(_normalize(m, fuel, "family member") for m in family)
                 for family in families
             )
-        self.entries: tuple[tuple[Term, tuple[tuple[Term, ...], ...]], ...] = tuple(
-            (r, tuple(fams)) for r, fams in merged
-        )
-        self.support: tuple[Term, ...] = tuple(r for r, fams in self.entries if fams)
+        self._families: dict[str, tuple[tuple[Term, ...], ...]] = {
+            key: tuple(fams) for key, (_, fams) in merged.items()
+        }
+        self.support: tuple[Term, ...] = tuple(r for r, fams in merged.values() if fams)
 
     def families_for(self, r: Term) -> tuple[tuple[Term, ...], ...]:
-        for inst, fams in self.entries:
-            if inst == r:
-                return fams
-        return ()
+        """The families of the instance with normal form r."""
+        return self._families.get(pp(r), ())
 
 
 def _first_verified(families, decide):
@@ -137,30 +132,32 @@ def check_weihrauch(
             raise NotElementary(f"{name} mentions oracle constants")
     log: list[str] = []
     for r in f.support:
+        rp = pp(r)
         e1 = eval_term(App(l1, r), fuel)
         if e1.diverged:
-            log.append(f"l1 ({pp(r)}) diverged")
+            log.append(f"l1 ({rp}) diverged")
             return WeihrauchVerdict("unknown", log, witness=log[-1])
-        r2 = e1.term
-        targets = g.families_for(r2)
+        r2p = pp(e1.term)
+        targets = g.families_for(e1.term)
         if not targets:
-            log.append(f"l1 ({pp(r)}) = {pp(r2)} outside target support")
+            log.append(f"l1 ({rp}) = {r2p} outside target support")
             return WeihrauchVerdict("rejected", log, witness=log[-1])
-        log.append(f"l1 ({pp(r)}) = {pp(r2)} in target support")
+        log.append(f"l1 ({rp}) = {r2p} in target support")
         for ti, theta in enumerate(f.families_for(r)):
+            printed_theta = set(map(pp, theta))
 
             def lands_in_theta(s_el: Term) -> bool | None:
                 e2 = eval_term(app(l2, r, s_el), fuel)
-                return None if e2.diverged else e2.term in theta
+                return None if e2.diverged else pp(e2.term) in printed_theta
 
             chosen, blame = _first_verified(targets, lands_in_theta)
             if chosen is None:
-                msg = f"family {ti} of {pp(r)}: no target family is translated into it"
+                msg = f"family {ti} of {rp}: no target family is translated into it"
                 log.append(msg)
                 return WeihrauchVerdict(
                     "rejected" if blame[2] is False else "unknown", log, witness=msg
                 )
-            log.append(f"family {ti} of {pp(r)}: target family {chosen} works")
+            log.append(f"family {ti} of {rp}: target family {chosen} works")
     return WeihrauchVerdict("accepted", log)
 
 
@@ -219,7 +216,7 @@ def check_oracle_membership_w(
     """Membership of an encoded tree in the least set generated by leaves
     over ``members`` and f-indexed nodes: a node with realizer b needs one
     family of b whose answers all lead to members."""
-    members = tuple(_normalize(m, fuel, "answer-set member") for m in members)
+    members = {pp(_normalize(m, fuel, "answer-set member")) for m in members}
     start = eval_term(t, fuel)
     if start.diverged:
         return MembershipVerdict("unknown", ("term itself diverged",))
@@ -231,14 +228,15 @@ def check_oracle_membership_w(
         if dec[0] == "malformed":
             return False, (dec[1],)
         if dec[0] == "leaf":
-            a = dec[1]
-            if a in members:
-                return {"kind": "leaf", "payload": pp(a)}, ()
-            return False, (f"leaf payload {pp(a)} not in the set",)
+            payload = pp(dec[1])
+            if payload in members:
+                return {"kind": "leaf", "payload": payload}, ()
+            return False, (f"leaf payload {payload} not in the set",)
         _, b, c = dec
+        realizer = pp(b)
         families = f.families_for(b)
         if not families:
-            return False, (f"node realizer {pp(b)} matches nothing",)
+            return False, (f"node realizer {realizer} matches nothing",)
         if depth <= 0:
             return None, ("depth exhausted",)
         below: dict[int, tuple[str, ...]] = {}  # path under each answer, by id
@@ -252,11 +250,11 @@ def check_oracle_membership_w(
         if i is None:
             k, d, outcome = found
             first, *rest = below[id(d)]
-            return outcome, (f"no alternative at {pp(b)} verified",
+            return outcome, (f"no alternative at {realizer} verified",
                              f"family {k}, answer {pp(d)}: {first}", *rest)
         return {
             "kind": "node",
-            "realizer": pp(b),
+            "realizer": realizer,
             "choice": f"family {i}",
             "children": dict(zip(map(pp, families[i]), found)),
         }, ()
@@ -275,7 +273,7 @@ def recheck_certificate_w(
     fuel: int = DEFAULT_FUEL,
 ) -> bool:
     """Independently re-verify a Member certificate against the same data."""
-    members = tuple(_normalize(m, fuel, "answer-set member") for m in members)
+    members = {pp(_normalize(m, fuel, "answer-set member")) for m in members}
 
     def go(t_term: Term, cert: dict) -> bool:
         start = eval_term(t_term, fuel)
@@ -283,7 +281,8 @@ def recheck_certificate_w(
             return False
         dec = _decode(start.term)
         if cert["kind"] == "leaf":
-            return dec[0] == "leaf" and pp(dec[1]) == cert["payload"] and dec[1] in members
+            return (dec[0] == "leaf" and pp(dec[1]) == cert["payload"]
+                    and cert["payload"] in members)
         if cert["kind"] != "node" or dec[0] != "node":
             return False
         _, b, c = dec

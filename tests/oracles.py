@@ -5,8 +5,9 @@ saturation, frozenset lattice tables, residuation scans, the full
 inflationary-table filter, the closure-system search for fixed-point sets,
 the per-shape fold of the single-query map, the dictionary-built
 container of stable queries, and the frame-element routes that drew
-single-shape containers and relabelings and decided instance reducibility.
-None of it shares code with the package's own computation paths.
+single-shape containers and relabelings and decided instance reducibility,
+the per-ancestor equifoliate walk, and the recursive S/K term reader and
+printer.  None of it shares code with the package's own computation paths.
 """
 
 import functools
@@ -15,6 +16,9 @@ import itertools
 import numpy as np
 
 from oraclemod.containers import IndexedPropContainer
+from oraclemod.errors import SizeLimitExceeded, TermSyntaxError, UnknownConstant
+from oraclemod.pca import App, Const, K, S
+from oraclemod.trees import Leaf
 
 
 def transitive_closure_pairs(labels, pairs):
@@ -238,3 +242,119 @@ def closure_system_nuclei(frame):
                     seen.add(bigger)
                     stack.append(bigger)
     return sorted(tuple(map(int, _nucleus_of_fixed_set(frame, f))) for f in seen)
+
+
+def per_ancestor_equifoliate(c, t, vals):
+    """Referee for ``trees.equifoliate`` over the ambient values ``vals``:
+    the first witness, found by checking every child first and then
+    recomputing each child's member set with a fresh walk per value, so a
+    node at depth k is walked once per ancestor.  Returns the witness or
+    None."""
+
+    def computes(x, s):
+        if isinstance(s, Leaf):
+            return x == s.value or c.degenerate
+        return all(computes(x, sub) for _, sub in s.children)
+
+    def go(s):
+        if isinstance(s, Leaf):
+            return None
+        for _, sub in s.children:
+            w = go(sub)
+            if w is not None:
+                return w
+        sets = [(u, frozenset(x for x in vals if computes(x, sub)))
+                for u, sub in s.children]
+        for u, mu in sets:
+            for v, mv in sets:
+                missing = mu - mv
+                if missing:
+                    return (sorted(missing)[0], u, v)
+        return None
+
+    return go(t)
+
+
+def recursive_tokenize(src):
+    """Referee for ``pca._tokenize``: a character scan with ``str.isspace``
+    and ``str.isalnum``."""
+    out = []
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            out.append(ch)
+            i += 1
+        elif ch.isalnum() or ch in "_'":
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] in "_'"):
+                j += 1
+            out.append(src[i:j])
+            i = j
+        else:
+            raise TermSyntaxError(f"unexpected character {ch!r} at offset {i}")
+    return out
+
+
+def recursive_parse_term(src, auto_declare=False):
+    """Referee for ``pca.parse_term``: recursive descent, one call per
+    parenthesis, so nesting is bounded by the recursion limit."""
+    constants = {}
+    tokens = recursive_tokenize(src)
+    pos = 0
+
+    def atom():
+        nonlocal pos
+        if pos == len(tokens):
+            raise TermSyntaxError("term ends where an atom was expected")
+        tok = tokens[pos]
+        if tok == "(":
+            pos += 1
+            t = expr()
+            if pos >= len(tokens) or tokens[pos] != ")":
+                raise TermSyntaxError("unbalanced parenthesis")
+            pos += 1
+            return t
+        if tok == ")":
+            raise TermSyntaxError("unexpected ')'")
+        pos += 1
+        if tok == "S":
+            return S
+        if tok == "K":
+            return K
+        if tok in constants:
+            return constants[tok]
+        if auto_declare:
+            constants[tok] = Const(tok)
+            return constants[tok]
+        raise UnknownConstant(f"undeclared constant {tok!r}")
+
+    def expr():
+        nonlocal pos
+        t = atom()
+        while pos < len(tokens) and tokens[pos] != ")":
+            t = App(t, atom())
+        return t
+
+    if not tokens:
+        raise TermSyntaxError("empty term")
+    try:
+        t = expr()
+    except RecursionError:
+        raise SizeLimitExceeded("term nests parentheses too deeply to parse") from None
+    if pos != len(tokens):
+        raise TermSyntaxError("trailing input")
+    return t
+
+
+def recursive_pp(t):
+    """Referee for ``pca.pp``: the left spine in a loop, each parenthesized
+    argument by a recursive call."""
+    parts = []
+    while isinstance(t, App):
+        parts.append(f"({recursive_pp(t.arg)})" if isinstance(t.arg, App) else t.arg.name)
+        t = t.fn
+    parts.append(t.name)
+    return " ".join(reversed(parts))

@@ -7,7 +7,7 @@ from oraclemod import cli, io, theorems
 from oraclemod.errors import InternalInvariantViolation
 from oraclemod.frames import downset_frame
 from oraclemod.nuclei import canonical_nuclei
-from oraclemod.pca import Const, pp, tag_leaf
+from oraclemod.pca import Const, parse_term, pp, tag_leaf
 
 CHAIN2 = {"elements": ["p", "q"], "le": [["p", "q"]]}
 # four disjoint two-element chains a_i < b_i: carrier 3**4 = 81
@@ -331,13 +331,49 @@ def test_long_spine_prints(capsys):
     assert code == 0 and json.loads(out)["body"]["normal_form"] == term
 
 
-@pytest.mark.parametrize("term", ("K (" * 600 + "S" + ")" * 600,
-                                  "(" * 3000 + "S" + ")" * 3000))
-def test_deeply_nested_term_exits_3(term, capsys):
-    assert cli.run(["pca", "eval", "--term", term]) == 3
+# the K case is already normal: its normal form is itself, printed with
+# minimal parentheses
+@pytest.mark.parametrize("term, normal_form", (
+    ("K (" * 600 + "S" + ")" * 600, "K (" * 599 + "K S" + ")" * 599),
+    ("(" * 3000 + "S" + ")" * 3000, "S"),
+), ids=("K-600", "parens-3000"))
+def test_deeply_nested_term_parses(term, normal_form, capsys):
+    code, out = run_capture(capsys, ["--format", "json", "pca", "eval", "--term", term])
+    assert code == 0 and json.loads(out)["body"]["normal_form"] == normal_form
+
+
+def test_deeply_nested_term_exits_3(capsys):
+    # parsing is iterative, normalizing still recurses once per nested argument
+    assert cli.run(["pca", "eval", "--term", "K (" * 3000 + "S" + ")" * 3000]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "oraclemod: error: term nests parentheses too deeply to parse\n"
+    assert captured.err == "oraclemod: error: term nests too deeply to normalize\n"
+
+
+SPINE = " ".join(["x"] * 1500)
+
+
+def test_weihrauch_check_long_instance_spine(tmp_path, capsys):
+    # instances are matched by printed normal form, not by recursive equality
+    io.dump_json({"entries": [{"instance": SPINE, "families": [["y"]]}]},
+                 tmp_path / "f.json")
+    code, out = run_capture(capsys, ["--format", "json", "weihrauch", "check",
+                                     "--f", str(tmp_path / "f.json"),
+                                     "--g", str(tmp_path / "f.json"),
+                                     "--l1", "S K K", "--l2", "K (S K K)"])
+    assert code == 0 and json.loads(out)["body"]["verdict"] == "accepted"
+
+
+def test_oracle_tree_check_long_leaf_spine(tmp_path, capsys):
+    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+                 tmp_path / "f.json")
+    io.dump_json([SPINE], tmp_path / "s.json")
+    term = pp(tag_leaf(parse_term(SPINE, auto_declare=True)))
+    code, out = run_capture(capsys, ["--format", "json", "oracle-tree", "check",
+                                     "--pred", str(tmp_path / "f.json"),
+                                     "--s", str(tmp_path / "s.json"),
+                                     "--term", term])
+    assert code == 0 and json.loads(out)["body"]["verdict"] == "member"
 
 
 def test_emit_report_empty_body():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclemod.errors import ArityError, SizeLimitExceeded, TermSyntaxError, UnknownConstant
+from oraclemod import pca
 from oraclemod.pca import (
     App,
     Const,
@@ -23,6 +24,7 @@ from oraclemod.pca import (
     tag_leaf,
     tag_node,
 )
+from oracles import recursive_parse_term, recursive_pp, recursive_tokenize
 
 OMEGA = app(S, app(S, K, K), app(S, K, K))
 
@@ -173,3 +175,92 @@ def test_nesting_past_the_recursion_limit_is_not_divergence():
     assert mentions_constants(App(t, Const("c")))
     with pytest.raises(SizeLimitExceeded, match="term nests too deeply to normalize"):
         eval_term(t)
+
+
+# -- reader and printer against the recursive referees ----------------------
+
+# constant names: letters of several scripts, digits of several kinds, "_"
+# and "'" (all of them characters that str.isalnum or the grammar accepts)
+NAMES = ("x", "y0", "x'", "_", "S1", "K'", "kS", "αβ", "ñ", "x²", "½", "٣", "名前")
+
+
+def rand_term(rng: random.Random, depth: int = 5):
+    """Random terms, redexes and constants included."""
+    if depth == 0 or rng.random() < 0.3:
+        r = rng.random()
+        return S if r < 0.3 else K if r < 0.6 else Const(rng.choice(NAMES))
+    return App(rand_term(rng, depth - 1), rand_term(rng, depth - 1))
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the error class and message are compared
+        return (type(exc), str(exc))
+
+
+def test_pp_and_parse_match_recursive_referees():
+    rng = random.Random(41)
+    for _ in range(2000):
+        t = rand_term(rng)
+        printed = pp(t)
+        assert printed == recursive_pp(t)
+        assert parse_term(printed, auto_declare=True) == t
+        assert recursive_parse_term(printed, auto_declare=True) == t
+
+
+# "²" and "½" are alphanumeric, the combining acute accent and "?" are not
+# (drawn rarely, so that most strings reach the parser); "\x1c" and the
+# no-break space are whitespace
+ALPHABET = (("S", "K", "S", "K", "(", "(", "(", ")", ")", ")", " ", " ", " ", "_",
+             "'", "7", "x", "é", "名", "²", "½", "\x1c", "\u00a0", "\t") * 3
+            + ("\u0301", "?"))
+
+
+def test_reader_matches_recursive_referee_on_random_strings():
+    rng = random.Random(43)
+    for _ in range(6000):
+        src = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 14)))
+        assert _outcome(pca._tokenize, src) == _outcome(recursive_tokenize, src), src
+        for auto in (False, True):
+            got = _outcome(parse_term, src, auto)
+            assert got == _outcome(recursive_parse_term, src, auto), (src, auto)
+
+
+@pytest.mark.parametrize("src", ("", "(", "K (", "(S K", "((S)", "()", ")", "K )",
+                                 "(K) )", "S ? K", "S x", "x )", "K ) x", "(x"))
+def test_malformed_terms_fail_as_the_referee_does(src):
+    got = _outcome(parse_term, src)
+    assert got[0] != "ok"
+    assert got == _outcome(recursive_parse_term, src)
+
+
+def test_any_nesting_parses_and_prints():
+    for depth in (10, 5000):
+        src = "K (" * depth + "x y" + ")" * depth
+        assert pp(parse_term(src, auto_declare=True)) == src
+        assert pp(parse_term("(" * depth + src + ")" * depth, auto_declare=True)) == src
+
+
+def test_printed_form_identifies_the_term():
+    # few atoms and shallow terms, so that equal pairs are drawn often
+    rng = random.Random(47)
+    atoms = (S, K, Const("x"), Const("x'"), Const("xK"))
+    equal = 0
+
+    def small(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return rng.choice(atoms)
+        return App(small(depth - 1), small(depth - 1))
+
+    for _ in range(5000):
+        a, b = small(3), small(3)
+        assert (pp(a) == pp(b)) == (a == b), (a, b)
+        equal += a == b
+    assert equal > 100
+
+
+@pytest.mark.parametrize("name", ("S", "K", "a b", "", "x(", "x\n"))
+def test_const_refuses_names_that_print_ambiguously(name):
+    with pytest.raises(TermSyntaxError, match="is not an identifier other than S and K"):
+        Const(name)

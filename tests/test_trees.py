@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oraclemod import trees
 from oraclemod.trees import (
     CanonicalSheafElement,
     EquiTree,
@@ -22,6 +23,7 @@ from oraclemod.trees import (
     tree_bind,
 )
 from oraclemod.errors import UnknownLabel
+from oracles import per_ancestor_equifoliate
 
 NONDEG = SetContainer({"a": ["u", "v"], "b": ["w"]})
 DEG = SetContainer({"a": ["u", "v"], "z": []})
@@ -78,6 +80,57 @@ def _rand_tree(rng, c, values, depth):
     a = rng.choice(c.shapes)
     return Node(a, tuple((u, _rand_tree(rng, c, values, depth - 1))
                          for u in c.positions[a]))
+
+
+def _rand_ragged_tree(rng, c, values, depth):
+    # like _rand_tree, but a node may also drop all its children, whatever
+    # its shape's positions
+    if depth == 0 or rng.random() < 0.3:
+        return Leaf(rng.choice(values))
+    a = rng.choice(c.shapes)
+    if rng.random() < 0.1:
+        return Node(a, ())
+    return Node(a, tuple((u, _rand_ragged_tree(rng, c, values, depth - 1))
+                         for u in c.positions[a]))
+
+
+def test_equifoliate_matches_per_ancestor_referee():
+    rng = random.Random(31)
+    containers = [NONDEG, DEG, SetContainer({"a": ["u", "v", "w"]}),
+                  SetContainer({"a": ["u"], "b": ["u", "v"], "z": []})]
+    for _ in range(1500):
+        c = rng.choice(containers)
+        # few leaf values make equal sibling sets, hence deep checks, likely
+        leaves = ["x", "y", "z"][:rng.randint(1, 3)]
+        t = _rand_ragged_tree(rng, c, leaves, rng.randint(0, 5))
+        for values in (None, ["x", "y"], ["x", "y", "z", "w"]):
+            res = equifoliate(c, t, values)
+            if values is not None:
+                assert res.values == tuple(values)
+            want = per_ancestor_equifoliate(c, t, res.values)
+            assert (res.ok, res.witness) == (want is None, want), (c, t, values)
+
+
+def test_equifoliate_walks_each_leaf_once(monkeypatch):
+    # a full binary tree of depth 8 with one leaf value is equifoliate; each
+    # leaf's member set takes one membership call per ambient value, and no
+    # subtree is walked again for its ancestors
+    calls = []
+    real = trees.membership
+
+    def counted(c, x, t):
+        calls.append(t)
+        return real(c, x, t)
+
+    monkeypatch.setattr(trees, "membership", counted)
+    c = SetContainer({"a": ["u", "v"]})
+    t = Leaf("x")
+    for _ in range(8):
+        t = Node("a", (("u", t), ("v", t)))
+    res = equifoliate(c, t)
+    assert res.ok and res.values == ("x", "#fresh")
+    assert len(calls) == 2 ** 8 * 2
+    assert all(isinstance(s, Leaf) for s in calls)
 
 
 # -- monad laws (hypothesis) ---------------------------------------------
