@@ -48,11 +48,23 @@ def _normalize(t: Term, fuel: int, what: str) -> Term:
     return r.term
 
 
+def _answer_set(family: Sequence[Term], fuel: int) -> tuple[Term, ...]:
+    """A family's answers in normal form, one per printed form, in the order
+    they first occur."""
+    answers: dict[str, Term] = {}
+    for m in family:
+        a = _normalize(m, fuel, "family member")
+        answers.setdefault(pp(a), a)
+    return tuple(answers.values())
+
+
 class ExtWeihrauchPredicate:
     """A finite map instance-realizer -> families of finite realizer sets.
 
     Instances are kept by printed normal form, and entries whose instances
-    share one are merged, their families concatenated in input order.
+    share one are merged, their families concatenated in input order. A
+    family is a set: its answers are kept by printed normal form too, each
+    once, in the order they first occur.
     """
 
     def __init__(
@@ -64,8 +76,7 @@ class ExtWeihrauchPredicate:
         for instance, families in entries:
             r = _normalize(instance, fuel, "instance realizer")
             merged.setdefault(pp(r), (r, []))[1].extend(
-                tuple(_normalize(m, fuel, "family member") for m in family)
-                for family in families
+                _answer_set(family, fuel) for family in families
             )
         self._families: dict[str, tuple[tuple[Term, ...], ...]] = {
             key: tuple(fams) for key, (_, fams) in merged.items()

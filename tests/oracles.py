@@ -6,8 +6,9 @@ inflationary-table filter, the closure-system search for fixed-point sets,
 the per-shape fold of the single-query map, the dictionary-built
 container of stable queries, and the frame-element routes that drew
 single-shape containers and relabelings and decided instance reducibility,
-the per-ancestor equifoliate walk, and the recursive S/K term reader and
-printer.  None of it shares code with the package's own computation paths.
+the per-ancestor equifoliate walk, the recursive S/K term reader and
+printer, and the triple-loop scan of the frame laws.  None of it shares
+code with the package's own computation paths.
 """
 
 import functools
@@ -86,6 +87,52 @@ def residuation_scan(frame, b: int, c: int) -> int:
         if frame.leq_table[frame.meet_table[d, b], c]:
             acc = int(frame.join_table[acc, d])
     return acc
+
+
+def law_scan(frame):
+    """Referee for ``Frame.check_laws``: the same laws, in the same order and
+    with the same messages, checked by plain loops over the four tables read
+    as nested lists; each three-index law stops at its first witness in
+    (a, b, c) order."""
+    leq, meet, join, imp = (t.tolist() for t in (
+        frame.leq_table, frame.meet_table, frame.join_table, frame.implies_table))
+    els = range(len(meet))
+    pairs = [(a, b) for a in els for b in els]
+    bad = []
+    if any(meet[a][b] != meet[b][a] or join[a][b] != join[b][a] for a, b in pairs):
+        bad.append("meet/join not commutative")
+    if any(meet[a][a] != a or join[a][a] != a for a in els):
+        bad.append("meet/join not idempotent")
+    if any(meet[frame.top_index][a] != a for a in els):
+        bad.append("top is not a meet unit")
+    if any(join[frame.bot_index][a] != a for a in els):
+        bad.append("bot is not a join unit")
+    if any(leq[a][b] != (meet[a][b] == a) for a, b in pairs):
+        bad.append("order does not match meet")
+
+    def first_failure(holds):
+        for a in els:
+            for b in els:
+                for c in els:
+                    if not holds(a, b, c):
+                        return a, b, c
+        return None
+
+    for message, with_witness, holds in (
+        ("meet not associative", False,
+         lambda a, b, c: meet[meet[a][b]][c] == meet[a][meet[b][c]]),
+        ("join not associative", False,
+         lambda a, b, c: join[join[a][b]][c] == join[a][join[b][c]]),
+        ("residuation fails", True,
+         lambda a, b, c: leq[meet[a][b]][c] == leq[a][imp[b][c]]),
+        ("distributivity fails", True,
+         lambda a, b, c: meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]),
+    ):
+        witness = first_failure(holds)
+        if witness is not None:
+            bad.append(f"{message} at ({witness[0]},{witness[1]},{witness[2]})"
+                       if with_witness else message)
+    return bad
 
 
 def all_inflationary_tables(frame):

@@ -19,6 +19,7 @@ from oraclemod.frames import Frame, Poset, downset_frame, poset_from_relation
 from catalog import POSETS, make_frame
 from oracles import (
     frozenset_tables,
+    law_scan,
     powerset_downsets,
     residuation_scan,
     transitive_closure_pairs,
@@ -284,6 +285,16 @@ def test_random_posets_cover_ties_parts_and_misleading_names():
     assert min(ties, split, misleading) >= 10
 
 
+LAW_TABLES = ("leq", "meet", "join", "implies")
+
+
+def with_cell(frame, table, i, j, value):
+    """A copy of ``frame`` whose ``table`` holds ``value`` at (i, j)."""
+    tables = {t: getattr(frame, f"{t}_table").copy() for t in LAW_TABLES}
+    tables[table][i, j] = value
+    return Frame(frame.poset, frame.masks, *(tables[t] for t in LAW_TABLES))
+
+
 # One corrupted cell of the diamond's tables (carrier {}, {p}, {q}, {p,q}),
 # and every law violation check_laws reports for it, first witness included.
 CORRUPTIONS = {
@@ -305,13 +316,53 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_check_laws_reports_corrupted_table(monkeypatch, o4, name, cells):
     (i, j, value), want = CORRUPTIONS[name]
-    tables = {t: getattr(o4, f"{t}_table").copy()
-              for t in ("leq", "meet", "join", "implies")}
-    tables[name.split("-")[0]][i, j] = value
+    broken = with_cell(o4, name.split("-")[0], i, j, value)
     monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
-    broken = Frame(o4.poset, o4.masks, tables["leq"], tables["meet"], tables["join"],
-                   tables["implies"])
     assert broken.check_laws() == want
+
+
+def assert_laws_match_scan(monkeypatch, frame):
+    """check_laws equals the law_scan referee at the default block size and
+    at one row per block; returns the list."""
+    want = law_scan(frame)
+    for cells in (frames.BLOCK_CELLS, 1):
+        monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
+        assert frame.check_laws() == want, cells
+    return want
+
+
+@pytest.mark.parametrize("table", LAW_TABLES)
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_check_laws_matches_law_scan_on_corrupted_cells(monkeypatch, name, table):
+    frame = make_frame(name)
+    n = len(frame)
+    rng = random.Random(f"laws:{name}:{table}")
+    for _ in range(4):
+        i, j = rng.randrange(n), rng.randrange(n)
+        old = getattr(frame, f"{table}_table")[i, j]
+        others = [not old] if table == "leq" else [v for v in range(n) if v != old]
+        if not others:
+            continue  # carrier 1: no other index to write
+        broken = with_cell(frame, table, i, j, rng.choice(others))
+        # one changed cell always breaks some law
+        assert assert_laws_match_scan(monkeypatch, broken), (i, j)
+
+
+def test_check_laws_witness_past_the_first_block(monkeypatch):
+    frame = downset_frame(poset_from_relation(*REFEREE_POSETS["chains2x4"]))
+    # both witnesses lie inside the second block of rows, not at its start
+    second = frames.blocks(len(frame), len(frame) ** 2)[1]
+    assert second.start < 70 < second.stop
+    got = assert_laws_match_scan(monkeypatch, with_cell(frame, "meet", 70, 75, 40))
+    assert got == ["meet/join not commutative", "meet not associative",
+                   "residuation fails at (70,75,40)", "distributivity fails at (70,1,75)"]
+
+
+@pytest.mark.parametrize("name, carrier", (("empty", 1), ("point", 2)))
+def test_check_laws_on_edge_carriers(monkeypatch, name, carrier):
+    frame = make_frame(name)
+    assert len(frame) == carrier
+    assert assert_laws_match_scan(monkeypatch, frame) == []
 
 
 @pytest.mark.parametrize("name", sorted(REFEREE_POSETS))

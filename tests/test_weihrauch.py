@@ -170,6 +170,22 @@ def test_instances_with_one_normal_form_are_merged():
     assert v.witness == "family 1 of K: no target family is translated into it"
 
 
+def test_repeated_answers_are_kept_once():
+    # a family is a set: K S K normalizes to S, so S is listed three times
+    f = ExtWeihrauchPredicate([(K, [[S, S, app(K, S, K), App(K, K)]])])
+    assert f.families_for(K) == ((S, App(K, K)),)
+    t = tag_node(K, Const("br", rules=((S, tag_leaf(MEMBERS[0])),
+                                      (App(K, K), tag_leaf(MEMBERS[1])))))
+    v = check_oracle_membership_w(f, MEMBERS, t)
+    assert v.is_member
+    assert recheck_certificate_w(f, MEMBERS, t, v.certificate)
+    # one answer listed twice
+    g = ExtWeihrauchPredicate([(K, [[S, S]])])
+    t = tag_node(K, Const("br", rules=((S, tag_leaf(MEMBERS[0])),)))
+    v = check_oracle_membership_w(g, MEMBERS, t)
+    assert v.is_member and recheck_certificate_w(g, MEMBERS, t, v.certificate)
+
+
 def test_asm_examples():
     # A partitioned assembly with elements x, y realized by K (answers {S}
     # and {}) and z realized by S K (answers {S, K K}): one entry per element,
