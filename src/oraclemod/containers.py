@@ -212,11 +212,17 @@ def oracle_modality_bruteforce(c: IndexedPropContainer) -> Nucleus:
     return Nucleus(frame, table)
 
 
+def forced_by(c: IndexedPropContainer, table: np.ndarray) -> bool:
+    """Whether a table over c's carrier answers every query of c at its
+    stage: E(a) <= t(P(a)) for every shape a."""
+    return bool(c.frame.leq_table[c.ext, table[c.prd]].all())
+
+
 def forces(j: Nucleus, c: IndexedPropContainer) -> bool:
     """Whether the nucleus answers every query at its stage: E(a) <= j(P(a))."""
     if j.frame is not c.frame:
         raise FrameMismatch("nucleus and container on different frames")
-    return bool(c.frame.leq_table[c.ext, j.table[c.prd]].all())
+    return forced_by(c, j.table)
 
 
 def pred_of_nucleus(j: Nucleus) -> IndexedPropContainer:

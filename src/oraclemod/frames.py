@@ -6,21 +6,25 @@ binary meet, join and Heyting implication are precomputed into integer
 tables so that every downstream fixed-point computation is pure table
 lookup.
 
-A downset is stored once, as a bitmask over the poset's sorted labels. A
-poset keeps one int mask per label, closed from its generating pairs by
+A downset is stored once, as an int bitmask over the poset's sorted labels.
+A poset keeps one mask per label, closed from its generating pairs by
 OR-ing along a topological order; a cycle is reported by the first pair of
 labels, in label order, that lie on one. The downsets are generated once
 each, walking the labels along a linear extension (by the size of their
 principal downsets): a label extends every downset found so far that holds
-the rest of its principal downset. A frame keeps one row of
-``W = ceil(labels / 64)`` uint64 words per element (Birkhoff): meet is
-``&``, join is ``|``, and ``I => J`` keeps each label x with
-``down(x) & I & ~J == 0``. The tables are filled by numpy broadcasting over
-blocks of rows, and result masks are mapped back to carrier indices by one
-sort and a binary search. Element labels, keys and lookup, and the label
-tables the closed form of nuclei reads (label membership, the index of
-``down(x) - {x}`` and the single-label nuclei j_{x}), are derived from the
-masks on first use, so a build pays nothing for them. ``Frame.check_laws`` runs
+the rest of its principal downset. A frame keeps one mask per element.
+By Birkhoff, every downset is reached from the empty one by adding its
+labels in that linear extension, so one table, ``add[x, i]`` (downset i
+with label x added), builds all four operation tables: a sweep starts
+every pair (a, b) at bottom and adds each label x in turn where a per-pair
+test holds, x in a and in b for meet, in a or in b for join, and
+``down(x) & a <= b`` for ``a => b``; the order table is where meet gives
+back its row. A sweep takes labels x n**2 label steps, in blocks of rows.
+Element labels, keys and lookup, and the label tables the closed form of
+nuclei reads (label membership, the index of ``down(x) - {x}`` and the
+single-label nuclei j_{x}), are derived from the masks on first use; label
+membership is read from the masks by the one function the build's meet and
+join sweeps read it from. ``Frame.check_laws`` runs
 its three-index laws in blocks over the first index, reading int16 copies of
 the value tables and one intp copy of one index table at a time, cast once
 per law, so its temporaries hold O(max(BLOCK_CELLS, n**2)) cells, never
@@ -30,11 +34,11 @@ from ``blocks``, the one place that applies ``BLOCK_CELLS``, and reduces by
 an operation table with ``fold``. The
 carrier is capped at ``DEFAULT_CARRIER_LIMIT = 4096`` downsets: the four
 tables take 13 bytes per pair, about 218 MB at 4096, and the law check is
-cubic. The implication pass costs labels x n**2 x W word operations, so a
-build over ``BUILD_COST_LIMIT``, that cost at 4096 downsets of 12 labels,
-is refused: first from the least carrier the labels allow (labels + 1
-downsets), before any downset is enumerated, then from the exact carrier,
-before any table is allocated.
+cubic. A build whose sweeps would take more than ``BUILD_COST_LIMIT``
+label steps each, that cost at 4096 downsets of 12 labels (a chain of 586
+labels is the shortest refused), is refused: first from the least carrier
+the labels allow (labels + 1 downsets), before any downset is enumerated,
+then from the exact carrier, before any table is allocated.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ from .errors import (
 )
 
 DEFAULT_CARRIER_LIMIT = 1 << 12
-# Word operations of the implication pass, labels x carrier**2 x words, at
-# the 4096 downsets of 12 incomparable labels, the frame the carrier limit
-# was sized on.
+# Label steps of one table sweep, labels x carrier**2, at the 4096 downsets
+# of 12 incomparable labels, the frame the carrier limit was sized on; the
+# longest chain within it has 585 labels.
 BUILD_COST_LIMIT = 12 * DEFAULT_CARRIER_LIMIT ** 2
 # Cells per block of every blocked pass (see ``blocks``).
 BLOCK_CELLS = 1 << 18
@@ -198,16 +202,18 @@ class FrameElement:
 class Frame:
     """A finite Heyting algebra with cached operation tables.
 
-    The carrier is the downsets of ``poset``, stored once: row i of
-    ``masks`` is element i as uint64 words over the poset's sorted labels,
-    sorted by (size, labels), so bottom is index 0 and top index n - 1. The
+    The carrier is the downsets of ``poset``, stored once: ``masks[i]`` is
+    element i as one int bitmask over the poset's sorted labels, as in
+    ``Poset.masks``, sorted by (size, labels), so bottom is index 0 and top
+    index n - 1. The tables are filled by label sweeps (``downset_frame``),
+    and the order table is where meet gives back its row. The
     label lists and keys of the elements, the mask lookup of ``element`` and
     the label tables (``label_members``, ``label_strict``, ``label_rows``)
     are derived from the masks on first use, and ``below``, the elements
     under each element that the samplers draw from, from the order table.
     """
 
-    def __init__(self, poset: Poset, masks: np.ndarray, leq: np.ndarray,
+    def __init__(self, poset: Poset, masks: Sequence[int], leq: np.ndarray,
                  meet: np.ndarray, join: np.ndarray, implies: np.ndarray):
         self.poset = poset
         self.masks = masks
@@ -250,9 +256,8 @@ class Frame:
 
     @functools.cached_property
     def _mask_index(self) -> dict[int, int]:
-        """Carrier index of each element's mask, read as one int."""
-        return {sum(w << 64 * k for k, w in enumerate(row)): i
-                for i, row in enumerate(self.masks.tolist())}
+        """Carrier index of each element's mask."""
+        return {m: i for i, m in enumerate(self.masks)}
 
     @functools.cached_property
     def element_labels(self) -> tuple[tuple[str, ...], ...]:
@@ -279,9 +284,7 @@ class Frame:
     @functools.cached_property
     def label_members(self) -> np.ndarray:
         """(n, labels) bool: whether each sorted label lies in each element."""
-        words = self.masks.astype("<u8").view(np.uint8)
-        bits = np.unpackbits(words, axis=1, bitorder="little")
-        return _frozen(bits[:, :len(self.poset)].astype(bool))
+        return _frozen(_label_members(self.masks, len(self.poset)))
 
     @functools.cached_property
     def label_strict(self) -> np.ndarray:
@@ -430,20 +433,35 @@ def _first_mismatch(slices: list[slice], sides) -> tuple[int, int, int] | None:
     return None
 
 
-def _mask_keys(masks: np.ndarray) -> np.ndarray:
-    """The last axis of uint64 words viewed as one opaque byte string, so a
-    whole mask is sorted and searched as a single key."""
-    width = masks.shape[-1]
-    return np.ascontiguousarray(masks).view(f"V{8 * width}")[..., 0]
+def _label_members(masks: Sequence[int], labels: int) -> np.ndarray:
+    """(len(masks), labels) bool: bit x of each mask, read from its binary
+    digits, least significant first (a bit set past the last label keeps
+    every mask at ``labels`` digits)."""
+    digits = "".join(bin(m | 1 << labels)[:2:-1] for m in masks)
+    return np.frombuffer(digits.encode(), dtype=np.uint8).reshape(len(masks), labels) == ord("1")
 
 
-def _check_build_cost(labels: int, n: int, width: int) -> None:
-    """Refuse a build whose implication pass, labels x n**2 x words, would
-    cost more than ``BUILD_COST_LIMIT`` word operations."""
-    cost = labels * n * n * width
+def _sweep(add: np.ndarray, order: Sequence[int], takes) -> np.ndarray:
+    """(n, n) int32 table of one operation: every pair (a, b) starts at
+    bottom and walks the labels x in ``order``, a linear extension, moving
+    from i to ``add[x, i]`` wherever ``takes(rows, x)``, a (len(rows), n)
+    bool array over the pairs of one block of rows, holds."""
+    n = add.shape[1]
+    out = np.zeros((n, n), dtype=np.int32)
+    for rows in blocks(n, n):
+        cur = out[rows]
+        for x in order:
+            np.copyto(cur, add[x].take(cur), where=takes(rows, x))
+    return out
+
+
+def _check_build_cost(labels: int, n: int) -> None:
+    """Refuse a build whose sweeps, labels x n**2 label steps each, would
+    take more than ``BUILD_COST_LIMIT`` label steps."""
+    cost = labels * n * n
     if cost > BUILD_COST_LIMIT:
         raise SizeLimitExceeded(
-            f"frame build would take {cost} word operations, over {BUILD_COST_LIMIT}"
+            f"frame build would take {cost} label steps, over {BUILD_COST_LIMIT}"
         )
 
 
@@ -451,52 +469,36 @@ def downset_frame(poset: Poset) -> Frame:
     """The frame of downward-closed subsets of a poset, ordered by inclusion,
     refused past ``DEFAULT_CARRIER_LIMIT`` downsets."""
     labels = len(poset)
-    width = max(1, -(-labels // 64))
     # a poset has at least one downset more than labels: the empty one and
     # the principal ones
-    _check_build_cost(labels, labels + 1, width)
+    _check_build_cost(labels, labels + 1)
     # Labels by principal-downset size are a linear extension, so label x
     # extends each downset found so far that holds down(x) minus {x}.
+    order = sorted(range(labels), key=lambda x: poset.masks[x].bit_count())
     downsets = [0]
-    for x in sorted(range(labels), key=lambda x: poset.masks[x].bit_count()):
+    for x in order:
         downsets += [d | 1 << x for d in downsets if poset.masks[x] & ~d == 1 << x]
         if len(downsets) > DEFAULT_CARRIER_LIMIT:
             raise SizeLimitExceeded(f"carrier would exceed {DEFAULT_CARRIER_LIMIT} elements")
     n = len(downsets)
-    _check_build_cost(labels, n, width)
+    _check_build_cost(labels, n)
     # Labels are sorted, so ordering by (size, set-bit positions) is the
     # order by (size, sorted labels).
-    keyed = sorted(
+    masks = [m for _, _, m in sorted(
         (m.bit_count(), tuple(i for i in range(labels) if m >> i & 1), m)
         for m in downsets
-    )
-
-    def words(m: int) -> list[int]:
-        return [(m >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(width)]
-
-    masks = np.array([words(m) for _, _, m in keyed], dtype=np.uint64)
-    principal = np.array([words(m) for m in poset.masks], dtype=np.uint64).reshape(-1, width)
-    keys = _mask_keys(masks)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-
-    def index_of(result: np.ndarray) -> np.ndarray:
-        return order[np.searchsorted(sorted_keys, _mask_keys(result))].astype(np.int32)
-
-    leq = np.empty((n, n), dtype=bool)
-    meet = np.empty((n, n), dtype=np.int32)
-    join = np.empty((n, n), dtype=np.int32)
-    imp = np.empty((n, n), dtype=np.int32)
-    for rows in blocks(n, n * width):
-        a, b = masks[rows, None, :], masks[None, :, :]
-        outside = a & ~b
-        leq[rows] = ~outside.any(axis=-1)
-        meet[rows] = index_of(a & b)
-        join[rows] = index_of(a | b)
-        # I => J keeps label x iff down(x) meets I only inside J.
-        body = np.zeros_like(outside)
-        for x, dx in enumerate(principal):
-            keep = ~(outside & dx).any(axis=-1)
-            body[..., x // 64] |= keep.astype(np.uint64) << np.uint64(x % 64)
-        imp[rows] = index_of(body)
-    return Frame(poset, masks, leq, meet, join, imp)
+    )]
+    index = {m: i for i, m in enumerate(masks)}
+    # add[x, i]: downset i with label x added where that is a downset, else i
+    add = np.array([[index.get(m | 1 << x, i) for i, m in enumerate(masks)]
+                    for x in range(labels)], dtype=np.int32).reshape(labels, n)
+    members = _label_members(masks, labels).T.copy()
+    # A sweep stays inside the carrier: when it adds label x, every label
+    # below x came earlier in the linear extension and passed the same test.
+    meet = _sweep(add, order, lambda rows, x: members[x, rows, None] & members[x])
+    leq = meet == np.arange(n, dtype=np.int32)[:, None]
+    join = _sweep(add, order, lambda rows, x: members[x, rows, None] | members[x])
+    # I => J holds label x iff down(x) meets I only inside J.
+    down = [index[m] for m in poset.masks]
+    imp = _sweep(add, order, lambda rows, x: leq[meet[down[x], rows]])
+    return Frame(poset, tuple(masks), leq, meet, join, imp)

@@ -39,10 +39,17 @@ def _is_strings(v) -> bool:
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
+def _field(d: Mapping, key: str, what: str):
+    """``d[key]``, or an ``OracleModError`` naming the field ``what`` lacks."""
+    if key not in d:
+        raise OracleModError(f'{what} has no "{key}" field')
+    return d[key]
+
+
 def poset_from_dict(d: Mapping) -> Poset:
     if not isinstance(d, Mapping):
         raise OracleModError("a poset must be a JSON object")
-    elements, le = d["elements"], d.get("le", [])
+    elements, le = _field(d, "elements", "poset"), d.get("le", [])
     if not _is_strings(elements):
         raise OracleModError('poset "elements" must be a list of string labels')
     if not (isinstance(le, list) and all(_is_strings(p) and len(p) == 2 for p in le)):
@@ -107,12 +114,16 @@ def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
 def container_from_dict(frame: Frame, d: Mapping) -> IndexedPropContainer:
     if not isinstance(d, Mapping):
         raise OracleModError("a container must be a JSON object")
-    shapes = d["shapes"]
+    shapes = _field(d, "shapes", "container")
     if not _is_strings(shapes):
         raise OracleModError('container "shapes" must be a list of strings')
     if not all(isinstance(d.get(k, {}), Mapping) for k in ("pred", "extent")):
         raise OracleModError('container "pred" and "extent" must be JSON objects')
-    pred = {a: element_from_json(frame, d["pred"][a]) for a in shapes}
+    pred = _field(d, "pred", "container")
+    for a in shapes:
+        if a not in pred:
+            raise OracleModError(f'container "pred" has no entry for shape {a!r}')
+    pred = {a: element_from_json(frame, pred[a]) for a in shapes}
     if "extent" in d:
         extent = {
             a: element_from_json(frame, d["extent"][a]) if a in d["extent"] else frame.top
@@ -138,18 +149,20 @@ def container_to_dict(c: IndexedPropContainer) -> dict:
 # -- realizability -------------------------------------------------------------
 
 
-def _is_entry(entry) -> bool:
+def _is_entry(entry, k: int) -> bool:
+    what = f"Weihrauch predicate entry {k}"
     return (
         isinstance(entry, Mapping)
-        and isinstance(entry["instance"], str)
-        and isinstance(entry["families"], list)
+        and isinstance(_field(entry, "instance", what), str)
+        and isinstance(_field(entry, "families", what), list)
         and all(_is_strings(family) for family in entry["families"])
     )
 
 
 def weihrauch_predicate_from_dict(d: Mapping, fuel: int = DEFAULT_FUEL) -> ExtWeihrauchPredicate:
-    if not (isinstance(d, Mapping) and isinstance(d["entries"], list)
-            and all(_is_entry(entry) for entry in d["entries"])):
+    if not (isinstance(d, Mapping)
+            and isinstance(_field(d, "entries", "Weihrauch predicate"), list)
+            and all(_is_entry(entry, k) for k, entry in enumerate(d["entries"]))):
         raise OracleModError(
             'a Weihrauch predicate must be {"entries": [{"instance": term, '
             '"families": [[term, ...], ...]}, ...]} with terms as strings'
@@ -166,7 +179,7 @@ def weihrauch_predicate_from_dict(d: Mapping, fuel: int = DEFAULT_FUEL) -> ExtWe
 
 
 def terms_from_json(d) -> list[Term]:
-    srcs = d["terms"] if isinstance(d, Mapping) else d
+    srcs = _field(d, "terms", "answer set") if isinstance(d, Mapping) else d
     if not _is_strings(srcs):
         raise OracleModError("answer-set terms must be a list of strings")
     return [parse_term(src, auto_declare=True) for src in srcs]

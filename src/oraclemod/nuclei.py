@@ -37,8 +37,6 @@ from .frames import Frame, FrameElement, Poset, downset_frame
 # Cells of the tables enumerate_nuclei builds at once, 2**labels x carrier.
 ENUMERATION_LIMIT = 1 << 14
 
-LAWS = ("inflationary", "idempotent", "meet_preservation", "monotone")
-
 
 @dataclass
 class NucleusReport:

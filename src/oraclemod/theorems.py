@@ -30,6 +30,7 @@ from . import frames
 from .containers import (
     IndexedPropContainer,
     container_sum,
+    forced_by,
     instance_prenuclei,
     instance_reducible,
     oracle_modalities_kleene,
@@ -168,7 +169,7 @@ def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random, enumera
     failures = []
     for j, k in pairs:
         c, table = cs[k], nuclei[j]
-        lhs = bool(frame.leq_table[c.ext, table[c.prd]].all())
+        lhs = forced_by(c, table)
         rhs = bool(frame.leq_table[modalities[k], table].all())
         if lhs != rhs:
             failures.append(
@@ -192,7 +193,7 @@ def _check_oracle_leq(frame: Frame, budget: Budget, rng: random.Random, enumerat
     for a, b in pairs:
         c, d, od = cs[a], cs[b], modalities[b]
         lhs = bool(frame.leq_table[modalities[a], od].all())
-        rhs = bool(frame.leq_table[c.ext, od[c.prd]].all())
+        rhs = forced_by(c, od)
         if lhs != rhs:
             failures.append(f"order={lhs} but forcing={rhs} for c={c!r}, d={d!r}")
     return len(pairs), failures, coverage
@@ -273,7 +274,7 @@ def _check_instance_vs_forcing(frame: Frame, budget: Budget, rng: random.Random,
     failures = []
     for c, d, i_d in zip(cs, ds, instance_prenuclei(frame, ds)):
         lhs = instance_reducible(c, d)
-        rhs = bool(frame.leq_table[c.ext, i_d[c.prd]].all())
+        rhs = forced_by(c, i_d)
         if lhs != rhs:
             failures.append(f"reducibility {lhs} != single-query forcing {rhs} "
                             f"for c={c!r}, d={d!r}")

@@ -450,6 +450,36 @@ def test_malformed_json_values_exit_2(poset_file, tmp_path, kind, doc, capsys):
     assert err.startswith("oraclemod: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, doc, message", (
+    ("poset", {"le": []}, 'poset has no "elements" field'),
+    ("container", {"pred": {}}, 'container has no "shapes" field'),
+    ("container", {"shapes": ["a0"]}, 'container has no "pred" field'),
+    ("container", {"shapes": ["a0"], "pred": {}},
+     """container "pred" has no entry for shape 'a0'"""),
+    ("weihrauch", {}, 'Weihrauch predicate has no "entries" field'),
+    ("weihrauch", {"entries": [{"instance": "K", "families": []}, {"families": []}]},
+     'Weihrauch predicate entry 1 has no "instance" field'),
+    ("weihrauch", {"entries": [{"instance": "K"}]},
+     'Weihrauch predicate entry 0 has no "families" field'),
+    ("answers", {"members": ["K"]}, 'answer set has no "terms" field'),
+))
+def test_missing_field_is_named_and_exits_2(poset_file, tmp_path, kind, doc, message, capsys):
+    path = str(tmp_path / "missing.json")
+    io.dump_json(doc, path)
+    good = str(tmp_path / "good.json")
+    io.dump_json({"entries": [{"instance": "K", "families": [["K"]]}]}, good)
+    argv = {
+        "poset": ["frame", "build", "--poset", path],
+        "container": ["oracle", "compute", "--poset", poset_file, "--container", path],
+        "weihrauch": ["weihrauch", "check", "--f", path, "--g", good,
+                      "--l1", "S K K", "--l2", "K (S K K)"],
+        "answers": ["oracle-tree", "check", "--pred", good, "--s", path,
+                    "--term", "K", "--depth", "2"],
+    }[kind]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == f"oraclemod: error: {message}\n"
+
+
 def test_carrier_over_limit_exits_3(tmp_path, capsys):
     # 13 incomparable labels have 2**13 = 8192 downsets
     path = str(tmp_path / "anti13.json")
@@ -459,14 +489,14 @@ def test_carrier_over_limit_exits_3(tmp_path, capsys):
 
 
 def test_long_chain_build_exits_3(tmp_path, capsys):
-    # 400 labels in 7 words: the implication pass would take
-    # 400 * 401**2 * 7 word operations, though the carrier is only 401
-    labels = [f"x{i:03d}" for i in range(400)]
-    path = str(tmp_path / "chain400.json")
+    # 600 labels: each sweep would take 600 * 601**2 label steps, though
+    # the carrier is only 601
+    labels = [f"x{i:03d}" for i in range(600)]
+    path = str(tmp_path / "chain600.json")
     io.dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
                  path)
     assert cli.run(["frame", "build", "--poset", path]) == 3
-    assert "frame build would take 450242800 word operations" in capsys.readouterr().err
+    assert "frame build would take 216720600 label steps" in capsys.readouterr().err
 
 
 def test_internal_invariant_exits_4(monkeypatch, poset_file, capsys):
@@ -523,7 +553,7 @@ def test_thousand_label_chain_build_exits_3_fast(tmp_path, capsys):
     start = time.perf_counter()
     assert cli.run(["frame", "build", "--poset", path]) == 3
     assert time.perf_counter() - start < 1.0
-    assert "frame build would take 16032016000 word operations" in capsys.readouterr().err
+    assert "frame build would take 1002001000 label steps" in capsys.readouterr().err
 
 
 def test_four_thousand_label_chain_build_exits_3_fast(tmp_path, capsys):

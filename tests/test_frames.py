@@ -16,7 +16,7 @@ from oraclemod.errors import (
 )
 from oraclemod.frames import Frame, Poset, downset_frame, poset_from_relation
 
-from catalog import POSETS, make_frame
+from catalog import POSETS, all_labeled_posets, make_frame
 from oracles import (
     frozenset_tables,
     law_scan,
@@ -35,7 +35,7 @@ def chain_union(copies, length):
 
 
 # The catalog, carriers 81 and 243 (check_laws takes several blocks of rows
-# there), and a chain whose downset masks take two 64-bit words.
+# there), and a chain whose downset masks pass 64 bits.
 REFEREE_POSETS = {
     **POSETS,
     "chains2x4": chain_union(4, 2),    # 81
@@ -61,6 +61,9 @@ def random_poset(rng):
 # Posets whose name order is no linear extension, for the tables referee.
 RANDOM_POSETS = {f"random{seed}": random_poset(random.Random(f"poset:{seed}"))
                  for seed in range(40)}
+
+# Every labeled poset on at most four labels (243 of them), for the same.
+LABELED_POSETS = {f"labeled{k}": poset for k, poset in enumerate(all_labeled_posets(4))}
 
 
 def test_poset_empty():
@@ -182,13 +185,19 @@ def chain_poset(length):
 
 
 def test_build_cost_limit():
-    # A 1000-label chain has only 1001 downsets, but its implication pass
-    # would take 1000 * 1001**2 * 16 word operations.
+    # A 1000-label chain has only 1001 downsets, but each sweep would take
+    # 1000 * 1001**2 label steps.
     start = time.perf_counter()
-    with pytest.raises(SizeLimitExceeded, match="would take 16032016000 word operations"):
+    with pytest.raises(SizeLimitExceeded, match="would take 1002001000 label steps"):
         downset_frame(chain_poset(1000))
     assert time.perf_counter() - start < 1.0
     assert len(downset_frame(chain_poset(250))) == 251
+
+
+def test_chain_refused_before_word_limit_now_builds():
+    # 330 * 331**2 label steps per sweep; 330 * 331**2 * 6 word operations,
+    # as costed over 64-bit words, were over the limit
+    assert len(downset_frame(chain_poset(330))) == 331
 
 
 class _UnreadableMasks:
@@ -202,14 +211,24 @@ class _UnreadableMasks:
 
 
 def test_build_refused_before_enumerating():
-    # 4095 labels have at least 4096 downsets, so the implication pass
-    # would take at least 4095 * 4096**2 * 64 word operations, exactly the
-    # cost of the 4095-label chain
+    # 4095 labels have at least 4096 downsets, so each sweep would take at
+    # least 4095 * 4096**2 label steps, exactly the cost of the 4095-label
+    # chain
     poset = Poset([f"x{i:04d}" for i in range(4095)], _UnreadableMasks())
     start = time.perf_counter()
-    with pytest.raises(SizeLimitExceeded, match=f"would take {4095 * 4096**2 * 64} word"):
+    with pytest.raises(SizeLimitExceeded, match=f"would take {4095 * 4096**2} label steps"):
         downset_frame(poset)
     assert time.perf_counter() - start < 1.0
+
+
+def test_shortest_refused_chain_refused_before_enumerating():
+    # 586 labels have at least 587 downsets: 586 * 587**2 label steps, just
+    # over 12 * 4096**2; the 585-label chain is the longest within it
+    poset = Poset([f"x{i:04d}" for i in range(586)], _UnreadableMasks())
+    with pytest.raises(SizeLimitExceeded) as refused:
+        downset_frame(poset)
+    assert str(refused.value) == "frame build would take 201917434 label steps, over 201326592"
+    assert 585 * 586**2 <= frames.BUILD_COST_LIMIT < 586 * 587**2
 
 
 def test_build_cost_checked_after_enumerating():
@@ -217,7 +236,7 @@ def test_build_cost_checked_after_enumerating():
     # 13 labels, over the limit only once the downsets are counted
     labels = [f"a{i}" for i in range(10)] + ["c0", "c1", "c2"]
     poset = poset_from_relation(labels, [("c0", "c1"), ("c1", "c2")])
-    with pytest.raises(SizeLimitExceeded, match="would take 218103808 word operations"):
+    with pytest.raises(SizeLimitExceeded, match="would take 218103808 label steps"):
         downset_frame(poset)
 
 
@@ -240,9 +259,10 @@ def test_label_tables_match_definitions(name):
     assert frame.label_rows.dtype == np.int32
 
 
-@pytest.mark.parametrize("name", sorted(REFEREE_POSETS) + list(RANDOM_POSETS))
+@pytest.mark.parametrize("name",
+                         sorted(REFEREE_POSETS) + list(RANDOM_POSETS) + list(LABELED_POSETS))
 def test_tables_match_frozenset_referee(monkeypatch, name):
-    poset = poset_from_relation(*{**REFEREE_POSETS, **RANDOM_POSETS}[name])
+    poset = poset_from_relation(*{**REFEREE_POSETS, **RANDOM_POSETS, **LABELED_POSETS}[name])
     elements, *want = frozenset_tables(poset)
     # the default blocks, and one row per block
     for cells in (frames.BLOCK_CELLS, 1):
@@ -418,9 +438,9 @@ def test_element_lookup_and_key(o3):
 
 
 def test_masks_across_the_word_boundary():
-    # 70 labels, so each downset mask takes two 64-bit words: a chain
+    # 70 labels, so downset masks pass 64 bits: a chain
     # x00 < ... < x62 < {x63, x64} < x65 < ... < x69, with the incomparable
-    # labels 63 and 64 on either side of the boundary
+    # labels 63 and 64 on either side of the 64-bit boundary
     labels = [f"x{i:02d}" for i in range(70)]
     pairs = [(a, b) for a, b in zip(labels, labels[1:]) if (a, b) != ("x63", "x64")]
     pairs += [("x62", "x64"), ("x63", "x65")]
@@ -435,11 +455,11 @@ def test_masks_across_the_word_boundary():
     frame = downset_frame(p)
     assert len(frame) == 64 + 3 + 5
     low = (1 << 63) - 1
-    for holds, words in ((labels[:64], [low | 1 << 63, 0]),
-                         (labels[:63] + ["x64"], [low, 1]),
-                         (labels[:65], [low | 1 << 63, 1])):
+    for holds, mask in ((labels[:64], low | 1 << 63),
+                        (labels[:63] + ["x64"], low | 1 << 64),
+                        (labels[:65], low | 1 << 63 | 1 << 64)):
         e = frame.element(reversed(holds))
-        assert frame.masks[e.index].tolist() == words
+        assert frame.masks[e.index] == mask
         assert e.labels == tuple(holds) and e.key == ",".join(holds)
         assert frame.element(e.labels) == e
 
