@@ -3,7 +3,8 @@
 Every run emits one report, as stable sorted-key JSON (no timings, so equal
 inputs and seed give byte-identical output) or as human-readable text.
 Exit codes: 0 all checks passed, 1 check failure, 2 usage or input error,
-3 resource exhaustion / unknown verdicts, 4 internal invariant violation.
+3 resource exhaustion / unknown verdicts, 4 internal invariant violation or
+any other fault of the program (a bug report on stderr).
 ``run`` may be called any number of times in one process; it builds its
 parser on the first call and reuses it.
 """
@@ -15,6 +16,7 @@ import functools
 import json
 import sys
 import time
+import traceback
 
 from . import __version__, io
 from .containers import (
@@ -291,6 +293,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _bug_report(command: str, fmt: str, error: str, detail: str) -> int:
+    """Write the exit-4 report of a fault in the program to stderr."""
+    payload = {
+        "header": {"command": command, "version": __version__},
+        "bug_report": {"error": error, "detail": detail},
+        "status": 4,
+    }
+    sys.stderr.write(emit_report(payload, fmt))
+    return 4
+
+
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     command = " ".join(
@@ -300,20 +313,18 @@ def run(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         body, status = _dispatch(args)
-    except InternalInvariantViolation as e:
-        payload = {
-            "header": {"command": command, "version": __version__},
-            "bug_report": {"error": "internal invariant violation", "detail": str(e)},
-            "status": 4,
-        }
-        sys.stderr.write(emit_report(payload, args.format))
-        return 4
     except SizeLimitExceeded as e:
         sys.stderr.write(f"oraclemod: error: {e}\n")
         return 3
-    except (OracleModError, OSError, json.JSONDecodeError, ValueError, KeyError) as e:
+    except InternalInvariantViolation as e:
+        return _bug_report(command, args.format, "internal invariant violation", str(e))
+    except (OracleModError, OSError, json.JSONDecodeError) as e:
         sys.stderr.write(f"oraclemod: error: {e}\n")
         return 2
+    except Exception as e:
+        # any other exception is a fault of the program, not of its input
+        return _bug_report(command, args.format, f"unexpected {type(e).__name__}",
+                           traceback.format_exc())
     report = {
         "header": {
             "command": command,

@@ -90,8 +90,10 @@ class IndexedPropContainer:
 
 
 def validate_container(c: IndexedPropContainer) -> bool:
-    """A container is valid when every predicate sits under its extent."""
-    return bool(c.frame.leq_table[c.prd, c.ext].all())
+    """A container is valid when every predicate sits under its extent:
+    each label of P(a) lies in E(a)."""
+    members = c.frame.label_members
+    return not (members[c.prd] & ~members[c.ext]).any()
 
 
 def lem_container(frame: Frame) -> IndexedPropContainer:

@@ -23,7 +23,10 @@ from .weihrauch import ExtWeihrauchPredicate
 
 def load_json(path: str | Path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as e:
+            raise OracleModError(str(e)) from e
 
 
 def dump_json(obj, path: str | Path) -> None:

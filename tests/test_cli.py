@@ -509,6 +509,67 @@ def test_internal_invariant_exits_4(monkeypatch, poset_file, capsys):
     assert "synthetic" in err
 
 
+@pytest.mark.parametrize("error", (ValueError, KeyError, TypeError))
+def test_other_exceptions_are_bugs_exit_4(monkeypatch, poset_file, error, capsys):
+    def boom(args):
+        raise error("synthetic")
+
+    monkeypatch.setattr(cli, "_dispatch", boom)
+    assert cli.run(["--format", "json", "frame", "build", "--poset", poset_file]) == 4
+    report = json.loads(capsys.readouterr().err)["bug_report"]
+    assert report["error"] == f"unexpected {error.__name__}"
+    assert "synthetic" in report["detail"]
+
+
+def test_binary_poset_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.run(["frame", "build", "--poset", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "oraclemod: error: 'utf-8' codec can't decode byte 0xff in position 0:"
+        " invalid start byte\n")
+
+
+def test_frame_build_at_carrier_4096(tmp_path, capsys):
+    path = str(tmp_path / "anti12.json")
+    io.dump_json({"elements": [f"a{i:02d}" for i in range(12)], "le": []}, path)
+    code, out = run_capture(capsys, ["--format", "json", "frame", "build", "--poset", path])
+    assert code == 0
+    assert json.loads(out)["body"]["carrier"] == 4096
+
+
+TABLES = ("leq_table", "meet_table", "join_table", "implies_table", "neg_table")
+
+
+@pytest.mark.parametrize("verb, status, built", (
+    (["frame", "build"], 0, set()),
+    (["oracle", "compute", "--container", "c.json"], 0, {"meet_table"}),
+    (["nuclei", "validate", "--nucleus", "dn.json"], 0, {"meet_table"}),
+    (["nuclei", "validate", "--nucleus", "bad.json"], 1, {"meet_table", "leq_table"}),
+    (["nuclei", "sup", "--nucleus", "dn.json"], 0, {"meet_table"}),
+    (["nuclei", "enumerate"], 0, {"meet_table"}),
+    (["oracle", "compare", "--container", "c.json"], 0, set(TABLES) - {"neg_table"}),
+))
+def test_verbs_build_only_the_tables_they_read(monkeypatch, poset_file, tmp_path, capsys,
+                                               verb, status, built):
+    io.dump_json({"shapes": ["a0"], "pred": {"a0": ["p"]}}, tmp_path / "c.json")
+    io.dump_json({"table": {"": [], "p": ["p", "q"], "p,q": ["p", "q"]}}, tmp_path / "dn.json")
+    io.dump_json({"table": {"": ["p"], "p": ["p", "q"], "p,q": ["p", "q"]}},
+                 tmp_path / "bad.json")
+    loaded, load_frame = [], io.load_frame
+
+    def load(path):
+        loaded.append(load_frame(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(io, "load_frame", load)
+    argv = verb[:2] + ["--poset", poset_file] + [
+        str(tmp_path / a) if a.endswith(".json") else a for a in verb[2:]]
+    assert cli.run(argv) == status
+    [frame] = loaded
+    assert {t for t in TABLES if t in frame.__dict__} == built
+
+
 # -- io roundtrips -------------------------------------------------------------
 
 

@@ -45,6 +45,38 @@ def test_validate_rejects_pred_above_extent(o3):
     assert not validate_container(c)
 
 
+@pytest.mark.parametrize("name", SMALL + ("chain4", "diamond", "anti4"))
+def test_validate_container_is_the_order_test(name):
+    # the label subset test against P(a) <= E(a) read from the order table,
+    # on seeded containers, valid ones and arbitrary index pairs
+    f = make_frame(name)
+    rng = random.Random(f"validate:{name}")
+    verdicts = set()
+    for k in range(60):
+        if k % 2:
+            c = random_container(f, rng)
+        else:
+            shapes = rng.randint(1, 3)
+            c = IndexedPropContainer.of_indices(
+                f, [f"a{i}" for i in range(shapes)],
+                [rng.randrange(len(f)) for _ in range(shapes)],
+                [rng.randrange(len(f)) for _ in range(shapes)])
+        verdict = validate_container(c)
+        assert verdict == bool(f.leq_table[c.prd, c.ext].all())
+        verdicts.add(verdict)
+    assert verdicts == ({True} if len(f) == 1 else {True, False})
+
+
+def test_label_level_paths_build_no_join():
+    f = make_frame("anti4")
+    tables = {"leq_table", "meet_table", "join_table", "implies_table"}
+    c = IndexedPropContainer(f, {"a0": f.element(["p"])}, {"a0": f.element(["p", "q"])})
+    assert validate_container(c)
+    assert not tables & f.__dict__.keys()
+    assert validate_nucleus(f, oracle_modality(c).table).valid
+    assert tables & f.__dict__.keys() == {"meet_table"}
+
+
 def test_foreign_elements_rejected(o3, o4):
     with pytest.raises(FrameMismatch):
         IndexedPropContainer(o3, {"a0": o4.top})
