@@ -5,18 +5,13 @@ __version__ = "0.1.0"
 from .containers import (
     IndexedPropContainer,
     container_sum,
-    counterexample_container,
-    empty_container,
     forces,
-    instance_prenucleus,
     instance_reducible,
-    lem_container,
     oracle_modality,
     oracle_modality_bruteforce,
     oracle_modalities_kleene,
     oracle_modality_kleene,
     pred_of_nucleus,
-    realized_container,
     validate_container,
 )
 from .frames import (
@@ -29,12 +24,9 @@ from .frames import (
 from .nuclei import (
     Nucleus,
     NucleusReport,
-    canonical_nuclei,
     dense_elements,
     enumerate_nuclei,
     fixed_points_frame,
-    nucleus,
-    nucleus_leq,
     sup_nuclei,
     validate_nucleus,
 )
@@ -54,4 +46,20 @@ from .trees import (
     tree_bind,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # containers
+    "IndexedPropContainer", "container_sum", "forces", "instance_reducible",
+    "oracle_modality", "oracle_modality_bruteforce", "oracle_modalities_kleene",
+    "oracle_modality_kleene", "pred_of_nucleus", "validate_container",
+    # frames
+    "Frame", "FrameElement", "Poset", "downset_frame", "poset_from_relation",
+    # nuclei
+    "Nucleus", "NucleusReport", "dense_elements", "enumerate_nuclei",
+    "fixed_points_frame", "sup_nuclei", "validate_nucleus",
+    # theorems
+    "THEOREM_IDS", "Budget", "TheoremReport", "verify_theorems",
+    # trees
+    "CanonicalSheafElement", "EquiTree", "Leaf", "Node", "SetContainer", "delta",
+    "equifoliate", "membership", "modal_eq", "run_tree_suites", "sheaf_classify",
+    "tree_bind",
+]

@@ -72,12 +72,6 @@ class IndexedPropContainer:
         self.ext = np.asarray(ext, dtype=np.int32)
         self.prd = np.asarray(prd, dtype=np.int32)
 
-    def extent_of(self, shape: str) -> FrameElement:
-        return self.frame.el(int(self.ext[self.shapes.index(shape)]))
-
-    def pred_of(self, shape: str) -> FrameElement:
-        return self.frame.el(int(self.prd[self.shapes.index(shape)]))
-
     def __len__(self) -> int:
         return len(self.shapes)
 
@@ -96,24 +90,6 @@ def validate_container(c: IndexedPropContainer) -> bool:
     return not (members[c.prd] & ~members[c.ext]).any()
 
 
-def lem_container(frame: Frame) -> IndexedPropContainer:
-    """One query per element p, in carrier order, asking for p or its negation."""
-    pred = {
-        f"{{{el.key}}}": frame.join(el, frame.neg(el)) for el in frame.all_elements()
-    }
-    return IndexedPropContainer(frame, pred)
-
-
-def counterexample_container(frame: Frame) -> IndexedPropContainer:
-    """A single query whose answer is absurd; the induced modality is trivial."""
-    return IndexedPropContainer(frame, {"a0": frame.bot})
-
-
-def realized_container(frame: Frame) -> IndexedPropContainer:
-    """A single query already answered; the induced modality is identity."""
-    return IndexedPropContainer(frame, {"a0": frame.top})
-
-
 def container_sum(
     cs: Sequence[IndexedPropContainer], frame: Frame | None = None
 ) -> IndexedPropContainer:
@@ -123,7 +99,7 @@ def container_sum(
     """
     if not cs:
         if frame is None:
-            raise ValueError("empty sum needs an explicit frame")
+            raise FrameMismatch("empty sum needs an explicit frame")
         return IndexedPropContainer(frame, {})
     frame = cs[0].frame
     if any(c.frame is not frame for c in cs):
@@ -135,10 +111,6 @@ def container_sum(
         np.concatenate([c.ext for c in cs]),
         np.concatenate([c.prd for c in cs]),
     )
-
-
-def empty_container(frame: Frame) -> IndexedPropContainer:
-    return IndexedPropContainer(frame, {})
 
 
 def _kernel_args(frame: Frame, cs: Sequence[IndexedPropContainer]) -> tuple:
@@ -158,11 +130,6 @@ def instance_prenuclei(frame: Frame, cs: Sequence[IndexedPropContainer]) -> np.n
     """The single-query maps t |-> \\/_a (E(a) /\\ (P(a) => t)) of a batch of
     containers, as an (m, n) stack of monotone tables."""
     return _kernels.query_table(*_kernel_args(frame, cs))
-
-
-def instance_prenucleus(c: IndexedPropContainer) -> np.ndarray:
-    """The table of the single-query map of one container."""
-    return instance_prenuclei(c.frame, [c])[0]
 
 
 def _law_violation(report) -> InternalInvariantViolation:

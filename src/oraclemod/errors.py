@@ -6,7 +6,8 @@ class OracleModError(Exception):
 
 
 class UnknownLabel(OracleModError):
-    """A label was referenced that the poset/frame/container does not declare."""
+    """A label or name was referenced that the poset, frame, container or
+    list of suites does not declare."""
 
 
 class AntisymmetryViolation(OracleModError):
@@ -14,7 +15,8 @@ class AntisymmetryViolation(OracleModError):
 
 
 class FrameMismatch(OracleModError):
-    """An operation mixed elements or tables belonging to different frames."""
+    """An operation mixed elements or tables belonging to different frames,
+    or was given none to tell its frame by."""
 
 
 class SizeLimitExceeded(OracleModError):
@@ -32,6 +34,11 @@ class TermSyntaxError(OracleModError):
 
 class UnknownConstant(OracleModError):
     """A term source mentions an identifier that was never declared."""
+
+
+class NotEquifoliate(OracleModError):
+    """A tree offered for an equifoliate certificate has two sibling
+    subtrees with different member sets."""
 
 
 class NotElementary(OracleModError):

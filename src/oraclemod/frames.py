@@ -5,6 +5,8 @@ is the family of downward-closed subsets ordered by inclusion. The frame is
 its downset masks; the binary meet, join and Heyting implication and the
 order are integer tables built on first read, so a caller pays only for the
 tables it reads, and every fixed-point computation on them is table lookup.
+Elements are combined by reading these tables at their carrier indices; the
+frame has no element-wise operations.
 
 A downset is stored once, as an int bitmask over the poset's sorted labels.
 A poset keeps one mask per label, closed from its generating pairs by
@@ -105,18 +107,11 @@ class Poset:
         self.masks = masks
         self.bit: dict[str, int] = {x: i for i, x in enumerate(self.labels)}
 
-    def _bit(self, a: str) -> int:
-        if a not in self.bit:
-            raise UnknownLabel(f"unknown poset label {a!r}")
-        return self.bit[a]
-
-    def le(self, a: str, b: str) -> bool:
-        i, j = self._bit(a), self._bit(b)
-        return bool(self.masks[j] >> i & 1)
-
     def down(self, a: str) -> frozenset[str]:
         """The principal downset of a single element."""
-        bits = bin(self.masks[self._bit(a)])[:1:-1]
+        if a not in self.bit:
+            raise UnknownLabel(f"unknown poset label {a!r}")
+        bits = bin(self.masks[self.bit[a]])[:1:-1]
         return frozenset(x for x, b in zip(self.labels, bits) if b == "1")
 
     def __len__(self) -> int:
@@ -216,9 +211,9 @@ class Frame:
     element i as one int bitmask over the poset's sorted labels, as in
     ``Poset.masks``, sorted by (size, labels), so bottom is index 0 and top
     index n - 1. The masks are the whole state a frame starts with. The
-    tables (``meet_table``, ``join_table``, ``implies_table``, ``leq_table``,
-    where meet gives back its row, and ``neg_table``) are filled by label
-    sweeps on first read; the label lists and keys of the elements, the mask
+    tables (``meet_table``, ``join_table``, ``implies_table`` and
+    ``leq_table``, where meet gives back its row) are filled by label sweeps
+    on first read; the label lists and keys of the elements, the mask
     lookup of ``element`` and the label tables (``label_members``,
     ``label_strict``, ``label_rows``) are derived from the masks on first
     use, and ``below``, the elements under each element that the samplers
@@ -338,11 +333,6 @@ class Frame:
         """(n, n) bool: a <= b, where meet gives back row a."""
         return _frozen(self.meet_table == np.arange(self._n, dtype=np.int32)[:, None])
 
-    @functools.cached_property
-    def neg_table(self) -> np.ndarray:
-        """Carrier index of the pseudo-complement a => bot of each element."""
-        return _frozen(self.implies_table[:, self.bot_index].copy())
-
     # -- label tables ----------------------------------------------------
     #
     # Each nucleus of a downset frame is j_S(U) = {y : down(y) & S <= U} for
@@ -382,31 +372,6 @@ class Frame:
         if x.frame is not self:
             raise FrameMismatch("element belongs to a different frame")
         return x.index
-
-    # -- lattice operations ---------------------------------------------
-
-    def le(self, a: FrameElement, b: FrameElement) -> bool:
-        return bool(self.leq_table[self.check_element(a), self.check_element(b)])
-
-    def meet(self, *args: FrameElement) -> FrameElement:
-        acc = self.top_index
-        for x in args:
-            acc = int(self.meet_table[acc, self.check_element(x)])
-        return FrameElement(self, acc)
-
-    def join(self, *args: FrameElement) -> FrameElement:
-        acc = self.bot_index
-        for x in args:
-            acc = int(self.join_table[acc, self.check_element(x)])
-        return FrameElement(self, acc)
-
-    def implies(self, a: FrameElement, b: FrameElement) -> FrameElement:
-        return FrameElement(
-            self, int(self.implies_table[self.check_element(a), self.check_element(b)])
-        )
-
-    def neg(self, a: FrameElement) -> FrameElement:
-        return FrameElement(self, int(self.neg_table[self.check_element(a)]))
 
     # -- validation ------------------------------------------------------
 

@@ -16,7 +16,7 @@ import numpy as np
 from .containers import IndexedPropContainer
 from .errors import OracleModError
 from .frames import Frame, FrameElement, Poset, downset_frame, poset_from_relation
-from .nuclei import Nucleus, _coerce_table
+from .nuclei import _coerce_table
 from .pca import DEFAULT_FUEL, Term, parse_term
 from .weihrauch import ExtWeihrauchPredicate
 
@@ -27,12 +27,8 @@ def load_json(path: str | Path):
             return json.load(fh)
         except UnicodeDecodeError as e:
             raise OracleModError(str(e)) from e
-
-
-def dump_json(obj, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        except RecursionError as e:
+            raise OracleModError(f"{path}: JSON nests too deeply to read") from e
 
 
 # -- posets and frames --------------------------------------------------
@@ -58,11 +54,6 @@ def poset_from_dict(d: Mapping) -> Poset:
     if not (isinstance(le, list) and all(_is_strings(p) and len(p) == 2 for p in le)):
         raise OracleModError('poset "le" must be a list of [lower, upper] label pairs')
     return poset_from_relation(elements, [tuple(p) for p in le])
-
-
-def poset_to_dict(p: Poset) -> dict:
-    pairs = [[a, b] for a in p.labels for b in p.labels if a != b and p.le(a, b)]
-    return {"elements": list(p.labels), "le": pairs}
 
 
 def load_frame(path: str | Path) -> Frame:
@@ -94,10 +85,6 @@ def nucleus_table_to_dict(frame: Frame, table) -> dict:
     return {keys[i]: list(labels[v]) for i, v in enumerate(np.asarray(table).tolist())}
 
 
-def nucleus_to_dict(j: Nucleus) -> dict:
-    return {"table": nucleus_table_to_dict(j.frame, j.table)}
-
-
 def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
     table = d.get("table", d) if isinstance(d, Mapping) else d
     if not isinstance(table, Mapping):
@@ -120,12 +107,21 @@ def container_from_dict(frame: Frame, d: Mapping) -> IndexedPropContainer:
     shapes = _field(d, "shapes", "container")
     if not _is_strings(shapes):
         raise OracleModError('container "shapes" must be a list of strings')
+    declared: set[str] = set()
+    for a in shapes:
+        if a in declared:
+            raise OracleModError(f'container "shapes" lists {a!r} twice')
+        declared.add(a)
     if not all(isinstance(d.get(k, {}), Mapping) for k in ("pred", "extent")):
         raise OracleModError('container "pred" and "extent" must be JSON objects')
     pred = _field(d, "pred", "container")
     for a in shapes:
         if a not in pred:
             raise OracleModError(f'container "pred" has no entry for shape {a!r}')
+    for key in ("pred", "extent"):
+        for a in d.get(key, {}):
+            if a not in declared:
+                raise OracleModError(f'container "{key}" names undeclared shape {a!r}')
     pred = {a: element_from_json(frame, pred[a]) for a in shapes}
     if "extent" in d:
         extent = {
@@ -135,18 +131,6 @@ def container_from_dict(frame: Frame, d: Mapping) -> IndexedPropContainer:
     else:
         extent = None
     return IndexedPropContainer(frame, pred, extent)
-
-
-def container_to_dict(c: IndexedPropContainer) -> dict:
-    return {
-        "shapes": list(c.shapes),
-        "pred": {
-            a: element_to_json(c.frame.el(int(p))) for a, p in zip(c.shapes, c.prd)
-        },
-        "extent": {
-            a: element_to_json(c.frame.el(int(e))) for a, e in zip(c.shapes, c.ext)
-        },
-    }
 
 
 # -- realizability -------------------------------------------------------------

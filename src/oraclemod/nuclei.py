@@ -169,41 +169,6 @@ def law_scan(frame: Frame, t: np.ndarray) -> NucleusReport:
     return NucleusReport(valid=not violations, violations=violations)
 
 
-def nucleus(frame: Frame, table) -> Nucleus:
-    """Wrap a table as a Nucleus after validating the laws."""
-    arr = _coerce_table(frame, table)
-    report = validate_nucleus(frame, arr)
-    if not report.valid:
-        raise ValueError(f"table violates nucleus laws: {report.law_names()}")
-    return Nucleus(frame, arr)
-
-
-def canonical_nuclei(frame: Frame, kind: str, p: FrameElement | None = None) -> Nucleus:
-    """The named standard nuclei: identity, constant top, open/closed at an
-    element, and double negation."""
-    if kind == "identity":
-        return Nucleus(frame, np.arange(len(frame)))
-    if kind == "top":
-        return Nucleus(frame, np.full(len(frame), frame.top_index))
-    if kind == "double_negation":
-        return Nucleus(frame, frame.neg_table[frame.neg_table])
-    if kind in ("open", "closed"):
-        if p is None:
-            raise ValueError(f"{kind} nucleus needs an element")
-        pi = frame.check_element(p)
-        if kind == "open":
-            return Nucleus(frame, frame.implies_table[pi, :])
-        return Nucleus(frame, frame.join_table[pi, :])
-    raise ValueError(f"unknown nucleus kind {kind!r}")
-
-
-def nucleus_leq(j: Nucleus, k: Nucleus) -> bool:
-    """Pointwise order on nuclei."""
-    if j.frame is not k.frame:
-        raise FrameMismatch("nuclei live on different frames")
-    return bool(j.frame.leq_table[j.table, k.table].all())
-
-
 def dense_elements(j: Nucleus) -> tuple[FrameElement, ...]:
     """Elements forced by the nucleus, i.e. sent to top."""
     return tuple(

@@ -36,7 +36,7 @@ from .containers import (
     oracle_modalities_kleene,
     pred_of_nucleus,
 )
-from .errors import InternalInvariantViolation, SizeLimitExceeded
+from .errors import InternalInvariantViolation, SizeLimitExceeded, UnknownLabel
 from .frames import Frame
 from .nuclei import Nucleus, enumerate_nuclei
 
@@ -323,7 +323,7 @@ def verify_theorems(
     reports = []
     for name in ids:
         if name not in _CHECKERS:
-            raise ValueError(f"unknown theorem id {name!r}")
+            raise UnknownLabel(f"unknown theorem id {name!r}")
         rng = random.Random(f"{budget.seed}:{name}")
         t0 = time.perf_counter()
         refusal = None

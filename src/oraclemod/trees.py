@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import InternalInvariantViolation, UnknownLabel
+from .errors import InternalInvariantViolation, NotEquifoliate, UnknownLabel
 
 
 class SetContainer:
@@ -42,26 +42,8 @@ class Node:
     shape: str
     children: tuple[tuple[str, "Tree"], ...]  # keyed by position, sorted
 
-    def child(self, position: str) -> "Tree":
-        for u, t in self.children:
-            if u == position:
-                return t
-        raise UnknownLabel(f"no child at position {position!r}")
-
 
 Tree = Leaf | Node
-
-
-def node(c: SetContainer, shape: str, children: Mapping[str, Tree]) -> Node:
-    """Build a node, checking the children cover exactly the shape's positions."""
-    if shape not in c.positions:
-        raise UnknownLabel(f"shape {shape!r} not in container")
-    want = c.positions[shape]
-    if tuple(sorted(children)) != want:
-        raise UnknownLabel(
-            f"children keyed {sorted(children)} but shape has positions {list(want)}"
-        )
-    return Node(shape, tuple((u, children[u]) for u in want))
 
 
 def leaf_values(t: Tree) -> frozenset[str]:
@@ -153,7 +135,7 @@ class EquiTree:
     ) -> "EquiTree":
         res = equifoliate(c, tree, values)
         if not res.ok:
-            raise ValueError(f"tree is not equifoliate, witness {res.witness}")
+            raise NotEquifoliate(f"tree is not equifoliate, witness {res.witness}")
         return EquiTree(tree, res.values)
 
 
@@ -361,4 +343,4 @@ def _run_case(name: str, rng: random.Random, c: SetContainer,
                 return f"descent changed membership of {x}"
         return None
 
-    raise ValueError(f"unknown suite {name!r}")
+    raise UnknownLabel(f"unknown suite {name!r}")

@@ -122,10 +122,6 @@ class WeihrauchVerdict:
     obligations: list[str]
     witness: str | None = None
 
-    @property
-    def accepted(self) -> bool:
-        return self.verdict == "accepted"
-
 
 def check_weihrauch(
     f: ExtWeihrauchPredicate,
@@ -195,10 +191,6 @@ class MembershipVerdict:
     verdict: str  # "member" | "not_member" | "unknown"
     path: tuple[str, ...]
     certificate: dict | None = None
-
-    @property
-    def is_member(self) -> bool:
-        return self.verdict == "member"
 
 
 def _decode(t_nf: Term):

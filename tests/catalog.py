@@ -1,8 +1,15 @@
-"""Shared poset catalog for the test suite."""
+"""Shared poset catalog for the test suite, with the paper's example
+nuclei and containers built from a frame's operation tables and the JSON
+writer of the test inputs."""
 
 import functools
+import json
 
+import numpy as np
+
+from oraclemod.containers import IndexedPropContainer
 from oraclemod.frames import downset_frame, poset_from_relation
+from oraclemod.nuclei import Nucleus
 
 # Named poset catalog; downset carrier sizes noted on the right.
 POSETS = {
@@ -70,3 +77,49 @@ def all_labeled_posets(max_size=3):
                 seen.add(key)
                 out.append((labels, sorted(rel)))
     return out
+
+
+def dump_json(obj, path):
+    """Write ``obj`` as sorted-key JSON, indented by two, with a trailing
+    newline: the form of every recorded golden input."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def canonical_nuclei(frame, kind, p=None):
+    """The named standard nuclei: identity, constant top, open (p => -) and
+    closed (p \\/ -) at an element, and double negation."""
+    if kind == "identity":
+        return Nucleus(frame, np.arange(len(frame)))
+    if kind == "top":
+        return Nucleus(frame, np.full(len(frame), frame.top_index))
+    if kind == "double_negation":
+        neg = frame.implies_table[:, frame.bot_index]
+        return Nucleus(frame, neg[neg])
+    if kind in ("open", "closed"):
+        if p is None:
+            raise ValueError(f"{kind} nucleus needs an element")
+        pi = frame.check_element(p)
+        if kind == "open":
+            return Nucleus(frame, frame.implies_table[pi, :])
+        return Nucleus(frame, frame.join_table[pi, :])
+    raise ValueError(f"unknown nucleus kind {kind!r}")
+
+
+def lem_container(frame):
+    """One query per element p, in carrier order, asking for p or its negation."""
+    neg = frame.implies_table[:, frame.bot_index]
+    pred = {f"{{{key}}}": frame.el(int(frame.join_table[i, neg[i]]))
+            for i, key in enumerate(frame.element_keys)}
+    return IndexedPropContainer(frame, pred)
+
+
+def counterexample_container(frame):
+    """A single query whose answer is absurd; the induced modality is trivial."""
+    return IndexedPropContainer(frame, {"a0": frame.bot})
+
+
+def realized_container(frame):
+    """A single query already answered; the induced modality is identity."""
+    return IndexedPropContainer(frame, {"a0": frame.top})

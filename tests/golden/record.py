@@ -25,7 +25,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from catalog import POSETS, make_frame  # noqa: E402
+from catalog import POSETS, dump_json, make_frame  # noqa: E402
 from oraclemod import cli, io  # noqa: E402
 from oraclemod.nuclei import enumerate_nuclei  # noqa: E402
 from oraclemod.pca import App, Const, K, S, app, pp, tag_leaf, tag_node  # noqa: E402
@@ -55,29 +55,29 @@ def write_inputs(name: str) -> None:
     out = HERE / "inputs" / name
     out.mkdir(parents=True, exist_ok=True)
     labels, pairs = POSETS[name]
-    io.dump_json({"elements": labels, "le": [list(p) for p in pairs]}, out / "poset.json")
+    dump_json({"elements": labels, "le": [list(p) for p in pairs]}, out / "poset.json")
     frame = make_frame(name)
     rng = random.Random(f"golden:{name}")
     for i in range(3):
-        io.dump_json(_container(frame, rng), out / f"container{i}.json")
+        dump_json(_container(frame, rng), out / f"container{i}.json")
     ns = enumerate_nuclei(frame)
     valid = ns[len(ns) // 2]
-    io.dump_json(_nucleus(frame, valid.table), out / "valid.json")
+    dump_json(_nucleus(frame, valid.table), out / "valid.json")
     # bottom sent to bottom and top to bottom: not inflationary at top
     broken = valid.table.copy()
     broken[frame.top_index] = frame.bot_index
-    io.dump_json(_nucleus(frame, broken), out / "broken.json")
-    io.dump_json(_nucleus(frame, ns[1].table), out / "sup0.json")
-    io.dump_json(_nucleus(frame, ns[-2].table), out / "sup1.json")
+    dump_json(_nucleus(frame, broken), out / "broken.json")
+    dump_json(_nucleus(frame, ns[1].table), out / "sup0.json")
+    dump_json(_nucleus(frame, ns[-2].table), out / "sup1.json")
 
 
 def write_realize_inputs() -> None:
     """The Weihrauch predicates and answer set under ``inputs/realize/``."""
     out = HERE / "inputs" / "realize"
     out.mkdir(parents=True, exist_ok=True)
-    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]}, out / "f.json")
-    io.dump_json({"entries": [{"instance": "K", "families": [["K S"]]}]}, out / "g.json")
-    io.dump_json(["m0", "m1"], out / "s.json")
+    dump_json({"entries": [{"instance": "K", "families": [["S"]]}]}, out / "f.json")
+    dump_json({"entries": [{"instance": "K", "families": [["K S"]]}]}, out / "g.json")
+    dump_json(["m0", "m1"], out / "s.json")
 
 
 _I = app(S, K, K)
@@ -167,7 +167,7 @@ def main() -> None:
         stdout, status = run_json(argv)
         (HERE / "expected" / f"{case}.json").write_text(stdout, encoding="utf-8")
         manifest.append({"id": case, "argv": argv, "exit": status})
-    io.dump_json(manifest, HERE / "cases.json")
+    dump_json(manifest, HERE / "cases.json")
 
 
 if __name__ == "__main__":

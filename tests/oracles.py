@@ -201,7 +201,7 @@ def dict_pred_of_nucleus(j):
     for i, el in enumerate(frame.all_elements()):
         name = "{" + ",".join(el.labels) + "}"
         extent[name] = frame.el(int(j.table[i]))
-        pred[name] = frame.meet(el, extent[name])
+        pred[name] = frame.el(int(frame.meet_table[i, extent[name].index]))
     return pred, extent
 
 
@@ -211,7 +211,7 @@ def element_single_shape_containers(frame):
     out = []
     for e in frame.all_elements():
         for p in frame.all_elements():
-            if frame.le(p, e):
+            if frame.leq_table[p.index, e.index]:
                 out.append(IndexedPropContainer(frame, {"a0": p}, {"a0": e}))
     return out
 
@@ -225,20 +225,28 @@ def element_surjective_relabeling(c, rng):
     rng.shuffle(targets)
     pred, extent = {}, {}
     for i, a in enumerate(targets):
-        pred[f"b{i}"], extent[f"b{i}"] = c.pred_of(a), c.extent_of(a)
+        k = c.shapes.index(a)
+        pred[f"b{i}"], extent[f"b{i}"] = c.frame.el(int(c.prd[k])), c.frame.el(int(c.ext[k]))
     return IndexedPropContainer(c.frame, pred, extent)
 
 
 def element_instance_reducible(c, d):
     """Referee for ``containers.instance_reducible``: E_c(a) <= \\/_b
-    (E_d(b) /\\ (P_d(b) => P_c(a))) with the frame-element operations."""
+    (E_d(b) /\\ (P_d(b) => P_c(a))), looking each shape's elements up by
+    name and reading the operation tables one cell at a time."""
     frame = c.frame
+    meet, join, imp = frame.meet_table, frame.join_table, frame.implies_table
+
+    def element(x, table, a):
+        # the carrier index of shape a in x's ext or prd, looked up by name
+        return int(table[x.shapes.index(a)])
+
     for a in c.shapes:
-        answerable = frame.bot
+        answerable = frame.bot_index
         for b in d.shapes:
-            step = frame.meet(d.extent_of(b), frame.implies(d.pred_of(b), c.pred_of(a)))
-            answerable = frame.join(answerable, step)
-        if not frame.le(c.extent_of(a), answerable):
+            step = meet[element(d, d.ext, b), imp[element(d, d.prd, b), element(c, c.prd, a)]]
+            answerable = int(join[answerable, step])
+        if not frame.leq_table[element(c, c.ext, a), answerable]:
             return False
     return True
 

@@ -1,0 +1,143 @@
+"""The package keeps only what is reached.
+
+``oraclemod.__all__`` is an explicit list of names, none of them a
+submodule. Every top-level function and non-dunder method under
+``src/oraclemod`` must be reached from the package itself (outside its own
+definition and ``__init__.py``) or from ``perfbench/``, unless an open
+ROADMAP item names it as the item's future caller. Helpers that only tests
+use live under ``tests/`` (``catalog.py``, ``oracles.py``).
+"""
+
+import ast
+import functools
+import types
+from pathlib import Path
+
+import oraclemod
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "oraclemod"
+
+PUBLIC = (
+    "IndexedPropContainer", "container_sum", "forces", "instance_reducible",
+    "oracle_modality", "oracle_modality_bruteforce", "oracle_modalities_kleene",
+    "oracle_modality_kleene", "pred_of_nucleus", "validate_container",
+    "Frame", "FrameElement", "Poset", "downset_frame", "poset_from_relation",
+    "Nucleus", "NucleusReport", "dense_elements", "enumerate_nuclei",
+    "fixed_points_frame", "sup_nuclei", "validate_nucleus",
+    "THEOREM_IDS", "Budget", "TheoremReport", "verify_theorems",
+    "CanonicalSheafElement", "EquiTree", "Leaf", "Node", "SetContainer", "delta",
+    "equifoliate", "membership", "modal_eq", "run_tree_suites", "sheaf_classify",
+    "tree_bind",
+)
+
+# Unreached today; each is the named ROADMAP item's future caller.
+AWAITED = {
+    "weihrauch.compose_reducers": "item 10",
+    "nuclei.fixed_points_frame": "item 9",
+    "trees.sheaf_classify": "item 9",
+}
+
+
+def test_all_is_the_explicit_list():
+    assert tuple(oraclemod.__all__) == PUBLIC
+    for name in oraclemod.__all__:
+        assert not isinstance(getattr(oraclemod, name), types.ModuleType), name
+
+
+def _bound(fn) -> set[str]:
+    """Names a function or lambda binds: its arguments and every name
+    stored, def'd or class'd in its body."""
+    args = fn.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a is not None}
+    for stmt in fn.body if isinstance(fn.body, list) else [fn.body]:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+    return names
+
+
+def _references(path: Path) -> list[tuple[str, object, int]]:
+    """(kind, what, line) for each reference in a file: a global name read
+    ("name"), an attribute read as (owner name or None, attribute) ("attr")
+    and a name imported as (module, name) ("import")."""
+    out = []
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            local = local | _bound(node)
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load) and node.id not in local:
+                out.append(("name", node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            out.append(("attr", (owner, node.attr), node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                out.append(("import", (node.module or "", alias.name), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return out
+
+
+def _definitions(path: Path):
+    """(class name or None, def) for each top-level function and each
+    non-dunder method of a top-level class."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield node.name, item
+
+
+def _reaches(kind, what, in_module: bool, module: str, cls, name: str) -> bool:
+    """Whether one reference can reach the definition: a method by any
+    attribute of its name; a function by its bare name in its own module,
+    as ``module.name``, or by name from an import of its module."""
+    if cls is not None:
+        return kind == "attr" and what[1] == name
+    if kind == "name":
+        return in_module and what == name
+    if kind == "attr":
+        return what == (module, name)
+    return what[1] == name and what[0].rpartition(".")[2] == module
+
+
+@functools.cache
+def _unreached() -> tuple[str, ...]:
+    """``module.name`` or ``module.Class.name`` of every definition under
+    ``src/oraclemod`` that no reference reaches."""
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    readers = sources + sorted((ROOT / "perfbench").glob("*.py"))
+    refs = {path: _references(path) for path in readers}
+    out = []
+    for path in sources:
+        module = path.stem
+        for cls, fn in _definitions(path):
+            own = range(fn.lineno, fn.end_lineno + 1)
+            reached = any(
+                _reaches(kind, what, reader == path, module, cls, fn.name)
+                for reader, rs in refs.items()
+                for kind, what, line in rs
+                if not (reader == path and line in own)
+            )
+            if not reached:
+                out.append(f"{module}.{cls + '.' if cls else ''}{fn.name}")
+    return tuple(out)
+
+
+def test_every_definition_is_reached():
+    assert [name for name in _unreached() if name not in AWAITED] == []
+
+
+def test_awaited_names_are_defined_and_still_unreached():
+    # an entry goes once its item lands and calls it
+    assert set(AWAITED) <= set(_unreached())

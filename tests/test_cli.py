@@ -6,8 +6,9 @@ import pytest
 from oraclemod import cli, io, theorems
 from oraclemod.errors import InternalInvariantViolation
 from oraclemod.frames import downset_frame
-from oraclemod.nuclei import canonical_nuclei
 from oraclemod.pca import Const, parse_term, pp, tag_leaf
+
+from catalog import canonical_nuclei, dump_json
 
 CHAIN2 = {"elements": ["p", "q"], "le": [["p", "q"]]}
 # four disjoint two-element chains a_i < b_i: carrier 3**4 = 81
@@ -18,14 +19,14 @@ PAIRS4 = {"elements": [f"{x}{i}" for i in range(4) for x in "ab"],
 @pytest.fixture
 def poset_file(tmp_path):
     path = tmp_path / "chain2.json"
-    io.dump_json(CHAIN2, path)
+    dump_json(CHAIN2, path)
     return str(path)
 
 
 @pytest.fixture
 def pairs4_file(tmp_path):
     path = tmp_path / "pairs4.json"
-    io.dump_json(PAIRS4, path)
+    dump_json(PAIRS4, path)
     return str(path)
 
 
@@ -54,13 +55,13 @@ def test_nuclei_enumerate_lists_four(poset_file, capsys):
 
 def test_nuclei_validate_paths(poset_file, tmp_path, capsys):
     good = tmp_path / "dn.json"
-    io.dump_json({"table": {"": [], "p": ["p", "q"], "p,q": ["p", "q"]}}, good)
+    dump_json({"table": {"": [], "p": ["p", "q"], "p,q": ["p", "q"]}}, good)
     code, out = run_capture(capsys, ["--format", "json", "nuclei", "validate",
                                      "--poset", poset_file, "--nucleus", str(good)])
     assert code == 0 and json.loads(out)["body"]["valid"]
 
     bad = tmp_path / "bad.json"
-    io.dump_json({"table": {"": ["p"], "p": ["p", "q"], "p,q": ["p", "q"]}}, bad)
+    dump_json({"table": {"": ["p"], "p": ["p", "q"], "p,q": ["p", "q"]}}, bad)
     code, out = run_capture(capsys, ["--format", "json", "nuclei", "validate",
                                      "--poset", poset_file, "--nucleus", str(bad)])
     assert code == 1
@@ -69,9 +70,9 @@ def test_nuclei_validate_paths(poset_file, tmp_path, capsys):
 
 def test_nuclei_sup(poset_file, tmp_path, capsys):
     closed = tmp_path / "closed.json"
-    io.dump_json({"table": {"": ["p"], "p": ["p"], "p,q": ["p", "q"]}}, closed)
+    dump_json({"table": {"": ["p"], "p": ["p"], "p,q": ["p", "q"]}}, closed)
     dn = tmp_path / "dn.json"
-    io.dump_json({"table": {"": [], "p": ["p", "q"], "p,q": ["p", "q"]}}, dn)
+    dump_json({"table": {"": [], "p": ["p", "q"], "p,q": ["p", "q"]}}, dn)
     code, out = run_capture(capsys, ["--format", "json", "nuclei", "sup",
                                      "--poset", poset_file,
                                      "--nucleus", str(closed), "--nucleus", str(dn)])
@@ -86,13 +87,13 @@ def test_nuclei_sup_on_carrier_81(pairs4_file, tmp_path, capsys):
     p, q = frame.element(["a0", "b0"]), frame.element(["a1"])
 
     def table(j):
-        return io.nucleus_to_dict(j)["table"]
+        return io.nucleus_table_to_dict(frame, j.table)
 
     def sup(*js):
         argv = ["--format", "json", "nuclei", "sup", "--poset", pairs4_file]
         for i, j in enumerate(js):
             path = tmp_path / f"j{i}.json"
-            io.dump_json(io.nucleus_to_dict(j), path)
+            dump_json({"table": table(j)}, path)
             argv += ["--nucleus", str(path)]
         code, out = run_capture(capsys, argv)
         assert code == 0
@@ -102,7 +103,7 @@ def test_nuclei_sup_on_carrier_81(pairs4_file, tmp_path, capsys):
     assert sup(canonical_nuclei(frame, "open", p), closed_p) == table(
         canonical_nuclei(frame, "top"))
     assert sup(closed_p, canonical_nuclei(frame, "closed", q)) == table(
-        canonical_nuclei(frame, "closed", frame.join(p, q)))
+        canonical_nuclei(frame, "closed", frame.el(int(frame.join_table[p.index, q.index]))))
 
 
 @pytest.mark.parametrize("verb", (["nuclei", "enumerate"], ["verify", "retraction"]))
@@ -124,7 +125,7 @@ def test_oracle_compute_and_compare(poset_file, tmp_path, capsys):
         "pred": {"a0": ["p", "q"], "a1": ["p"], "a2": ["p", "q"]},
     }
     cfile = tmp_path / "lem.json"
-    io.dump_json(cdict, cfile)
+    dump_json(cdict, cfile)
     code, out = run_capture(capsys, ["--format", "json", "oracle", "compute",
                                      "--poset", poset_file, "--container", str(cfile)])
     assert code == 0
@@ -142,8 +143,8 @@ def test_oracle_compare_needs_all_three_routes(monkeypatch, poset_file, tmp_path
                                                route, capsys):
     # the LEM container's modality is double negation, not the top nucleus
     cfile = tmp_path / "lem.json"
-    io.dump_json({"shapes": ["a0", "a1", "a2"],
-                  "pred": {"a0": ["p", "q"], "a1": ["p"], "a2": ["p", "q"]}}, cfile)
+    dump_json({"shapes": ["a0", "a1", "a2"],
+               "pred": {"a0": ["p", "q"], "a1": ["p"], "a2": ["p", "q"]}}, cfile)
     monkeypatch.setattr(cli, route,
                         lambda c: canonical_nuclei(c.frame, "top"))
     code, out = run_capture(capsys, ["--format", "json", "oracle", "compare",
@@ -163,7 +164,7 @@ def test_verify_retraction_pass_and_injected_failure(poset_file, tmp_path, capsy
     assert report["checked"] == 4 and report["failures"] == []
 
     bad = tmp_path / "bad.json"
-    io.dump_json({"table": {"": ["p"], "p": ["p", "q"], "p,q": ["p", "q"]}}, bad)
+    dump_json({"table": {"": ["p"], "p": ["p", "q"], "p,q": ["p", "q"]}}, bad)
     code, out = run_capture(capsys, ["--format", "json", "verify", "retraction",
                                      "--poset", poset_file, "--nucleus", str(bad)])
     assert code == 1
@@ -199,10 +200,10 @@ def test_pca_eval_exit_codes(capsys):
 
 
 def test_weihrauch_check_verdict_codes(tmp_path, capsys):
-    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
-                 tmp_path / "f.json")
-    io.dump_json({"entries": [{"instance": "K", "families": [["K S"]]}]},
-                 tmp_path / "g.json")
+    dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+              tmp_path / "f.json")
+    dump_json({"entries": [{"instance": "K", "families": [["K S"]]}]},
+              tmp_path / "g.json")
     base = ["--format", "json", "weihrauch", "check",
             "--f", str(tmp_path / "f.json")]
     # accepted: translate K S back into {S} by applying it to K
@@ -223,9 +224,9 @@ def test_weihrauch_check_verdict_codes(tmp_path, capsys):
 
 
 def test_oracle_tree_check(tmp_path, capsys):
-    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
-                 tmp_path / "f.json")
-    io.dump_json(["m0", "m1"], tmp_path / "s.json")
+    dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+              tmp_path / "f.json")
+    dump_json(["m0", "m1"], tmp_path / "s.json")
     term_src = pp(tag_leaf(Const("m0")))
     code, out = run_capture(capsys, ["--format", "json", "oracle-tree", "check",
                                      "--pred", str(tmp_path / "f.json"),
@@ -245,11 +246,11 @@ def test_instances_sharing_a_realizer_are_merged(tmp_path, capsys):
     apart = {"entries": [{"instance": "K", "families": [["S"]]},
                          {"instance": "S K K K", "families": [["K"]]}]}
     together = {"entries": [{"instance": "K", "families": [["S"], ["K"]]}]}
-    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
-                 tmp_path / "g.json")
+    dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+              tmp_path / "g.json")
     bodies = []
     for name, doc in (("apart", apart), ("together", together)):
-        io.dump_json(doc, tmp_path / f"{name}.json")
+        dump_json(doc, tmp_path / f"{name}.json")
         code, out = run_capture(capsys, ["--format", "json", "weihrauch", "check",
                                          "--f", str(tmp_path / f"{name}.json"),
                                          "--g", str(tmp_path / "g.json"),
@@ -262,8 +263,8 @@ def test_instances_sharing_a_realizer_are_merged(tmp_path, capsys):
 
 def test_long_reducer_spine_exits_3(tmp_path, capsys):
     # 1500 atoms: checked for oracle constants without recursing per atom
-    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
-                 tmp_path / "f.json")
+    dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+              tmp_path / "f.json")
     code, out = run_capture(capsys, ["--format", "json", "weihrauch", "check",
                                      "--f", str(tmp_path / "f.json"),
                                      "--g", str(tmp_path / "f.json"),
@@ -279,11 +280,11 @@ DIVERGES = "S (S K K) (S K K) (S (S K K) (S K K))"
 @pytest.mark.parametrize("verb", ("weihrauch", "oracle-tree"))
 def test_realizer_out_of_fuel_exits_3(tmp_path, verb, capsys):
     # the term has no normal form, as an instance realizer or as an answer
-    io.dump_json({"entries": [{"instance": DIVERGES, "families": [["S"]]}]},
-                 tmp_path / "div.json")
-    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
-                 tmp_path / "f.json")
-    io.dump_json(["m0", DIVERGES], tmp_path / "s.json")
+    dump_json({"entries": [{"instance": DIVERGES, "families": [["S"]]}]},
+              tmp_path / "div.json")
+    dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+              tmp_path / "f.json")
+    dump_json(["m0", DIVERGES], tmp_path / "s.json")
     if verb == "weihrauch":
         argv = ["weihrauch", "check", "--f", str(tmp_path / "div.json"),
                 "--g", str(tmp_path / "div.json"), "--l1", "S K K",
@@ -355,8 +356,8 @@ SPINE = " ".join(["x"] * 1500)
 
 def test_weihrauch_check_long_instance_spine(tmp_path, capsys):
     # instances are matched by printed normal form, not by recursive equality
-    io.dump_json({"entries": [{"instance": SPINE, "families": [["y"]]}]},
-                 tmp_path / "f.json")
+    dump_json({"entries": [{"instance": SPINE, "families": [["y"]]}]},
+              tmp_path / "f.json")
     code, out = run_capture(capsys, ["--format", "json", "weihrauch", "check",
                                      "--f", str(tmp_path / "f.json"),
                                      "--g", str(tmp_path / "f.json"),
@@ -365,9 +366,9 @@ def test_weihrauch_check_long_instance_spine(tmp_path, capsys):
 
 
 def test_oracle_tree_check_long_leaf_spine(tmp_path, capsys):
-    io.dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
-                 tmp_path / "f.json")
-    io.dump_json([SPINE], tmp_path / "s.json")
+    dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+              tmp_path / "f.json")
+    dump_json([SPINE], tmp_path / "s.json")
     term = pp(tag_leaf(parse_term(SPINE, auto_declare=True)))
     code, out = run_capture(capsys, ["--format", "json", "oracle-tree", "check",
                                      "--pred", str(tmp_path / "f.json"),
@@ -430,12 +431,14 @@ def test_trees_suite_at_depth_0(capsys):
     ("answers", [5]),
     ("weihrauch", {"entries": [{"instance": "K (", "families": [["K"]]}]}),
     ("weihrauch", {"entries": [{"instance": "K", "families": [["("]]}]}),
+    ("container", {"shapes": ["a0", "a0"], "pred": {"a0": ["p"]}}),
+    ("container", {"shapes": ["a0"], "pred": {"a0": ["p"], "a1": []}}),
 ))
 def test_malformed_json_values_exit_2(poset_file, tmp_path, kind, doc, capsys):
     path = str(tmp_path / "bad.json")
-    io.dump_json(doc, path)
+    dump_json(doc, path)
     good = str(tmp_path / "good.json")
-    io.dump_json({"entries": [{"instance": "K", "families": [["K"]]}]}, good)
+    dump_json({"entries": [{"instance": "K", "families": [["K"]]}]}, good)
     argv = {
         "poset": ["frame", "build", "--poset", path],
         "container": ["oracle", "compute", "--poset", poset_file, "--container", path],
@@ -462,12 +465,16 @@ def test_malformed_json_values_exit_2(poset_file, tmp_path, kind, doc, capsys):
     ("weihrauch", {"entries": [{"instance": "K"}]},
      'Weihrauch predicate entry 0 has no "families" field'),
     ("answers", {"members": ["K"]}, 'answer set has no "terms" field'),
+    ("container", {"shapes": ["a0", "a0"], "pred": {"a0": ["p"]}},
+     """container "shapes" lists 'a0' twice"""),
+    ("container", {"shapes": ["a0"], "pred": {"a0": ["p"]}, "extent": {"A": ["p"]}},
+     """container "extent" names undeclared shape 'A'"""),
 ))
 def test_missing_field_is_named_and_exits_2(poset_file, tmp_path, kind, doc, message, capsys):
     path = str(tmp_path / "missing.json")
-    io.dump_json(doc, path)
+    dump_json(doc, path)
     good = str(tmp_path / "good.json")
-    io.dump_json({"entries": [{"instance": "K", "families": [["K"]]}]}, good)
+    dump_json({"entries": [{"instance": "K", "families": [["K"]]}]}, good)
     argv = {
         "poset": ["frame", "build", "--poset", path],
         "container": ["oracle", "compute", "--poset", poset_file, "--container", path],
@@ -483,7 +490,7 @@ def test_missing_field_is_named_and_exits_2(poset_file, tmp_path, kind, doc, mes
 def test_carrier_over_limit_exits_3(tmp_path, capsys):
     # 13 incomparable labels have 2**13 = 8192 downsets
     path = str(tmp_path / "anti13.json")
-    io.dump_json({"elements": [f"a{i}" for i in range(13)], "le": []}, path)
+    dump_json({"elements": [f"a{i}" for i in range(13)], "le": []}, path)
     assert cli.run(["frame", "build", "--poset", path]) == 3
     assert "carrier would exceed 4096 elements" in capsys.readouterr().err
 
@@ -493,8 +500,8 @@ def test_long_chain_build_exits_3(tmp_path, capsys):
     # the carrier is only 601
     labels = [f"x{i:03d}" for i in range(600)]
     path = str(tmp_path / "chain600.json")
-    io.dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
-                 path)
+    dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
+              path)
     assert cli.run(["frame", "build", "--poset", path]) == 3
     assert "frame build would take 216720600 label steps" in capsys.readouterr().err
 
@@ -532,13 +539,13 @@ def test_binary_poset_file_exits_2(tmp_path, capsys):
 
 def test_frame_build_at_carrier_4096(tmp_path, capsys):
     path = str(tmp_path / "anti12.json")
-    io.dump_json({"elements": [f"a{i:02d}" for i in range(12)], "le": []}, path)
+    dump_json({"elements": [f"a{i:02d}" for i in range(12)], "le": []}, path)
     code, out = run_capture(capsys, ["--format", "json", "frame", "build", "--poset", path])
     assert code == 0
     assert json.loads(out)["body"]["carrier"] == 4096
 
 
-TABLES = ("leq_table", "meet_table", "join_table", "implies_table", "neg_table")
+TABLES = ("leq_table", "meet_table", "join_table", "implies_table")
 
 
 @pytest.mark.parametrize("verb, status, built", (
@@ -548,14 +555,14 @@ TABLES = ("leq_table", "meet_table", "join_table", "implies_table", "neg_table")
     (["nuclei", "validate", "--nucleus", "bad.json"], 1, {"meet_table", "leq_table"}),
     (["nuclei", "sup", "--nucleus", "dn.json"], 0, {"meet_table"}),
     (["nuclei", "enumerate"], 0, {"meet_table"}),
-    (["oracle", "compare", "--container", "c.json"], 0, set(TABLES) - {"neg_table"}),
+    (["oracle", "compare", "--container", "c.json"], 0, set(TABLES)),
 ))
 def test_verbs_build_only_the_tables_they_read(monkeypatch, poset_file, tmp_path, capsys,
                                                verb, status, built):
-    io.dump_json({"shapes": ["a0"], "pred": {"a0": ["p"]}}, tmp_path / "c.json")
-    io.dump_json({"table": {"": [], "p": ["p", "q"], "p,q": ["p", "q"]}}, tmp_path / "dn.json")
-    io.dump_json({"table": {"": ["p"], "p": ["p", "q"], "p,q": ["p", "q"]}},
-                 tmp_path / "bad.json")
+    dump_json({"shapes": ["a0"], "pred": {"a0": ["p"]}}, tmp_path / "c.json")
+    dump_json({"table": {"": [], "p": ["p", "q"], "p,q": ["p", "q"]}}, tmp_path / "dn.json")
+    dump_json({"table": {"": ["p"], "p": ["p", "q"], "p,q": ["p", "q"]}},
+              tmp_path / "bad.json")
     loaded, load_frame = [], io.load_frame
 
     def load(path):
@@ -573,15 +580,24 @@ def test_verbs_build_only_the_tables_they_read(monkeypatch, poset_file, tmp_path
 # -- io roundtrips -------------------------------------------------------------
 
 
+def container_as_dict(c):
+    """A container's shapes and their label lists, in the file layout."""
+    labels = [list(c.frame.el(int(i)).labels) for i in (*c.prd, *c.ext)]
+    k = len(c.shapes)
+    return {"shapes": list(c.shapes), "pred": dict(zip(c.shapes, labels[:k])),
+            "extent": dict(zip(c.shapes, labels[k:]))}
+
+
 def test_poset_roundtrip():
     p = io.poset_from_dict(CHAIN2)
-    assert io.poset_to_dict(p) == {"elements": ["p", "q"], "le": [["p", "q"]]}
+    assert p.labels == ("p", "q")
+    assert p.down("p") == {"p"} and p.down("q") == {"p", "q"}
 
 
 def test_nucleus_roundtrip():
     frame = downset_frame(io.poset_from_dict(CHAIN2))
     dn = canonical_nuclei(frame, "double_negation")
-    d = io.nucleus_to_dict(dn)
+    d = {"table": {"": [], "p": ["p", "q"], "p,q": ["p", "q"]}}
     table = io.nucleus_table_from_dict(frame, d)
     assert (table == dn.table).all()
     # values may equally be given in comma-joined string form
@@ -593,24 +609,32 @@ def test_container_roundtrip():
     frame = downset_frame(io.poset_from_dict(CHAIN2))
     d = {"shapes": ["a0"], "pred": {"a0": ["p"]}, "extent": {"a0": ["p", "q"]}}
     c = io.container_from_dict(frame, d)
-    assert io.container_to_dict(c) == d
+    assert container_as_dict(c) == d
     # omitted extent defaults to top
     c2 = io.container_from_dict(frame, {"shapes": ["a0"], "pred": {"a0": ["p"]}})
-    assert c2.extent_of("a0") == frame.top
+    assert container_as_dict(c2)["extent"] == {"a0": list(frame.top.labels)}
 
 
 def test_container_roundtrip_keeps_shape_order():
     frame = downset_frame(io.poset_from_dict(CHAIN2))
     d = {"shapes": ["b", "a"], "pred": {"b": ["p"], "a": []},
          "extent": {"b": ["p", "q"], "a": ["p"]}}
-    assert io.container_to_dict(io.container_from_dict(frame, d)) == d
+    assert container_as_dict(io.container_from_dict(frame, d)) == d
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert cli.run(["frame", "build", "--poset", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"oraclemod: error: {path}: JSON nests too deeply to read\n")
 
 
 def test_thousand_label_chain_build_exits_3_fast(tmp_path, capsys):
     labels = [f"x{i:04d}" for i in range(1000)]
     path = str(tmp_path / "chain1000.json")
-    io.dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
-                 path)
+    dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
+              path)
     start = time.perf_counter()
     assert cli.run(["frame", "build", "--poset", path]) == 3
     assert time.perf_counter() - start < 1.0
@@ -622,8 +646,8 @@ def test_four_thousand_label_chain_build_exits_3_fast(tmp_path, capsys):
     # little next to the refusal
     labels = [f"x{i:04d}" for i in range(4000)]
     path = str(tmp_path / "chain4000.json")
-    io.dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
-                 path)
+    dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
+              path)
     start = time.perf_counter()
     assert cli.run(["frame", "build", "--poset", path]) == 3
     assert time.perf_counter() - start < 1.0
@@ -634,8 +658,8 @@ def test_long_chain_enumeration_exits_3_fast(tmp_path, capsys):
     # carrier 25, but 2**24 nuclei: refused before any table is built
     labels = [f"x{i:02d}" for i in range(24)]
     path = str(tmp_path / "chain24.json")
-    io.dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
-                 path)
+    dump_json({"elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]},
+              path)
     start = time.perf_counter()
     assert cli.run(["nuclei", "enumerate", "--poset", path]) == 3
     assert time.perf_counter() - start < 1.0
@@ -658,7 +682,7 @@ def test_parser_reuse_keeps_no_injected_nuclei(fresh_parser, poset_file, tmp_pat
                                                capsys):
     plain = ["--format", "json", "verify", "retraction", "--poset", poset_file]
     bad = tmp_path / "bad.json"
-    io.dump_json({"table": {"": ["p"], "p": ["p", "q"], "p,q": ["p", "q"]}}, bad)
+    dump_json({"table": {"": ["p"], "p": ["p", "q"], "p,q": ["p", "q"]}}, bad)
     first = run_capture(capsys, plain)
     assert run_capture(capsys, plain + ["--nucleus", str(bad)])[0] == 1
     code, out = run_capture(capsys, plain)

@@ -6,24 +6,28 @@ import pytest
 from oraclemod.containers import (
     IndexedPropContainer,
     container_sum,
-    counterexample_container,
-    empty_container,
     forces,
-    instance_prenucleus,
+    instance_prenuclei,
     instance_reducible,
-    lem_container,
     oracle_modality,
     oracle_modality_bruteforce,
     pred_of_nucleus,
-    realized_container,
     validate_container,
 )
 from oraclemod import frames
 from oraclemod.errors import FrameMismatch
-from oraclemod.nuclei import canonical_nuclei, enumerate_nuclei, nucleus, validate_nucleus
+from oraclemod.nuclei import Nucleus, enumerate_nuclei, validate_nucleus
 from oraclemod.theorems import all_single_shape_containers, random_container
 
-from catalog import SMALL, make_frame, pairs_frame
+from catalog import (
+    SMALL,
+    canonical_nuclei,
+    counterexample_container,
+    lem_container,
+    make_frame,
+    pairs_frame,
+    realized_container,
+)
 from oracles import dict_pred_of_nucleus, element_instance_reducible, per_shape_query_table
 
 
@@ -31,8 +35,14 @@ def table(j):
     return tuple(map(int, j.table))
 
 
+def shape_values(c, a):
+    """(extent, pred) of shape a of c, looked up by name."""
+    k = c.shapes.index(a)
+    return c.frame.el(int(c.ext[k])), c.frame.el(int(c.prd[k]))
+
+
 def test_validate_empty_container(o3):
-    assert validate_container(empty_container(o3))
+    assert validate_container(IndexedPropContainer(o3, {}))
 
 
 def test_validate_global_extent_always(o3):
@@ -84,30 +94,31 @@ def test_foreign_elements_rejected(o3, o4):
 
 def test_container_sum_nullary_unary_binary(o3):
     assert container_sum([], frame=o3).shapes == ()
+    with pytest.raises(FrameMismatch):
+        container_sum([])
     c = IndexedPropContainer(o3, {"x": o3.element(["p"])})
     s1 = container_sum([c])
     assert s1.shapes == ("0:x",)
-    assert s1.pred_of("0:x") == o3.element(["p"])
+    assert shape_values(s1, "0:x")[1] == o3.element(["p"])
     d = IndexedPropContainer(o3, {"y": o3.top}, {"y": o3.element(["p"])})
     s2 = container_sum([c, d])
     assert s2.shapes == ("0:x", "1:y")
-    assert s2.extent_of("1:y") == o3.element(["p"])
-    assert s2.pred_of("1:y") == o3.top
+    assert shape_values(s2, "1:y") == (o3.element(["p"]), o3.top)
 
 
 def test_instance_prenucleus_empty_is_constant_bot(o3):
-    pre = instance_prenucleus(empty_container(o3))
+    pre = instance_prenuclei(o3, [IndexedPropContainer(o3, {})])[0]
     assert all(pre[x.index] == o3.bot_index for x in o3.all_elements())
 
 
 def test_instance_prenucleus_realized_is_identity(o3):
-    pre = instance_prenucleus(realized_container(o3))
+    pre = instance_prenuclei(o3, [realized_container(o3)])[0]
     assert all(pre[x.index] == x.index for x in o3.all_elements())
 
 
 def test_instance_prenucleus_on_diamond(o4):
     c = IndexedPropContainer(o4, {"a0": o4.element(["p"])})
-    pre = instance_prenucleus(c)
+    pre = instance_prenuclei(o4, [c])[0]
     assert pre[o4.bot_index] == o4.element(["q"]).index  # top /\ ({p} => bot) = neg {p}
 
 
@@ -116,7 +127,7 @@ def test_instance_prenucleus_monotone(name):
     f = make_frame(name)
     leq = f.leq_table
     for c in all_single_shape_containers(f):
-        t = instance_prenucleus(c)
+        t = instance_prenuclei(f, [c])[0]
         assert (~leq | leq[t[:, None], t[None, :]]).all()
 
 
@@ -132,7 +143,7 @@ def test_realized_gives_identity(o3):
 
 
 def test_empty_container_gives_identity(o3):
-    assert oracle_modality_bruteforce(empty_container(o3)) == canonical_nuclei(
+    assert oracle_modality_bruteforce(IndexedPropContainer(o3, {})) == canonical_nuclei(
         o3, "identity"
     )
 
@@ -150,7 +161,8 @@ def test_lem_gives_double_negation_everywhere(name):
 @pytest.mark.parametrize("name", ("point", "chain2"))
 def test_two_routes_agree_exhaustively_one_and_two_shapes(name):
     f = make_frame(name)
-    stages = [(e, p) for e in f.all_elements() for p in f.all_elements() if f.le(p, e)]
+    stages = [(e, p) for e in f.all_elements() for p in f.all_elements()
+              if f.leq_table[p.index, e.index]]
     for e1, p1 in stages:
         c1 = IndexedPropContainer(f, {"a0": p1}, {"a0": e1})
         assert oracle_modality(c1) == oracle_modality_bruteforce(c1)
@@ -196,25 +208,24 @@ def test_pred_of_identity_omega2(o2):
     c = pred_of_nucleus(canonical_nuclei(o2, "identity"))
     for el in o2.all_elements():
         name = f"{{{el.key}}}"
-        assert c.extent_of(name) == el
-        assert c.pred_of(name) == el
+        assert shape_values(c, name) == (el, el)
 
 
 def test_pred_of_constant_top_omega2(o2):
     c = pred_of_nucleus(canonical_nuclei(o2, "top"))
     for el in o2.all_elements():
         name = f"{{{el.key}}}"
-        assert c.extent_of(name) == o2.top
-        assert c.pred_of(name) == el
+        assert shape_values(c, name) == (o2.top, el)
 
 
 def test_pred_of_closed_at_m(o3):
-    j = nucleus(o3, np.array([1, 1, 2], dtype=np.int32))
-    c = pred_of_nucleus(j)
+    closed = np.array([1, 1, 2], dtype=np.int32)
+    assert validate_nucleus(o3, closed).valid
+    c = pred_of_nucleus(Nucleus(o3, closed))
     m = o3.element(["p"])
-    assert c.extent_of("{}") == m and c.pred_of("{}") == o3.bot
-    assert c.extent_of("{p}") == m and c.pred_of("{p}") == m
-    assert c.extent_of("{p,q}") == o3.top and c.pred_of("{p,q}") == o3.top
+    assert shape_values(c, "{}") == (m, o3.bot)
+    assert shape_values(c, "{p}") == (m, m)
+    assert shape_values(c, "{p,q}") == (o3.top, o3.top)
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -236,7 +247,7 @@ def test_everything_reduces_to_counterexample(o3):
 
 
 def test_empty_reduces_to_everything(o3):
-    e = empty_container(o3)
+    e = IndexedPropContainer(o3, {})
     for d in all_single_shape_containers(o3):
         assert instance_reducible(e, d)
 
@@ -267,7 +278,7 @@ def test_prenucleus_below_modality(name):
     rng = random.Random(f"below:{name}")
     for _ in range(30):
         c = random_container(f, rng)
-        pre = instance_prenucleus(c)
+        pre = instance_prenuclei(f, [c])[0]
         om = oracle_modality(c)
         assert bool(f.leq_table[pre, om.table].all())
 
@@ -282,9 +293,11 @@ def test_modality_below_open_nucleus_of_full_axiom(name):
         k = rng.randint(1, 3)
         pred = {f"a{i}": f.el(rng.randrange(len(f))) for i in range(k)}
         c = IndexedPropContainer(f, pred)
-        p = f.meet(*pred.values())
+        p = f.top_index
+        for x in pred.values():
+            p = f.meet_table[p, x.index]
         om = oracle_modality(c)
-        op = canonical_nuclei(f, "open", p)
+        op = canonical_nuclei(f, "open", f.el(int(p)))
         assert bool(f.leq_table[om.table, op.table].all())
 
 
@@ -301,9 +314,9 @@ def test_query_table_matches_per_shape_fold(monkeypatch, cells):
             # one shape row per block
             monkeypatch.setattr(frames, "BLOCK_CELLS", cells * len(f))
         cs = [random_container(f, rng) for _ in range(10)]
-        cs += [empty_container(f), lem_container(f), container_sum(cs)]
+        cs += [IndexedPropContainer(f, {}), lem_container(f), container_sum(cs)]
         for c in cs:
-            got = instance_prenucleus(c)
+            got = instance_prenuclei(f, [c])[0]
             want = per_shape_query_table(f, c.ext, c.prd)
             assert got.dtype == want.dtype and (got == want).all()
 
@@ -335,5 +348,5 @@ def test_container_sum_keeps_component_order(o3):
     pred, extent = {}, {}
     for i, c in enumerate(cs):
         for a in c.shapes:
-            pred[f"{i}:{a}"], extent[f"{i}:{a}"] = c.pred_of(a), c.extent_of(a)
+            extent[f"{i}:{a}"], pred[f"{i}:{a}"] = shape_values(c, a)
     assert_container_is(container_sum(cs), pred, extent)

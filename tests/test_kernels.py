@@ -5,18 +5,17 @@ import pytest
 
 from oraclemod import _kernels, frames
 from oraclemod.containers import (
+    IndexedPropContainer,
     container_sum,
-    empty_container,
     instance_prenuclei,
-    instance_prenucleus,
     oracle_modalities_kleene,
     pred_of_nucleus,
 )
 from oraclemod.errors import FrameMismatch, InternalInvariantViolation
-from oraclemod.nuclei import canonical_nuclei, enumerate_nuclei, law_scan
+from oraclemod.nuclei import enumerate_nuclei, law_scan
 from oraclemod.theorems import random_container
 
-from catalog import SMALL, make_frame, pairs_frame
+from catalog import SMALL, canonical_nuclei, make_frame, pairs_frame
 
 
 def both_routes(frame, c):
@@ -56,7 +55,7 @@ def test_stable_queries_of_closed_and_open_nuclei(copies):
 @pytest.mark.parametrize("name", ("empty", "chain2", "anti4"))
 def test_empty_container_routes_agree(name):
     frame = make_frame(name)
-    kle, bru = both_routes(frame, empty_container(frame))
+    kle, bru = both_routes(frame, IndexedPropContainer(frame, {}))
     assert (kle == np.arange(len(frame))).all() and (bru == kle).all()
 
 
@@ -84,7 +83,7 @@ def kleene_tables(frame, cs):
 
 def kleene_rounds(frame, c):
     """Rounds of t := s \\/ q(t) before the table of one container is stable."""
-    q, join = instance_prenucleus(c), frame.join_table
+    q, join = instance_prenuclei(frame, [c])[0], frame.join_table
     starts = np.arange(len(frame))
     t, rounds = starts, 0
     while True:
@@ -98,7 +97,7 @@ def container_mix(frame, rng):
     """Random containers, two empty ones and the stable-query containers of
     two nuclei, shuffled."""
     cs = [random_container(frame, rng) for _ in range(10)]
-    cs += [empty_container(frame), empty_container(frame)]
+    cs += [IndexedPropContainer(frame, {}), IndexedPropContainer(frame, {})]
     ns = enumerate_nuclei(frame)
     cs += [pred_of_nucleus(ns[0]), pred_of_nucleus(ns[len(ns) // 2])]
     rng.shuffle(cs)
@@ -134,7 +133,7 @@ def test_batched_query_table_rows(monkeypatch):
     args = (frame.meet_table, frame.join_table, frame.implies_table,
             np.concatenate([c.ext for c in cs]), np.concatenate([c.prd for c in cs]),
             [len(c) for c in cs], frame.bot_index)
-    want = [instance_prenucleus(c) for c in cs]
+    want = [instance_prenuclei(frame, [c])[0] for c in cs]
     for cells in (frames.BLOCK_CELLS, len(frame)):
         monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
         assert all((row == w).all() for row, w in zip(_kernels.query_table(*args), want))
@@ -163,7 +162,7 @@ def test_non_inflationary_kleene_row_raises(monkeypatch):
 @pytest.mark.parametrize("batched", (instance_prenuclei, oracle_modalities_kleene))
 def test_batch_on_another_frame_is_refused(batched):
     frame, other = make_frame("chain2"), make_frame("anti2")
-    cs = [empty_container(frame), empty_container(other)]
+    cs = [IndexedPropContainer(frame, {}), IndexedPropContainer(other, {})]
     with pytest.raises(FrameMismatch):
         batched(frame, cs)
     assert batched(frame, []).shape == (0, len(frame))

@@ -17,12 +17,11 @@ from oraclemod.trees import (
     member_set,
     membership,
     modal_eq,
-    node,
     run_tree_suites,
     sheaf_classify,
     tree_bind,
 )
-from oraclemod.errors import UnknownLabel
+from oraclemod.errors import NotEquifoliate, UnknownLabel
 from oracles import per_ancestor_equifoliate
 
 NONDEG = SetContainer({"a": ["u", "v"], "b": ["w"]})
@@ -42,17 +41,6 @@ def test_membership_examples():
     assert membership(NONDEG, "y", t)
     vac = Node("z", ())
     assert membership(DEG, "anything", vac)
-
-
-def test_node_constructor_validates():
-    n = node(NONDEG, "a", {"u": Leaf("x"), "v": Leaf("x")})
-    assert n.child("u") == Leaf("x")
-    with pytest.raises(UnknownLabel):
-        node(NONDEG, "a", {"u": Leaf("x")})
-    with pytest.raises(UnknownLabel):
-        node(NONDEG, "nope", {})
-    with pytest.raises(UnknownLabel):
-        n.child("w")
 
 
 def test_equifoliate_leaf_always():
@@ -249,8 +237,13 @@ def test_delta_surjective_for_projective_containers():
 
 def test_equitree_check_rejects():
     t = Node("a", (("u", Leaf("x")), ("v", Leaf("y"))))
-    with pytest.raises(ValueError):
+    with pytest.raises(NotEquifoliate):
         EquiTree.check(NONDEG, t)
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(UnknownLabel):
+        trees._run_case("no-such-suite", random.Random(0), NONDEG, ["x"], 2)
 
 
 # -- sheaf classification -----------------------------------------------------

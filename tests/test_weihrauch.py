@@ -22,23 +22,23 @@ L2_APPLY_K = App(K, app(S, I, App(K, K)))  # l2 r s -> s K
 
 def test_identity_reduction_on_all_toys():
     for f in TOYS:
-        assert check_weihrauch(f, f, I, L2_ID).accepted
+        assert check_weihrauch(f, f, I, L2_ID).verdict == "accepted"
 
 
 def test_empty_support_reduces_to_anything():
     empty = ExtWeihrauchPredicate([(K, [])])
     assert empty.support == ()
-    assert check_weihrauch(empty, TOY_G, I, L2_ID).accepted
+    assert check_weihrauch(empty, TOY_G, I, L2_ID).verdict == "accepted"
 
 
 def test_chain_and_composites():
     # TOY_G: K |-> [{K K}];  TOY_H: K |-> [{K (K K)}]
     v = check_weihrauch(TOY_G, TOY_H, I, L2_APPLY_K)
-    assert v.accepted
+    assert v.verdict == "accepted"
     v = check_weihrauch(TOY_H, TOY_H, I, L2_ID)
-    assert v.accepted
+    assert v.verdict == "accepted"
     l1c, l2c = compose_reducers(I, L2_APPLY_K, I, L2_ID)
-    assert check_weihrauch(TOY_G, TOY_H, l1c, l2c).accepted
+    assert check_weihrauch(TOY_G, TOY_H, l1c, l2c).verdict == "accepted"
 
 
 def test_composite_of_accepted_factors_is_accepted():
@@ -46,10 +46,10 @@ def test_composite_of_accepted_factors_is_accepted():
     f = ExtWeihrauchPredicate([(K, [[S]])])
     g = ExtWeihrauchPredicate([(K, [[App(K, S)]])])
     h = ExtWeihrauchPredicate([(K, [[App(K, App(K, S))]])])
-    assert check_weihrauch(f, g, I, L2_APPLY_K).accepted
-    assert check_weihrauch(g, h, I, L2_APPLY_K).accepted
+    assert check_weihrauch(f, g, I, L2_APPLY_K).verdict == "accepted"
+    assert check_weihrauch(g, h, I, L2_APPLY_K).verdict == "accepted"
     l1c, l2c = compose_reducers(I, L2_APPLY_K, I, L2_APPLY_K)
-    assert check_weihrauch(f, h, l1c, l2c).accepted
+    assert check_weihrauch(f, h, l1c, l2c).verdict == "accepted"
 
 
 def test_rejection_records_witness():
@@ -83,14 +83,14 @@ def test_non_elementary_reducers_rejected():
 
 
 def test_leaf_membership():
-    assert check_oracle_membership_w(TOY_F, MEMBERS, tag_leaf(MEMBERS[0])).is_member
+    assert check_oracle_membership_w(TOY_F, MEMBERS, tag_leaf(MEMBERS[0])).verdict == "member"
     v = check_oracle_membership_w(TOY_F, MEMBERS, tag_leaf(NON_MEMBER))
     assert v.verdict == "not_member"
 
 
 def test_vacuous_node_is_member():
     t = tag_node(App(K, S), Const("inert"))  # the K S instance has the empty family
-    assert check_oracle_membership_w(TOY_F, MEMBERS, t).is_member
+    assert check_oracle_membership_w(TOY_F, MEMBERS, t).verdict == "member"
 
 
 def test_unmatched_realizer_not_member():
@@ -100,7 +100,7 @@ def test_unmatched_realizer_not_member():
 
 def test_term_is_normalized_first():
     t = app(K, tag_leaf(MEMBERS[1]), S)
-    assert check_oracle_membership_w(TOY_F, MEMBERS, t).is_member
+    assert check_oracle_membership_w(TOY_F, MEMBERS, t).verdict == "member"
 
 
 def test_built_trees_member_and_mutations_never():
@@ -109,10 +109,10 @@ def test_built_trees_member_and_mutations_never():
         bt = build_member(rng, TOY_F, depth=3)
         t = to_term(bt)
         v = check_oracle_membership_w(TOY_F, MEMBERS, t)
-        assert v.is_member, v
+        assert v.verdict == "member", v
         assert recheck_certificate_w(TOY_F, MEMBERS, t, v.certificate)
         for m in mutations(bt):
-            assert not check_oracle_membership_w(TOY_F, MEMBERS, m).is_member
+            assert check_oracle_membership_w(TOY_F, MEMBERS, m).verdict != "member"
 
 
 def build_deep(levels):
@@ -126,7 +126,7 @@ def build_deep(levels):
 
 def test_depth_exhaustion_is_unknown():
     t = to_term(build_deep(3))
-    assert check_oracle_membership_w(TOY_F, MEMBERS, t, depth=5).is_member
+    assert check_oracle_membership_w(TOY_F, MEMBERS, t, depth=5).verdict == "member"
     assert check_oracle_membership_w(TOY_F, MEMBERS, t, depth=1).verdict == "unknown"
 
 
@@ -177,13 +177,13 @@ def test_repeated_answers_are_kept_once():
     t = tag_node(K, Const("br", rules=((S, tag_leaf(MEMBERS[0])),
                                       (App(K, K), tag_leaf(MEMBERS[1])))))
     v = check_oracle_membership_w(f, MEMBERS, t)
-    assert v.is_member
+    assert v.verdict == "member"
     assert recheck_certificate_w(f, MEMBERS, t, v.certificate)
     # one answer listed twice
     g = ExtWeihrauchPredicate([(K, [[S, S]])])
     t = tag_node(K, Const("br", rules=((S, tag_leaf(MEMBERS[0])),)))
     v = check_oracle_membership_w(g, MEMBERS, t)
-    assert v.is_member and recheck_certificate_w(g, MEMBERS, t, v.certificate)
+    assert v.verdict == "member" and recheck_certificate_w(g, MEMBERS, t, v.certificate)
 
 
 def test_asm_examples():
@@ -194,11 +194,11 @@ def test_asm_examples():
         [(K, [[S]]), (K, [[]]), (App(S, K), [[S, App(K, K)]])]
     )
     assert P.families_for(K) == ((S,), ())
-    assert check_oracle_membership_w(P, MEMBERS, tag_leaf(MEMBERS[0])).is_member
+    assert check_oracle_membership_w(P, MEMBERS, tag_leaf(MEMBERS[0])).verdict == "member"
     # x and y share the realizer K; y's empty answer set gives a vacuous proof
     t = tag_node(K, Const("inert"))
     v = check_oracle_membership_w(P, MEMBERS, t)
-    assert v.is_member and v.certificate["choice"] == "family 1"
+    assert v.verdict == "member" and v.certificate["choice"] == "family 1"
     assert recheck_certificate_w(P, MEMBERS, t, v.certificate)
     # no element carries this realizer
     bad = tag_node(App(K, K), Const("inert"))
@@ -207,7 +207,7 @@ def test_asm_examples():
     c = Const(
         "c2", rules=((S, tag_leaf(MEMBERS[0])), (App(K, K), tag_leaf(MEMBERS[1])))
     )
-    assert check_oracle_membership_w(P, MEMBERS, tag_node(App(S, K), c)).is_member
+    assert check_oracle_membership_w(P, MEMBERS, tag_node(App(S, K), c)).verdict == "member"
 
 
 def test_malformed_terms_not_member():
