@@ -21,9 +21,10 @@ tables in one batched test and returns them as an (m, n) stack;
 ``oracle_modality_kleene`` wraps its one row as a ``Nucleus``.
 ``instance_prenuclei`` tabulates the single-query maps of a batch the same
 way. Containers keep their shapes as built, with aligned ``ext``/``prd``
-carrier-index arrays (joins commute). Frame elements are the input route
-(files, tests); sums, stable-query containers and the referees' drawn
-containers are built from carrier indices by ``of_indices``, and
+carrier-index arrays (joins commute). The constructor takes frame elements
+(library callers); containers read from files, sums, stable-query
+containers and the referees' drawn containers are built from carrier
+indices by ``of_indices``, and
 ``instance_reducible`` walks the operation tables index by index.
 """
 
@@ -61,7 +62,7 @@ class IndexedPropContainer:
     @classmethod
     def of_indices(cls, frame: Frame, shapes: Sequence[str], ext, prd):
         """A container from carrier-index arrays aligned with ``shapes``,
-        unchecked: the route of every container the package builds itself."""
+        unchecked: the route of every container the package builds or reads."""
         c = cls.__new__(cls)
         c._store(frame, shapes, ext, prd)
         return c

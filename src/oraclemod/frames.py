@@ -43,14 +43,18 @@ per law, so its temporaries hold O(max(BLOCK_CELLS, n**2)) cells, never
 ``n**3``; its time is cubic, about 0.11 s at carrier 243 and 3.7 s at 729
 (CPU time on a 2-core VM, numpy 2.4). Every blocked pass takes its slices
 from ``blocks``, the one place that applies ``BLOCK_CELLS``, and reduces by
-an operation table with ``fold``. The
-carrier is capped at ``DEFAULT_CARRIER_LIMIT = 4096`` downsets: the four
-tables take 13 bytes per pair, about 218 MB at 4096, and the law check is
-cubic. A build whose sweeps would take more than ``BUILD_COST_LIMIT``
-label steps each, that cost at 4096 downsets of 12 labels (a chain of 586
-labels is the shortest refused), is refused: first from the least carrier
-the labels allow (labels + 1 downsets), before any downset is enumerated,
-then from the exact carrier, once the downsets are counted.
+an operation table with ``fold``.
+
+One rule decides frame size: a build whose sweeps would take more than
+``BUILD_COST_LIMIT`` label steps each, labels x downsets**2, the cost at the
+4096 downsets of 12 incomparable labels, is refused. ``downset_frame``
+applies it first to the least carrier the labels allow (labels + 1
+downsets), before any downset is enumerated, so a chain of 586 labels, the
+shortest refused, is refused with its order unread; then after each label,
+to the downsets found so far. The rule caps the carrier too: a poset has
+at most 2**labels downsets, so over 4096 of them take at least 13 labels
+and 13 x 4097**2 label steps. At 4096 the four tables take 13 bytes per
+pair, about 218 MB, and the law check is cubic.
 """
 
 from __future__ import annotations
@@ -68,11 +72,10 @@ from .errors import (
     UnknownLabel,
 )
 
-DEFAULT_CARRIER_LIMIT = 1 << 12
 # Label steps of one table sweep, labels x carrier**2, at the 4096 downsets
-# of 12 incomparable labels, the frame the carrier limit was sized on; the
-# longest chain within it has 585 labels.
-BUILD_COST_LIMIT = 12 * DEFAULT_CARRIER_LIMIT ** 2
+# of 12 incomparable labels; the longest chain within it has 585 labels and
+# every carrier within it has at most 4096 downsets.
+BUILD_COST_LIMIT = 12 * 4096 ** 2
 # Cells per block of every blocked pass (see ``blocks``).
 BLOCK_CELLS = 1 << 18
 
@@ -106,13 +109,6 @@ class Poset:
         self.labels: tuple[str, ...] = tuple(labels)
         self.masks = masks
         self.bit: dict[str, int] = {x: i for i, x in enumerate(self.labels)}
-
-    def down(self, a: str) -> frozenset[str]:
-        """The principal downset of a single element."""
-        if a not in self.bit:
-            raise UnknownLabel(f"unknown poset label {a!r}")
-        bits = bin(self.masks[self.bit[a]])[:1:-1]
-        return frozenset(x for x, b in zip(self.labels, bits) if b == "1")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -411,7 +407,7 @@ class Frame:
             bad.append("order does not match meet")
         # Each law's intp copy of its index table lives in its ``sides``
         # partial and is dropped when its scan ends, before the next cast.
-        assert n <= DEFAULT_CARRIER_LIMIT <= 1 << 15, "carrier indices must fit int16"
+        assert n < 1 << 15, "carrier indices must fit int16"
         meet16, join16 = meet.astype(np.int16), join.astype(np.int16)
         join16_t = join.T.astype(np.int16, order="C")
         laws = (
@@ -471,7 +467,7 @@ def _first_mismatch(slices: list[slice], sides) -> tuple[int, int, int] | None:
 
 def _check_build_cost(labels: int, n: int) -> None:
     """Refuse a build whose sweeps, labels x n**2 label steps each, would
-    take more than ``BUILD_COST_LIMIT`` label steps."""
+    take more than ``BUILD_COST_LIMIT`` label steps: the one size rule."""
     cost = labels * n * n
     if cost > BUILD_COST_LIMIT:
         raise SizeLimitExceeded(
@@ -487,7 +483,7 @@ def _linear_extension(poset: Poset) -> list[int]:
 
 def downset_frame(poset: Poset) -> Frame:
     """The frame of downward-closed subsets of a poset, ordered by inclusion,
-    refused past ``DEFAULT_CARRIER_LIMIT`` downsets."""
+    refused past ``BUILD_COST_LIMIT`` label steps a sweep."""
     labels = len(poset)
     # a poset has at least one downset more than labels: the empty one and
     # the principal ones
@@ -496,10 +492,7 @@ def downset_frame(poset: Poset) -> Frame:
     downsets = [0]
     for x in _linear_extension(poset):
         downsets += [d | 1 << x for d in downsets if poset.masks[x] & ~d == 1 << x]
-        if len(downsets) > DEFAULT_CARRIER_LIMIT:
-            raise SizeLimitExceeded(f"carrier would exceed {DEFAULT_CARRIER_LIMIT} elements")
-    n = len(downsets)
-    _check_build_cost(labels, n)
+        _check_build_cost(labels, len(downsets))
     # Labels are sorted, so ordering by (size, set-bit positions) is the
     # order by (size, sorted labels).
     masks = [m for _, _, m in sorted(

@@ -2,7 +2,10 @@
 
 Frame elements serialize as sorted label arrays (``["p","q"]``); where JSON
 forces a string key, the comma-joined form is used instead (bottom is the
-empty string).
+empty string). The readers here are the one place where a JSON element
+becomes a carrier index: a nucleus table is read into an index array,
+checked to name each element once, and a container into the index arrays
+of ``IndexedPropContainer.of_indices``.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from typing import Mapping
 import numpy as np
 
 from .containers import IndexedPropContainer
-from .errors import OracleModError
+from .errors import FrameMismatch, OracleModError
 from .frames import Frame, FrameElement, Poset, downset_frame, poset_from_relation
-from .nuclei import _coerce_table
 from .pca import DEFAULT_FUEL, Term, parse_term
 from .weihrauch import ExtWeihrauchPredicate
 
@@ -64,7 +66,8 @@ def element_to_json(el: FrameElement) -> list[str]:
     return list(el.labels)
 
 
-def element_from_json(frame: Frame, v) -> FrameElement:
+def _index_from_json(frame: Frame, v) -> int:
+    """The carrier index of a JSON element."""
     if isinstance(v, str):
         labels = [x for x in v.split(",") if x]
     elif _is_strings(v):
@@ -73,7 +76,7 @@ def element_from_json(frame: Frame, v) -> FrameElement:
         raise OracleModError(
             f"a frame element must be a label list or a comma-joined string, not {v!r}"
         )
-    return frame.element(labels)
+    return frame.element(labels).index
 
 
 # -- nuclei ---------------------------------------------------------------
@@ -89,13 +92,16 @@ def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
     table = d.get("table", d) if isinstance(d, Mapping) else d
     if not isinstance(table, Mapping):
         raise OracleModError("a nucleus table must be a JSON object")
-    return _coerce_table(
-        frame,
-        {
-            element_from_json(frame, k): element_from_json(frame, v)
-            for k, v in table.items()
-        },
-    )
+    out = np.full(len(frame), -1, dtype=np.int32)
+    for k, v in table.items():
+        i = _index_from_json(frame, k)
+        if out[i] >= 0:
+            raise OracleModError(
+                f"nucleus table lists element {list(frame.element_labels[i])!r} twice")
+        out[i] = _index_from_json(frame, v)
+    if (out < 0).any():
+        raise FrameMismatch("nucleus table is not total on the carrier")
+    return out
 
 
 # -- containers -------------------------------------------------------------
@@ -122,15 +128,11 @@ def container_from_dict(frame: Frame, d: Mapping) -> IndexedPropContainer:
         for a in d.get(key, {}):
             if a not in declared:
                 raise OracleModError(f'container "{key}" names undeclared shape {a!r}')
-    pred = {a: element_from_json(frame, pred[a]) for a in shapes}
-    if "extent" in d:
-        extent = {
-            a: element_from_json(frame, d["extent"][a]) if a in d["extent"] else frame.top
-            for a in shapes
-        }
-    else:
-        extent = None
-    return IndexedPropContainer(frame, pred, extent)
+    prd = [_index_from_json(frame, pred[a]) for a in shapes]
+    extent = d.get("extent", {})
+    ext = [_index_from_json(frame, extent[a]) if a in extent else frame.top_index
+           for a in shapes]
+    return IndexedPropContainer.of_indices(frame, shapes, ext, prd)
 
 
 # -- realizability -------------------------------------------------------------

@@ -3,7 +3,8 @@
 A nucleus is stored as a total index table over the frame carrier and must
 be inflationary, idempotent and finite-meet preserving.  Meet preservation
 is an axiom here, not a consequence: on an external finite frame the other
-laws do not imply it.
+laws do not imply it. Every table is an array of carrier indices; ``io``
+is the one place that reads one from JSON element names.
 
 A downset frame Down(P) is spatial, so its nuclei are exactly the
 
@@ -26,7 +27,7 @@ points is the downset frame of the subposet S.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -74,23 +75,6 @@ class Nucleus:
         return f"Nucleus({list(map(int, self.table))})"
 
 
-def _coerce_table(frame: Frame, table) -> np.ndarray:
-    if isinstance(table, Mapping):
-        arr = np.zeros(len(frame), dtype=np.int32)
-        seen = set()
-        for k, v in table.items():
-            ki = frame.check_element(k)
-            arr[ki] = frame.check_element(v)
-            seen.add(ki)
-        if len(seen) != len(frame):
-            raise FrameMismatch("nucleus table is not total on the carrier")
-        return arr
-    arr = np.asarray(table, dtype=np.int32)
-    if arr.shape != (len(frame),) or arr.min() < 0 or arr.max() >= len(frame):
-        raise FrameMismatch("nucleus table does not fit the carrier")
-    return arr
-
-
 def j_table(frame: Frame, subset: np.ndarray) -> np.ndarray:
     """The table of j_S, for S a boolean mask over the frame's sorted labels;
     an (m, labels) stack of masks gives the (m, n) stack of tables."""
@@ -131,8 +115,11 @@ def validate_nucleus(frame: Frame, table) -> NucleusReport:
     """Check all nucleus laws exhaustively, reporting first-found witnesses.
 
     A table equal to j of its own label subset is a nucleus; any other
-    table goes through the law scan, which names its violations."""
-    t = _coerce_table(frame, table)
+    table goes through the law scan, which names its violations. ``table``
+    is an array of carrier indices, one per element in carrier order."""
+    t = np.asarray(table, dtype=np.int32)
+    if t.shape != (len(frame),) or t.min() < 0 or t.max() >= len(frame):
+        raise FrameMismatch("nucleus table does not fit the carrier")
     if _is_own_j(frame, t):
         return NucleusReport(valid=True, violations=[])
     return law_scan(frame, t)

@@ -250,8 +250,6 @@ def eval_term(t: Term, fuel: int = DEFAULT_FUEL) -> EvalResult:
 # -- standard encodings ----------------------------------------------------
 
 I_TERM = app(S, K, K)
-PAIR_FST = app(S, I_TERM, App(K, K))
-PAIR_SND = app(S, I_TERM, App(K, App(K, I_TERM)))
 
 
 def pair(p: Term, q: Term) -> Term:

@@ -133,6 +133,13 @@ class EquiTree:
     def check(
         c: SetContainer, tree: Tree, values: Sequence[str] | None = None
     ) -> "EquiTree":
+        """Certify ``tree`` as equifoliate over ``values``, which must hold
+        every leaf value (by default the leaf values and one fresh value):
+        a leaf outside them would pass unseen, and ``delta`` then fail."""
+        if values is not None:
+            unknown = leaf_values(tree).difference(values)
+            if unknown:
+                raise UnknownLabel(f"leaf value {min(unknown)!r} is not among the values")
         res = equifoliate(c, tree, values)
         if not res.ok:
             raise NotEquifoliate(f"tree is not equifoliate, witness {res.witness}")

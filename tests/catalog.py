@@ -10,6 +10,7 @@ import numpy as np
 from oraclemod.containers import IndexedPropContainer
 from oraclemod.frames import downset_frame, poset_from_relation
 from oraclemod.nuclei import Nucleus
+from oraclemod.pca import I_TERM, App, K, S, app
 
 # Named poset catalog; downset carrier sizes noted on the right.
 POSETS = {
@@ -33,6 +34,17 @@ POSETS = {
 
 SMALL = ("empty", "point", "chain2", "anti2", "chain3", "vee", "wedge",
          "chain2_point", "anti3")
+
+
+# The projections of ``pca.pair``: PAIR_FST (pair p q) is p, PAIR_SND q.
+PAIR_FST = app(S, I_TERM, App(K, K))
+PAIR_SND = app(S, I_TERM, App(K, App(K, I_TERM)))
+
+
+def principal_downset(poset, a):
+    """The principal downset of label ``a`` in ``poset``, as a label set."""
+    bits = bin(poset.masks[poset.bit[a]])[:1:-1]
+    return frozenset(x for x, b in zip(poset.labels, bits) if b == "1")
 
 
 def make_frame(name):

@@ -21,6 +21,8 @@ from oraclemod.errors import SizeLimitExceeded, TermSyntaxError, UnknownConstant
 from oraclemod.pca import App, Const, K, S
 from oraclemod.trees import Leaf
 
+from catalog import principal_downset
+
 
 def transitive_closure_pairs(labels, pairs):
     rel = set(pairs) | {(x, x) for x in labels}
@@ -50,8 +52,9 @@ def frozenset_tables(poset):
     """Referee for ``downset_frame``: the downsets as frozensets, grown one
     label at a time from the empty set, then the leq, meet, join and implies
     tables filled pair by pair with set operations and a dictionary lookup.
-    Reads only ``poset.labels`` and ``poset.down``."""
-    down = {x: poset.down(x) for x in poset.labels}
+    Reads only ``poset.labels`` and the principal downsets
+    (``catalog.principal_downset``)."""
+    down = {x: principal_downset(poset, x) for x in poset.labels}
     downsets = {frozenset()}
     frontier = [frozenset()]
     while frontier:

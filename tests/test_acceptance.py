@@ -23,8 +23,6 @@ from oraclemod.nuclei import enumerate_nuclei, sup_nuclei
 from oraclemod.pca import (
     App,
     K,
-    PAIR_FST,
-    PAIR_SND,
     S,
     app,
     eval_term,
@@ -35,6 +33,8 @@ from oraclemod.trees import run_tree_suites, sheaf_classify
 from oraclemod.weihrauch import check_oracle_membership_w, check_weihrauch, compose_reducers
 
 from catalog import (
+    PAIR_FST,
+    PAIR_SND,
     POSETS,
     all_labeled_posets,
     canonical_nuclei,

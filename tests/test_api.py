@@ -1,11 +1,13 @@
 """The package keeps only what is reached.
 
 ``oraclemod.__all__`` is an explicit list of names, none of them a
-submodule. Every top-level function and non-dunder method under
-``src/oraclemod`` must be reached from the package itself (outside its own
-definition and ``__init__.py``) or from ``perfbench/``, unless an open
-ROADMAP item names it as the item's future caller. Helpers that only tests
-use live under ``tests/`` (``catalog.py``, ``oracles.py``).
+submodule. Every module-level name (function, class or assigned name) and
+non-dunder method under ``src/oraclemod`` must be reached from the package
+itself (outside its own definition and ``__init__.py``) or from
+``perfbench/``, unless an open ROADMAP item names it as the item's future
+caller. An attribute read through ``self`` inside a class reaches only that
+class's own methods. Helpers that only tests use live under ``tests/``
+(``catalog.py``, ``oracles.py``).
 """
 
 import ast
@@ -62,53 +64,68 @@ def _bound(fn) -> set[str]:
 
 def _references(path: Path) -> list[tuple[str, object, int]]:
     """(kind, what, line) for each reference in a file: a global name read
-    ("name"), an attribute read as (owner name or None, attribute) ("attr")
-    and a name imported as (module, name) ("import")."""
+    ("name"), an attribute read through ``self`` inside a class as (class
+    name, attribute) ("self"), any other attribute read as (owner name or
+    None, attribute) ("attr") and a name imported as (module, name)
+    ("import")."""
     out = []
 
-    def visit(node, local):
+    def visit(node, local, cls):
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
             local = local | _bound(node)
+        elif isinstance(node, ast.ClassDef):
+            cls = node.name
         if isinstance(node, ast.Name):
             if isinstance(node.ctx, ast.Load) and node.id not in local:
                 out.append(("name", node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             owner = node.value.id if isinstance(node.value, ast.Name) else None
-            out.append(("attr", (owner, node.attr), node.lineno))
+            if owner == "self" and cls is not None:
+                out.append(("self", (cls, node.attr), node.lineno))
+            else:
+                out.append(("attr", (owner, node.attr), node.lineno))
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 out.append(("import", (node.module or "", alias.name), node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, local)
+            visit(child, local, cls)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset(), None)
     return out
 
 
 def _definitions(path: Path):
-    """(class name or None, def) for each top-level function and each
-    non-dunder method of a top-level class."""
+    """(class name or None, name, node) for each module-level function,
+    class and assigned name, and each non-dunder method of a top-level
+    class."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.FunctionDef):
-            yield None, node
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield None, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield None, target.id, node
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield node.name, item
+                    yield node.name, item.name, item
 
 
 def _reaches(kind, what, in_module: bool, module: str, cls, name: str) -> bool:
-    """Whether one reference can reach the definition: a method by any
-    attribute of its name; a function by its bare name in its own module,
-    as ``module.name``, or by name from an import of its module."""
+    """Whether one reference can reach the definition: a method by an
+    attribute of its name, through ``self`` only from its own class; a
+    module-level name by its bare name in its own module, as
+    ``module.name``, or by name from an import of its module."""
     if cls is not None:
-        return kind == "attr" and what[1] == name
+        return (kind == "attr" and what[1] == name
+                or kind == "self" and in_module and what == (cls, name))
     if kind == "name":
         return in_module and what == name
     if kind == "attr":
         return what == (module, name)
-    return what[1] == name and what[0].rpartition(".")[2] == module
+    return kind == "import" and what[1] == name and what[0].rpartition(".")[2] == module
 
 
 @functools.cache
@@ -121,16 +138,16 @@ def _unreached() -> tuple[str, ...]:
     out = []
     for path in sources:
         module = path.stem
-        for cls, fn in _definitions(path):
-            own = range(fn.lineno, fn.end_lineno + 1)
+        for cls, name, node in _definitions(path):
+            own = range(node.lineno, node.end_lineno + 1)
             reached = any(
-                _reaches(kind, what, reader == path, module, cls, fn.name)
+                _reaches(kind, what, reader == path, module, cls, name)
                 for reader, rs in refs.items()
                 for kind, what, line in rs
                 if not (reader == path and line in own)
             )
             if not reached:
-                out.append(f"{module}.{cls + '.' if cls else ''}{fn.name}")
+                out.append(f"{module}.{cls + '.' if cls else ''}{name}")
     return tuple(out)
 
 

@@ -8,7 +8,7 @@ from oraclemod.errors import InternalInvariantViolation
 from oraclemod.frames import downset_frame
 from oraclemod.pca import Const, parse_term, pp, tag_leaf
 
-from catalog import canonical_nuclei, dump_json
+from catalog import canonical_nuclei, dump_json, principal_downset
 
 CHAIN2 = {"elements": ["p", "q"], "le": [["p", "q"]]}
 # four disjoint two-element chains a_i < b_i: carrier 3**4 = 81
@@ -488,11 +488,13 @@ def test_missing_field_is_named_and_exits_2(poset_file, tmp_path, kind, doc, mes
 
 
 def test_carrier_over_limit_exits_3(tmp_path, capsys):
-    # 13 incomparable labels have 2**13 = 8192 downsets
+    # 13 incomparable labels have 2**13 = 8192 downsets; after 12 labels the
+    # 4096 found so far already cost 13 * 4096**2 label steps a sweep
     path = str(tmp_path / "anti13.json")
     dump_json({"elements": [f"a{i}" for i in range(13)], "le": []}, path)
     assert cli.run(["frame", "build", "--poset", path]) == 3
-    assert "carrier would exceed 4096 elements" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "oraclemod: error: frame build would take 218103808 label steps, over 201326592\n")
 
 
 def test_long_chain_build_exits_3(tmp_path, capsys):
@@ -591,7 +593,7 @@ def container_as_dict(c):
 def test_poset_roundtrip():
     p = io.poset_from_dict(CHAIN2)
     assert p.labels == ("p", "q")
-    assert p.down("p") == {"p"} and p.down("q") == {"p", "q"}
+    assert principal_downset(p, "p") == {"p"} and principal_downset(p, "q") == {"p", "q"}
 
 
 def test_nucleus_roundtrip():
@@ -603,6 +605,28 @@ def test_nucleus_roundtrip():
     # values may equally be given in comma-joined string form
     stringy = {"table": {k: ",".join(v) for k, v in d["table"].items()}}
     assert (io.nucleus_table_from_dict(frame, stringy) == dn.table).all()
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_nucleus_listing_an_element_twice_exits_2(tmp_path, capsys, swapped):
+    # "p,q" and "q,p" name one element of the frame of two incomparable labels
+    poset_path, path = str(tmp_path / "anti2.json"), str(tmp_path / "twice.json")
+    dump_json({"elements": ["p", "q"], "le": []}, poset_path)
+    twice = [("p,q", ["p", "q"]), ("q,p", [])]
+    table = {"": [], "p": ["p"], "q": ["q"], **dict(twice[::-1] if swapped else twice)}
+    dump_json({"table": table}, path)
+    assert cli.run(["nuclei", "validate", "--poset", poset_path, "--nucleus", path]) == 2
+    assert capsys.readouterr().err == (
+        "oraclemod: error: nucleus table lists element ['p', 'q'] twice\n")
+
+
+def test_partial_nucleus_table_exits_2(tmp_path, capsys):
+    poset_path, path = str(tmp_path / "chain2.json"), str(tmp_path / "partial.json")
+    dump_json(CHAIN2, poset_path)
+    dump_json({"table": {"": ["p", "q"]}}, path)
+    assert cli.run(["nuclei", "validate", "--poset", poset_path, "--nucleus", path]) == 2
+    assert capsys.readouterr().err == (
+        "oraclemod: error: nucleus table is not total on the carrier\n")
 
 
 def test_container_roundtrip():

@@ -17,7 +17,7 @@ from oraclemod.errors import (
 from oraclemod.frames import Frame, Poset, downset_frame, poset_from_relation
 from oraclemod.nuclei import Nucleus
 
-from catalog import POSETS, all_labeled_posets, make_frame
+from catalog import POSETS, all_labeled_posets, make_frame, principal_downset
 from oracles import (
     frozenset_tables,
     law_scan,
@@ -74,15 +74,15 @@ def test_poset_empty():
 
 def test_poset_singleton():
     p = poset_from_relation(["p"], [])
-    assert "p" in p.down("p")
+    assert "p" in principal_downset(p, "p")
 
 
 def test_poset_closure_adds_transitive_pair():
     p = poset_from_relation(["p", "q", "r"], [("p", "q"), ("q", "r")])
-    assert "p" in p.down("r")
+    assert "p" in principal_downset(p, "r")
     # matches the saturation oracle
     want = transitive_closure_pairs(["p", "q", "r"], [("p", "q"), ("q", "r")])
-    got = {(a, b) for b in p.labels for a in p.down(b)}
+    got = {(a, b) for b in p.labels for a in principal_downset(p, b)}
     assert got == want
 
 
@@ -137,7 +137,7 @@ def test_poset_closure_matches_saturation_referee():
         pairs += rng.sample(pairs, len(pairs) // 3)
         rng.shuffle(pairs)
         p = poset_from_relation(labels, pairs)
-        got = {(a, b) for b in p.labels for a in p.down(b)}
+        got = {(a, b) for b in p.labels for a in principal_downset(p, b)}
         assert got == transitive_closure_pairs(labels, pairs)
 
 
@@ -173,10 +173,13 @@ def test_downset_carrier_matches_powerset_filter(name):
 
 
 def test_downset_frame_size_limit(monkeypatch):
-    labels, pairs = POSETS["anti4"]
-    monkeypatch.setattr(frames, "DEFAULT_CARRIER_LIMIT", 10)
-    with pytest.raises(SizeLimitExceeded):
-        downset_frame(poset_from_relation(labels, pairs))
+    # 4 labels, 16 downsets: 4 * 16**2 label steps a sweep
+    poset = poset_from_relation(*POSETS["anti4"])
+    monkeypatch.setattr(frames, "BUILD_COST_LIMIT", 4 * 16**2 - 1)
+    with pytest.raises(SizeLimitExceeded, match="would take 1024 label steps, over 1023"):
+        downset_frame(poset)
+    monkeypatch.setattr(frames, "BUILD_COST_LIMIT", 4 * 16**2)
+    assert len(downset_frame(poset)) == 16
 
 
 def chain_poset(length):
@@ -193,6 +196,8 @@ def test_build_cost_limit():
         downset_frame(chain_poset(1000))
     assert time.perf_counter() - start < 1.0
     assert len(downset_frame(chain_poset(250))) == 251
+    # the longest chain within the limit
+    assert len(downset_frame(chain_poset(585))) == 586
 
 
 def test_chain_refused_before_word_limit_now_builds():
@@ -239,6 +244,12 @@ def test_build_cost_checked_after_enumerating():
     poset = poset_from_relation(labels, [("c0", "c1"), ("c1", "c2")])
     with pytest.raises(SizeLimitExceeded, match="would take 218103808 label steps"):
         downset_frame(poset)
+    # 12 incomparable labels have 4096 downsets, at the limit; 13 have 8192,
+    # refused once 12 labels have given 4096 downsets of 13 labels
+    assert len(downset_frame(poset_from_relation(labels[:12], []))) == 4096
+    with pytest.raises(SizeLimitExceeded) as refused:
+        downset_frame(poset_from_relation(labels[:10] + ["b0", "b1", "b2"], []))
+    assert str(refused.value) == "frame build would take 218103808 label steps, over 201326592"
 
 
 @pytest.mark.parametrize("name", sorted(REFEREE_POSETS))
@@ -250,7 +261,7 @@ def test_label_tables_match_definitions(name):
     index = {e: i for i, e in enumerate(elements)}
     members = [[x in e for x in poset.labels] for e in elements]
     assert frame.label_members.tolist() == members
-    down = {x: poset.down(x) for x in poset.labels}
+    down = {x: principal_downset(poset, x) for x in poset.labels}
     strict = [index[down[x] - {x}] for x in poset.labels]
     assert frame.label_strict.tolist() == strict
     # j_{x}(U) = {y : x not in down(y), or x in U}
@@ -304,7 +315,7 @@ def test_random_posets_cover_ties_parts_and_misleading_names():
         ties += len(set(sizes)) < len(sizes)
         split += connected_parts(poset) > 1
         # b below a, though a's name sorts first
-        misleading += any(b in poset.down(a) and a < b for a in poset.labels for b in poset.labels)
+        misleading += any(b in principal_downset(poset, a) and a < b for a in poset.labels for b in poset.labels)
     assert min(ties, split, misleading) >= 10
 
 
@@ -438,9 +449,6 @@ def test_element_lookup_and_key(o3):
         with pytest.raises(UnknownLabel) as err:
             o3.element(labels)
         assert str(err.value) == f"{shown} is not an element of this frame"
-    with pytest.raises(UnknownLabel) as err:
-        o3.poset.down("z")
-    assert str(err.value) == "unknown poset label 'z'"
 
 
 def test_masks_across_the_word_boundary():
@@ -451,12 +459,12 @@ def test_masks_across_the_word_boundary():
     pairs = [(a, b) for a, b in zip(labels, labels[1:]) if (a, b) != ("x63", "x64")]
     pairs += [("x62", "x64"), ("x63", "x65")]
     p = poset_from_relation(labels, pairs)
-    assert "x62" in p.down("x64") and "x64" in p.down("x65") and "x00" in p.down("x69")
-    assert "x63" not in p.down("x64") and "x64" not in p.down("x63")
-    assert p.down("x64") == frozenset(labels[:63] + ["x64"])
-    assert p.down("x65") == frozenset(labels[:66])
+    assert "x62" in principal_downset(p, "x64") and "x64" in principal_downset(p, "x65") and "x00" in principal_downset(p, "x69")
+    assert "x63" not in principal_downset(p, "x64") and "x64" not in principal_downset(p, "x63")
+    assert principal_downset(p, "x64") == frozenset(labels[:63] + ["x64"])
+    assert principal_downset(p, "x65") == frozenset(labels[:66])
     back = io.poset_from_dict({"elements": labels, "le": [list(q) for q in pairs]})
-    assert [back.down(x) for x in labels] == [p.down(x) for x in labels]
+    assert [principal_downset(back, x) for x in labels] == [principal_downset(p, x) for x in labels]
     assert back.labels == p.labels and back.masks == p.masks
     frame = downset_frame(p)
     assert len(frame) == 64 + 3 + 5

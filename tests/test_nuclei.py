@@ -98,9 +98,10 @@ def test_closed_at_m_is_valid(o3):
     assert validate_nucleus(o3, np.array([1, 1, 2], dtype=np.int32)).valid
 
 
-def test_partial_mapping_rejected(o3):
-    with pytest.raises(FrameMismatch):
-        validate_nucleus(o3, {o3.bot: o3.top})
+@pytest.mark.parametrize("table", [[2, 2], [0, 1, 2, 2], [0, 1, 3], [-1, 1, 2]])
+def test_table_not_fitting_carrier_rejected(o3, table):
+    with pytest.raises(FrameMismatch, match="nucleus table does not fit the carrier"):
+        validate_nucleus(o3, np.array(table, dtype=np.int32))
 
 
 def test_enumerate_omega2(o2):

@@ -10,8 +10,6 @@ from oraclemod.pca import (
     App,
     Const,
     K,
-    PAIR_FST,
-    PAIR_SND,
     S,
     app,
     eval_term,
@@ -24,6 +22,7 @@ from oraclemod.pca import (
     tag_leaf,
     tag_node,
 )
+from catalog import PAIR_FST, PAIR_SND
 from oracles import recursive_parse_term, recursive_pp, recursive_tokenize
 
 OMEGA = app(S, app(S, K, K), app(S, K, K))

@@ -38,7 +38,7 @@ from oraclemod.nuclei import (
 )
 from oraclemod.theorems import random_container
 
-from catalog import POSETS, all_labeled_posets, make_frame, pairs_frame
+from catalog import POSETS, all_labeled_posets, make_frame, pairs_frame, principal_downset
 from oracles import bruteforce_sup, closure_system_nuclei
 
 LABELED = all_labeled_posets(4)
@@ -69,7 +69,7 @@ def minimal_container(frame, subset):
     pred, extent = {}, {}
     for x, kept in zip(frame.poset.labels, subset):
         if not kept:
-            down = frame.poset.down(x)
+            down = principal_downset(frame.poset, x)
             extent[x] = frame.element(down)
             pred[x] = frame.element(down - {x})
     return IndexedPropContainer(frame, pred, extent)

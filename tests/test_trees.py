@@ -241,6 +241,17 @@ def test_equitree_check_rejects():
         EquiTree.check(NONDEG, t)
 
 
+def test_equitree_check_rejects_leaves_outside_values():
+    # over ["x0"] both leaves compute nothing, so the tree would pass
+    # equifoliate, and delta would find no member
+    t = Node("a", (("u", Leaf("x1")), ("v", Leaf("x2"))))
+    assert equifoliate(NONDEG, t, ["x0"]).ok
+    for c in (NONDEG, DEG):
+        with pytest.raises(UnknownLabel, match="leaf value 'x1' is not among the values"):
+            EquiTree.check(c, t, ["x0"])
+    assert EquiTree.check(DEG, t, ["x1", "x2"]).certificate == ("x1", "x2")
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(UnknownLabel):
         trees._run_case("no-such-suite", random.Random(0), NONDEG, ["x"], 2)
