@@ -1,11 +1,14 @@
 """JSON readers and writers for the on-disk formats used by the CLI.
 
-Frame elements serialize as sorted label arrays (``["p","q"]``); where JSON
-forces a string key, the comma-joined form is used instead (bottom is the
-empty string). The readers here are the one place where a JSON element
-becomes a carrier index: a nucleus table is read into an index array,
-checked to name each element once, and a container into the index arrays
-of ``IndexedPropContainer.of_indices``.
+``load_json`` is the one JSON parser of the package, and it refuses an
+object that writes one key twice. Frame elements serialize as sorted label
+arrays (``["p","q"]``); where JSON forces a string key, the comma-joined
+form is used instead (bottom is the empty string), so a poset label must be
+non-empty and hold no comma. The readers here are the one place where a
+JSON element becomes a carrier index: a nucleus table, always under
+``"table"``, is read into an index array, checked to name each element
+once, and a container into the index arrays of
+``IndexedPropContainer.of_indices``.
 """
 
 from __future__ import annotations
@@ -23,10 +26,20 @@ from .pca import DEFAULT_FUEL, Term, parse_term
 from .weihrauch import ExtWeihrauchPredicate
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object that names each key once."""
+    d = {}
+    for k, v in pairs:
+        if k in d:
+            raise OracleModError(f"JSON object lists key {k!r} twice")
+        d[k] = v
+    return d
+
+
 def load_json(path: str | Path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
         except UnicodeDecodeError as e:
             raise OracleModError(str(e)) from e
         except RecursionError as e:
@@ -53,6 +66,9 @@ def poset_from_dict(d: Mapping) -> Poset:
     elements, le = _field(d, "elements", "poset"), d.get("le", [])
     if not _is_strings(elements):
         raise OracleModError('poset "elements" must be a list of string labels')
+    for x in elements:
+        if not x or "," in x:
+            raise OracleModError(f"poset label {x!r} is empty or contains a comma")
     if not (isinstance(le, list) and all(_is_strings(p) and len(p) == 2 for p in le)):
         raise OracleModError('poset "le" must be a list of [lower, upper] label pairs')
     return poset_from_relation(elements, [tuple(p) for p in le])
@@ -89,7 +105,7 @@ def nucleus_table_to_dict(frame: Frame, table) -> dict:
 
 
 def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
-    table = d.get("table", d) if isinstance(d, Mapping) else d
+    table = _field(d, "table", "nucleus file") if isinstance(d, Mapping) else d
     if not isinstance(table, Mapping):
         raise OracleModError("a nucleus table must be a JSON object")
     out = np.full(len(frame), -1, dtype=np.int32)

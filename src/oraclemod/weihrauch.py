@@ -5,8 +5,11 @@ is the extended predicate that maps each realizer to the answer sets of the
 elements it realizes.  Reductions (``check_weihrauch``) and tree membership
 (``check_oracle_membership_w``) share one three-valued search,
 ``_first_verified``: the first family whose obligations all hold, else
-Unknown if some obligation was undefined, else a failure.  Realizers are
-matched by their printed normal forms, which identify them.
+Unknown if some obligation was undefined, else a failure, reported with
+what the check of the blamed obligation found.  A realizer's printed normal
+form is its identity: the predicate maps each printed instance to its
+families, and a family maps each printed answer to its normal form, so a
+form printed once is looked up by that key and never printed again.
 
 Membership in the least fixed point of the encoded-tree equation is checked
 certificate-first: a Member verdict always carries a finite well-founded
@@ -48,14 +51,14 @@ def _normalize(t: Term, fuel: int, what: str) -> Term:
     return r.term
 
 
-def _answer_set(family: Sequence[Term], fuel: int) -> tuple[Term, ...]:
-    """A family's answers in normal form, one per printed form, in the order
+def _answer_set(family: Sequence[Term], fuel: int) -> dict[str, Term]:
+    """A family's answers in normal form, keyed by printed form, in the order
     they first occur."""
     answers: dict[str, Term] = {}
     for m in family:
         a = _normalize(m, fuel, "family member")
         answers.setdefault(pp(a), a)
-    return tuple(answers.values())
+    return answers
 
 
 class ExtWeihrauchPredicate:
@@ -72,40 +75,40 @@ class ExtWeihrauchPredicate:
         entries: Iterable[tuple[Term, Sequence[Sequence[Term]]]],
         fuel: int = DEFAULT_FUEL,
     ):
-        merged: dict[str, tuple[Term, list[tuple[Term, ...]]]] = {}
+        # printed instance -> (its normal form, its families)
+        self._instances: dict[str, tuple[Term, list[dict[str, Term]]]] = {}
         for instance, families in entries:
             r = _normalize(instance, fuel, "instance realizer")
-            merged.setdefault(pp(r), (r, []))[1].extend(
+            self._instances.setdefault(pp(r), (r, []))[1].extend(
                 _answer_set(family, fuel) for family in families
             )
-        self._families: dict[str, tuple[tuple[Term, ...], ...]] = {
-            key: tuple(fams) for key, (_, fams) in merged.items()
-        }
-        self.support: tuple[Term, ...] = tuple(r for r, fams in merged.values() if fams)
+        self.support: tuple[Term, ...] = tuple(
+            r for r, fams in self._instances.values() if fams)
 
-    def families_for(self, r: Term) -> tuple[tuple[Term, ...], ...]:
-        """The families of the instance with normal form r."""
-        return self._families.get(pp(r), ())
+    def families_for(self, key: str) -> Sequence[dict[str, Term]]:
+        """The families of the instance whose normal form prints as key."""
+        return self._instances.get(key, (None, ()))[1]
 
 
 def _first_verified(families, decide):
     """The search of both checks: the first family whose obligations all hold.
 
-    ``decide(x)`` returns evidence that obligation x holds (truthy), ``False``
-    if it fails, or ``None`` if it is undefined.  Returns ``(i, evidence)``
-    for the first family i whose members all hold, with decide's results in
-    member order.  With no such family (of a non-empty list) it returns
-    ``(None, (k, x, e))``: the first undefined obligation x, else the first
-    failed one, its family k and decide's result e, ``None`` or ``False``.
+    ``decide(x)`` returns ``(evidence, detail)``: evidence that obligation x
+    holds (truthy), ``False`` if it fails, or ``None`` if it is undefined,
+    with what its check found.  Returns ``(i, evidence)`` for the first family
+    i whose members all hold, with the evidence in member order.  With no
+    such family (of a non-empty list) it returns ``(None, (k, key, e,
+    detail))``: the first undefined obligation, else the first failed one,
+    its family k, its printed form key and what decide returned for it.
     """
     blame = None
     for i, family in enumerate(families):
         evidence = []
-        for x in family:
-            e = decide(x)
+        for key, x in family.items():
+            e, detail = decide(x)
             if not e:
                 if blame is None or (e is None and blame[2] is not None):
-                    blame = (i, x, e)
+                    blame = (i, key, e, detail)
                 break
             evidence.append(e)
         else:
@@ -138,24 +141,24 @@ def check_weihrauch(
         if mentions_constants(t):
             raise NotElementary(f"{name} mentions oracle constants")
     log: list[str] = []
-    for r in f.support:
-        rp = pp(r)
+    for rp, (r, families) in f._instances.items():
+        if not families:
+            continue
         e1 = eval_term(App(l1, r), fuel)
         if e1.diverged:
             log.append(f"l1 ({rp}) diverged")
             return WeihrauchVerdict("unknown", log, witness=log[-1])
         r2p = pp(e1.term)
-        targets = g.families_for(e1.term)
+        targets = g.families_for(r2p)
         if not targets:
             log.append(f"l1 ({rp}) = {r2p} outside target support")
             return WeihrauchVerdict("rejected", log, witness=log[-1])
         log.append(f"l1 ({rp}) = {r2p} in target support")
-        for ti, theta in enumerate(f.families_for(r)):
-            printed_theta = set(map(pp, theta))
+        for ti, theta in enumerate(families):
 
-            def lands_in_theta(s_el: Term) -> bool | None:
+            def lands_in_theta(s_el: Term) -> tuple[bool | None, None]:
                 e2 = eval_term(app(l2, r, s_el), fuel)
-                return None if e2.diverged else pp(e2.term) in printed_theta
+                return (None if e2.diverged else pp(e2.term) in theta), None
 
             chosen, blame = _first_verified(targets, lands_in_theta)
             if chosen is None:
@@ -237,29 +240,26 @@ def check_oracle_membership_w(
             return False, (f"leaf payload {payload} not in the set",)
         _, b, c = dec
         realizer = pp(b)
-        families = f.families_for(b)
+        families = f.families_for(realizer)
         if not families:
             return False, (f"node realizer {realizer} matches nothing",)
         if depth <= 0:
             return None, ("depth exhausted",)
-        below: dict[int, tuple[str, ...]] = {}  # path under each answer, by id
 
-        def child(d: Term) -> dict | bool | None:
+        def child(d: Term) -> tuple[dict | bool | None, tuple[str, ...]]:
             e = eval_term(App(c, d), fuel)
-            cert, below[id(d)] = (None, ("diverged",)) if e.diverged else go(e.term, depth - 1)
-            return cert
+            return (None, ("diverged",)) if e.diverged else go(e.term, depth - 1)
 
         i, found = _first_verified(families, child)
         if i is None:
-            k, d, outcome = found
-            first, *rest = below[id(d)]
+            k, key, outcome, (first, *rest) = found
             return outcome, (f"no alternative at {realizer} verified",
-                             f"family {k}, answer {pp(d)}: {first}", *rest)
+                             f"family {k}, answer {key}: {first}", *rest)
         return {
             "kind": "node",
             "realizer": realizer,
             "choice": f"family {i}",
-            "children": dict(zip(map(pp, families[i]), found)),
+            "children": dict(zip(families[i], found)),
         }, ()
 
     cert, path = go(start.term, depth)
@@ -289,12 +289,13 @@ def recheck_certificate_w(
         if cert["kind"] != "node" or dec[0] != "node":
             return False
         _, b, c = dec
-        if pp(b) != cert["realizer"]:
+        realizer = pp(b)
+        if realizer != cert["realizer"]:
             return False
-        labelled = {f"family {i}": fam for i, fam in enumerate(f.families_for(b))}
+        labelled = {f"family {i}": fam for i, fam in enumerate(f.families_for(realizer))}
         answers = labelled.get(cert["choice"])
-        if answers is None or sorted(pp(d) for d in answers) != sorted(cert["children"]):
+        if answers is None or answers.keys() != cert["children"].keys():
             return False
-        return all(go(App(c, d), cert["children"][pp(d)]) for d in answers)
+        return all(go(App(c, d), cert["children"][key]) for key, d in answers.items())
 
     return go(t, cert)

@@ -8,6 +8,9 @@ itself (outside its own definition and ``__init__.py``) or from
 caller. An attribute read through ``self`` inside a class reaches only that
 class's own methods. Helpers that only tests use live under ``tests/``
 (``catalog.py``, ``oracles.py``).
+
+JSON is parsed in ``io`` alone, so that every file the CLI reads goes
+through ``io.load_json`` and its rule of one key per object.
 """
 
 import ast
@@ -158,3 +161,14 @@ def test_every_definition_is_reached():
 def test_awaited_names_are_defined_and_still_unreached():
     # an entry goes once its item lands and calls it
     assert set(AWAITED) <= set(_unreached())
+
+
+def test_json_is_parsed_in_io_alone():
+    readers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"):
+                readers.add(path.name)
+    assert readers == {"io.py"}

@@ -433,6 +433,11 @@ def test_trees_suite_at_depth_0(capsys):
     ("weihrauch", {"entries": [{"instance": "K", "families": [["("]]}]}),
     ("container", {"shapes": ["a0", "a0"], "pred": {"a0": ["p"]}}),
     ("container", {"shapes": ["a0"], "pred": {"a0": ["p"], "a1": []}}),
+    # a label that is empty or holds a comma cannot name an element by key
+    ("poset", {"elements": ["", "c"], "le": []}),
+    ("poset", {"elements": ["a,b", "c"], "le": []}),
+    # a nucleus file is {"table": {...}}, never the bare table
+    ("nucleus", {"": [], "p": ["p", "q"], "p,q": ["p", "q"]}),
 ))
 def test_malformed_json_values_exit_2(poset_file, tmp_path, kind, doc, capsys):
     path = str(tmp_path / "bad.json")
@@ -469,6 +474,11 @@ def test_malformed_json_values_exit_2(poset_file, tmp_path, kind, doc, capsys):
      """container "shapes" lists 'a0' twice"""),
     ("container", {"shapes": ["a0"], "pred": {"a0": ["p"]}, "extent": {"A": ["p"]}},
      """container "extent" names undeclared shape 'A'"""),
+    ("poset", {"elements": ["", "c"], "le": []}, "poset label '' is empty or contains a comma"),
+    ("poset", {"elements": ["a,b", "c"], "le": []},
+     "poset label 'a,b' is empty or contains a comma"),
+    ("nucleus", {"": [], "p": ["p", "q"], "p,q": ["p", "q"]},
+     'nucleus file has no "table" field'),
 ))
 def test_missing_field_is_named_and_exits_2(poset_file, tmp_path, kind, doc, message, capsys):
     path = str(tmp_path / "missing.json")
@@ -478,6 +488,7 @@ def test_missing_field_is_named_and_exits_2(poset_file, tmp_path, kind, doc, mes
     argv = {
         "poset": ["frame", "build", "--poset", path],
         "container": ["oracle", "compute", "--poset", poset_file, "--container", path],
+        "nucleus": ["nuclei", "validate", "--poset", poset_file, "--nucleus", path],
         "weihrauch": ["weihrauch", "check", "--f", path, "--g", good,
                       "--l1", "S K K", "--l2", "K (S K K)"],
         "answers": ["oracle-tree", "check", "--pred", good, "--s", path,
@@ -618,6 +629,25 @@ def test_nucleus_listing_an_element_twice_exits_2(tmp_path, capsys, swapped):
     assert cli.run(["nuclei", "validate", "--poset", poset_path, "--nucleus", path]) == 2
     assert capsys.readouterr().err == (
         "oraclemod: error: nucleus table lists element ['p', 'q'] twice\n")
+
+
+@pytest.mark.parametrize("kind, text, key", (
+    # one key twice in either order: neither value may silently win
+    ("nucleus", '{"table": {"": [], "p": ["p"], "q": ["q"], '
+                '"p,q": ["p", "q"], "p,q": []}}', "p,q"),
+    ("nucleus", '{"table": {"": [], "p": ["p"], "q": ["q"], '
+                '"p,q": [], "p,q": ["p", "q"]}}', "p,q"),
+    ("container", '{"shapes": ["a"], "pred": {"a": []}, "pred": {"a": ["p"]}}', "pred"),
+), ids=("table", "table-swapped", "container"))
+def test_json_key_written_twice_exits_2(tmp_path, capsys, kind, text, key):
+    poset_path, path = str(tmp_path / "anti2.json"), tmp_path / "twice.json"
+    dump_json({"elements": ["p", "q"], "le": []}, poset_path)
+    path.write_text(text, encoding="utf-8")
+    argv = {"nucleus": ["nuclei", "validate", "--nucleus", str(path)],
+            "container": ["oracle", "compute", "--container", str(path)]}[kind]
+    assert cli.run(argv + ["--poset", poset_path]) == 2
+    assert capsys.readouterr().err == (
+        f"oraclemod: error: JSON object lists key {key!r} twice\n")
 
 
 def test_partial_nucleus_table_exits_2(tmp_path, capsys):

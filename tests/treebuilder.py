@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from oraclemod.pca import App, Const, K, S, Term, app, numeral, pair, tag_leaf, tag_node
+from oraclemod.pca import App, Const, K, S, Term, app, numeral, pair, pp, tag_leaf, tag_node
 from oraclemod.weihrauch import ExtWeihrauchPredicate
 
 MEMBERS = [Const("m0"), Const("m1"), Const("m2")]
@@ -51,10 +51,10 @@ def build_member(rng: random.Random, f: ExtWeihrauchPredicate, depth: int):
     if depth == 0 or rng.random() < 0.4 or not f.support:
         return BLeaf(rng.choice(MEMBERS))
     b = rng.choice(f.support)
-    fams = f.families_for(b)
+    fams = f.families_for(pp(b))
     fi = rng.randrange(len(fams))
     return BNode(
-        b, fi, [(d, build_member(rng, f, depth - 1)) for d in fams[fi]]
+        b, fi, [(d, build_member(rng, f, depth - 1)) for d in fams[fi].values()]
     )
 
 
