@@ -141,6 +141,41 @@ def test_poset_closure_matches_saturation_referee():
         assert got == transitive_closure_pairs(labels, pairs)
 
 
+def test_poset_cycle_pair_matches_closure_referee():
+    # seeded relations, many of them cyclic, with reflexive pairs: the named
+    # pair is the first pair in label order that the closure relates both ways
+    rng = random.Random(11)
+    cyclic = 0
+    for _ in range(300):
+        labels = [f"l{i}" for i in range(rng.randint(1, 8))]
+        rng.shuffle(labels)
+        density = rng.choice((0.1, 0.2, 0.35))
+        pairs = [(a, b) for a in labels for b in labels if rng.random() < density]
+        closed = transitive_closure_pairs(labels, pairs)
+        both = [(a, b) for a in sorted(labels) for b in sorted(labels)
+                if a < b and (a, b) in closed and (b, a) in closed]
+        if not both:
+            p = poset_from_relation(labels, pairs)
+            assert {(a, b) for b in p.labels for a in principal_downset(p, b)} == closed
+            continue
+        cyclic += 1
+        with pytest.raises(AntisymmetryViolation) as err:
+            poset_from_relation(labels, pairs)
+        assert str(err.value) == f"cycle through {both[0][0]!r} and {both[0][1]!r}"
+    assert 100 <= cyclic <= 250
+
+
+def test_poset_long_cycle_named_at_once():
+    # one cycle through 4000 labels, its pairs listed against label order
+    labels = [f"x{i:04d}" for i in range(4000)]
+    pairs = [(labels[(i + 1) % 4000], labels[i]) for i in range(4000)]
+    start = time.perf_counter()
+    with pytest.raises(AntisymmetryViolation) as err:
+        poset_from_relation(labels, pairs)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == "cycle through 'x0000' and 'x0001'"
+
+
 def test_poset_unknown_label_rejected():
     with pytest.raises(UnknownLabel):
         poset_from_relation(["p"], [("p", "z")])
@@ -403,9 +438,169 @@ def test_check_laws_on_edge_carriers(monkeypatch, name, carrier):
     assert assert_laws_match_scan(monkeypatch, frame) == []
 
 
+def no_scan(*args):
+    raise AssertionError("the blocked scan ran on a sound frame")
+
+
 @pytest.mark.parametrize("name", sorted(REFEREE_POSETS))
-def test_frame_laws_hold(name):
-    assert downset_frame(poset_from_relation(*REFEREE_POSETS[name])).check_laws() == []
+def test_frame_laws_hold(monkeypatch, name):
+    frame = downset_frame(poset_from_relation(*REFEREE_POSETS[name]))
+    # every law is decided without the scan
+    monkeypatch.setattr(frames, "_first_mismatch", no_scan)
+    assert frame.check_laws() == []
+
+
+def test_frame_laws_hold_at_carrier_729(monkeypatch):
+    frame = downset_frame(poset_from_relation(*chain_union(6, 2)))
+    assert len(frame) == 729
+    monkeypatch.setattr(frames, "_first_mismatch", no_scan)
+    assert frame.check_laws() == []
+
+
+def scanned_laws(monkeypatch):
+    """The list of laws each ``check_laws`` call sends to the blocked scan,
+    one list per call, filled as the calls are made."""
+    sent = []
+    scan = Frame._scan_laws
+
+    def record(self, messages, *tables):
+        sent.append(messages)
+        return scan(self, messages, *tables)
+
+    monkeypatch.setattr(Frame, "_scan_laws", record)
+    return sent
+
+
+def with_tables(frame, leq, meet, join, implies):
+    """A frame on the masks of ``frame`` with the given tables."""
+    copy = Frame(frame.poset, frame.masks)
+    copy.__dict__.update(leq_table=leq, meet_table=meet, join_table=join, implies_table=implies)
+    return copy
+
+
+def lattice_tables(n, covers):
+    """The order, meet and join tables of the lattice on range(n) whose
+    covering pairs are ``covers``: each bound is the common bound with the
+    most elements below it (meet) or above it (join)."""
+    leq = np.eye(n, dtype=bool)
+    for a, b in covers:
+        leq[a, b] = True
+    for k in range(n):
+        leq |= leq[:, [k]] & leq[k]
+    meet = [[max((x for x in range(n) if leq[x, a] and leq[x, b]), key=lambda x: leq[:, x].sum())
+             for b in range(n)] for a in range(n)]
+    join = [[max((x for x in range(n) if leq[a, x] and leq[b, x]), key=lambda x: leq[x].sum())
+             for b in range(n)] for a in range(n)]
+    return leq, np.array(meet, dtype=np.int32), np.array(join, dtype=np.int32)
+
+
+# The poset a < b, a < c has the carrier {}, {a}, {a,b}, {a,c}, {a,b,c}, with
+# the candidates down(a), down(b), down(c) at 1, 2 and 3: the join-irreducibles
+# of both lattices. None of them is join-prime in M3, and 2 is not in N5.
+NON_DISTRIBUTIVE = {
+    "M3": ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)),
+    "N5": ((0, 1), (1, 2), (2, 4), (0, 3), (3, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_DISTRIBUTIVE))
+def test_check_laws_refutes_distributivity_by_a_join_prime(monkeypatch, name):
+    vee = downset_frame(poset_from_relation(["a", "b", "c"], [("a", "b"), ("a", "c")]))
+    frame = with_tables(vee, *lattice_tables(5, NON_DISTRIBUTIVE[name]), vee.implies_table)
+    down = frame._label_down
+    assert down.tolist() == [1, 2, 3]
+    assert frames._join_dense(frame.leq_table, frame.join_table, down, 0)
+    assert not frames._join_prime(frame.leq_table, frame.join_table, down)
+    sent = scanned_laws(monkeypatch)
+    got = assert_laws_match_scan(monkeypatch, frame)
+    assert got[-1].startswith("distributivity fails at")
+    # the lattice and its associativity are proved without the scan
+    assert sent == [["residuation fails", "distributivity fails"]] * 2
+
+
+def test_check_laws_refutes_residuation_on_the_fast_path(monkeypatch):
+    frame = downset_frame(poset_from_relation(*REFEREE_POSETS["chains2x4"]))
+    rng = random.Random("laws:implies81")
+    sent = scanned_laws(monkeypatch)
+    for _ in range(3):
+        i, j = rng.randrange(81), rng.randrange(81)
+        value = rng.choice([v for v in range(81) if v != frame.implies_table[i, j]])
+        got = assert_laws_match_scan(monkeypatch, with_cell(frame, "implies", i, j, value))
+        assert len(got) == 1 and got[0].startswith("residuation fails at")
+    # distributivity is proved, so residuation alone reaches the scan
+    assert sent == [["residuation fails"]] * 6
+
+
+def test_check_laws_tests_the_elements_its_candidates_miss(monkeypatch, o4):
+    # meet on the diamond {}, {p}, {q}, {p,q} with meet(p, q) = {p} and
+    # meet({}, {}) = {p,q}: the candidates {q}, {p} (the P minus up(x)) and
+    # top now reach only themselves and pass Light's test, and bottom, which
+    # they miss, fails it: ({p} /\ {}) /\ {} = {} /\ {} = top, while
+    # {p} /\ ({} /\ {}) = {p} /\ top = {p}
+    broken = o4
+    for i, j, value in ((1, 2, 1), (2, 1, 1), (0, 0, 3)):
+        broken = with_cell(broken, "meet", i, j, value)
+    meet, candidates = broken.meet_table, np.append(broken._label_outside, broken.top_index)
+    assert frames._generators(meet, candidates).tolist() == [2, 1, 3, 0]
+    assert all((meet[meet[:, g]] == meet[:, meet[g]]).all() for g in candidates)
+    assert "meet not associative" in assert_laws_match_scan(monkeypatch, broken)
+
+
+def tables(frame):
+    return tuple(getattr(frame, f"{t}_table") for t in LAW_TABLES)
+
+
+# The 3-chain p < q < r has the carrier chain {} < {p} < {p,q} < {p,q,r} and
+# the candidates down(x) at 1, 2 and 3; the 2-antichain has the diamond
+# {}, {p}, {q}, {p,q} and the candidates at 1 and 2. Each case below puts the
+# tables of one on the masks of the other.
+
+def test_check_laws_scans_when_a_candidate_is_not_join_irreducible(monkeypatch):
+    # the diamond's tables on the 3-chain's masks: the candidates are join-
+    # dense, but 3, the top, is the join of 1 and 2 and so not join-prime;
+    # the tables form a Heyting algebra, and the scan finds nothing
+    frame = with_tables(make_frame("chain3"), *tables(make_frame("anti2")))
+    leq, join, down = frame.leq_table, frame.join_table, frame._label_down
+    assert down.tolist() == [1, 2, 3] and join[1, 2] == 3
+    assert frames._join_dense(leq, join, down, 0)
+    assert not frames._join_prime(leq, join, down)
+    sent = scanned_laws(monkeypatch)
+    assert assert_laws_match_scan(monkeypatch, frame) == []
+    assert sent == [["residuation fails", "distributivity fails"]] * 2
+
+
+def test_check_laws_scans_when_the_candidates_are_not_join_dense(monkeypatch):
+    # the chain's tables on the diamond's masks, with implies[3, 3] = 2: the
+    # candidates 1 and 2 are join-prime, and residuation holds for them but
+    # fails for 3, which is no join of them
+    leq, meet, join, implies = tables(make_frame("chain3"))
+    implies = implies.copy()
+    implies[3, 3] = 2
+    frame = with_tables(make_frame("anti2"), leq, meet, join, implies)
+    down = frame._label_down
+    assert down.tolist() == [1, 2]
+    assert frames._join_prime(leq, join, down)
+    assert not frames._join_dense(leq, join, down, 0)
+    sent = scanned_laws(monkeypatch)
+    assert assert_laws_match_scan(monkeypatch, frame) == ["residuation fails at (3,3,3)"]
+    assert sent == [["residuation fails", "distributivity fails"]] * 2
+
+
+def test_check_laws_scans_when_absorption_fails(monkeypatch):
+    # the diamond's order and meet with the chain's join, on the chain's
+    # masks: every two-index law and both associativities hold, and the
+    # candidates are join-dense and join-prime, yet the tables are no lattice
+    # (meet(1, join(1, 2)) = meet(1, 2) = 0), and distributivity fails
+    leq, meet, _, _ = tables(make_frame("anti2"))
+    chain = make_frame("chain3")
+    frame = with_tables(chain, leq, meet, chain.join_table, chain.implies_table)
+    down = frame._label_down
+    assert frames._join_dense(leq, frame.join_table, down, 0)
+    assert frames._join_prime(leq, frame.join_table, down)
+    sent = scanned_laws(monkeypatch)
+    got = assert_laws_match_scan(monkeypatch, frame)
+    assert got == ["residuation fails at (1,1,2)", "distributivity fails at (1,1,2)"]
+    assert sent == [["residuation fails", "distributivity fails"]] * 2
 
 
 @pytest.mark.parametrize("name", sorted(POSETS))
