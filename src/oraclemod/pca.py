@@ -1,8 +1,9 @@
 """A small partial combinatory algebra: S, K, oracle constants, and
 fuel-bounded normal-order evaluation.
 
-Terms are finite application trees, read and printed at any depth by
-explicit stacks; the printed form of a term identifies it.  Evaluation
+Terms are finite application trees.  Reading, printing, comparing,
+hashing and normalizing all walk explicit stacks, so no depth of nesting
+is too deep; the printed form of a term identifies it.  Evaluation
 contracts the leftmost outermost redex (K x y, S x y z, or a constant
 applied to a listed normal form) and then normalizes the remaining
 arguments, so a returned value has no enabled redex anywhere.  Running out
@@ -15,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ArityError, SizeLimitExceeded, TermSyntaxError, UnknownConstant
+from .errors import ArityError, TermSyntaxError, UnknownConstant
 
 # Contraction steps an evaluation may spend unless its caller says otherwise.
 DEFAULT_FUEL = 100_000
@@ -54,10 +55,49 @@ class Const:
         return self.name
 
 
-@dataclass(frozen=True)
 class App:
-    fn: "Term"
-    arg: "Term"
+    """An application node.  Equality is structural and hashing is cached;
+    both walk an explicit stack, so any depth of nesting is fine."""
+
+    __slots__ = ("fn", "arg", "_hash")
+
+    def __init__(self, fn: "Term", arg: "Term"):
+        self.fn = fn
+        self.arg = arg
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not App:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is App:
+                if type(b) is not App:
+                    return False
+                todo += ((a.arg, b.arg), (a.fn, b.fn))
+            elif type(b) is App or a != b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # children before parents, so that each node hashes its children's
+        # cached hashes
+        todo = [self]
+        while todo:
+            t = todo[-1]
+            unhashed = [c for c in (t.fn, t.arg) if type(c) is App and not hasattr(c, "_hash")]
+            if unhashed:
+                todo += unhashed
+            else:
+                todo.pop()
+                t._hash = hash((t.fn, t.arg))
+        return self._hash
 
     def __repr__(self) -> str:
         return pp(self)
@@ -171,80 +211,130 @@ class EvalResult:
         return self.term is None
 
 
-class _OutOfFuel(Exception):
-    pass
+def _norm(t: Term, fuel: int) -> tuple[Term | None, int]:
+    """The normal form of t and the fuel left, or (None, 0) once the fuel
+    runs out.
 
-
-class _Fuel:
-    __slots__ = ("left",)
-
-    def __init__(self, amount: int):
-        self.left = amount
-
-    def spend(self) -> None:
-        if self.left <= 0:
-            raise _OutOfFuel
-        self.left -= 1
-
-
-def _norm(t: Term, fuel: _Fuel, memo: dict) -> Term:
-    # Contractions share subterm objects (S duplicates its last argument by
-    # reference), so memoizing by identity keeps repeated occurrences from
-    # being renormalized and recharged.  The argument stack keeps one head
-    # step O(1); stack[-1] is always the leftmost argument.
-    hit = memo.get(id(t))
-    if hit is not None:
-        return hit[1]
-    head = t
-    stack: list[Term] = []
+    Each call of the normalizer is a frame on an explicit stack.  A frame
+    contracts the leftmost outermost redex of its term until the head is
+    stuck, normalizing a constant's leftmost argument before matching its
+    rules, and then normalizes the remaining arguments left to right.
+    Contractions share subterm objects (S duplicates its last argument by
+    reference), so normal forms are memoized by the identity of the term
+    they came from, and a shared subterm is normalized and charged once.
+    A term with no redex anywhere is returned itself.
+    """
+    if type(t) is not App:
+        return t, fuel
+    memo: dict[int, tuple[Term, Term]] = {}
+    # suspended frames: (term, head, argument stack, normal forms of the
+    # arguments done so far or None while the head is reduced, whether the
+    # frame has contracted)
+    frames: list[tuple] = []
     while True:
-        while isinstance(head, App):
-            stack.append(head.arg)
-            head = head.fn
-        if isinstance(head, Prim) and head.name == "K" and len(stack) >= 2:
-            fuel.spend()
-            head = stack.pop()
-            stack.pop()
-        elif isinstance(head, Prim) and head.name == "S" and len(stack) >= 3:
-            fuel.spend()
-            x, y, z = stack.pop(), stack.pop(), stack.pop()
-            stack.append(App(y, z))
-            stack.append(z)
-            head = x
-        elif isinstance(head, Const) and head.rules and stack:
-            stack[-1] = _norm(stack[-1], fuel, memo)
-            for lhs, rhs in head.rules:
-                if lhs == stack[-1]:
-                    fuel.spend()
-                    stack.pop()
-                    head = rhs
-                    break
+        if t is not None:  # start a frame on t, an App with no memo entry
+            head, args, done, contracted, matching = t, [], None, False, False
+        elif frames:  # resume the innermost frame with nf, the value it awaited
+            t, head, args, done, contracted = frames.pop()
+            if done is None:
+                args[-1] = nf
+                matching = True
             else:
-                break
+                done.append(nf)
         else:
-            break
-    out = head
-    while stack:
-        out = App(out, _norm(stack.pop(), fuel, memo))
-    memo[id(t)] = (t, out)
-    return out
+            return nf, fuel
+        call = None
+        # reduce the head; args[-1] is always the leftmost argument, and
+        # matching says it is the normal form of a constant head's argument
+        while done is None:
+            if matching:
+                matching = False
+                a = args[-1]
+                for lhs, rhs in head.rules:
+                    if lhs == a:
+                        if fuel <= 0:
+                            return None, 0
+                        fuel -= 1
+                        args.pop()
+                        head = rhs
+                        contracted = True
+                        break
+                else:
+                    done = [args.pop()]
+                    break
+            while type(head) is App:
+                args.append(head.arg)
+                head = head.fn
+            kind = type(head)
+            if kind is Prim and head.name == "K" and len(args) >= 2:
+                if fuel <= 0:
+                    return None, 0
+                fuel -= 1
+                head = args.pop()
+                args.pop()
+                contracted = True
+            elif kind is Prim and head.name == "S" and len(args) >= 3:
+                if fuel <= 0:
+                    return None, 0
+                fuel -= 1
+                head = args.pop()
+                y = args.pop()
+                z = args[-1]
+                args[-1] = App(y, z)
+                args.append(z)
+                contracted = True
+            elif kind is Const and head.rules and args:
+                a = args[-1]
+                if type(a) is App:
+                    hit = memo.get(id(a))
+                    if hit is None:
+                        call = a
+                        break
+                    args[-1] = hit[1]
+                matching = True
+            else:
+                done = []
+        # then normalize the remaining arguments, leftmost first
+        while call is None and args:
+            a = args.pop()
+            if type(a) is App:
+                hit = memo.get(id(a))
+                if hit is None:
+                    call = a
+                    break
+                a = hit[1]
+            done.append(a)
+        if call is not None:
+            frames.append((t, head, args, done, contracted))
+            t = call
+            continue
+        # keep t itself unless a contraction or an argument changed it
+        if not contracted:
+            spine = t
+            for a in reversed(done):
+                if spine.arg is not a:
+                    contracted = True
+                    break
+                spine = spine.fn
+        if contracted:
+            nf = head
+            for a in done:
+                nf = App(nf, a)
+        else:
+            nf = t
+        memo[id(t)] = (t, nf)
+        t = None
 
 
 def eval_term(t: Term, fuel: int = DEFAULT_FUEL) -> EvalResult:
     """Normalize a closed term within a step budget.
 
     The result is diverged only when the fuel runs out.  The normalizer
-    recurses once per nested argument, so a term nested deeper than the
-    interpreter's recursion limit allows raises ``SizeLimitExceeded``.
+    keeps its frames on an explicit stack, so a term of any depth of
+    nesting normalizes.
     """
-    cell = _Fuel(fuel)
-    try:
-        nf = _norm(t, cell, {})
-    except _OutOfFuel:
-        return EvalResult(term=None, steps=fuel)
-    except RecursionError:
-        raise SizeLimitExceeded("term nests too deeply to normalize") from None
-    return EvalResult(term=nf, steps=fuel - cell.left)
+    nf, left = _norm(t, fuel)
+    return EvalResult(term=nf, steps=fuel - left)
 
 
 # -- standard encodings ----------------------------------------------------

@@ -416,3 +416,64 @@ def recursive_pp(t):
         t = t.fn
     parts.append(t.name)
     return " ".join(reversed(parts))
+
+
+class _OutOfFuel(Exception):
+    pass
+
+
+def recursive_eval(t, fuel):
+    """Referee for ``pca.eval_term``: a recursive normalizer, one Python
+    call per nested argument, so nesting is bounded by the recursion limit.  Returns ``(normal form or None, steps)``; None means
+    the fuel ran out, and then steps is the whole fuel."""
+    left = fuel
+
+    def spend():
+        nonlocal left
+        if left <= 0:
+            raise _OutOfFuel
+        left -= 1
+
+    def norm(t, memo):
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        head = t
+        stack = []
+        while True:
+            while isinstance(head, App):
+                stack.append(head.arg)
+                head = head.fn
+            if head == K and len(stack) >= 2:
+                spend()
+                head = stack.pop()
+                stack.pop()
+            elif head == S and len(stack) >= 3:
+                spend()
+                x, y, z = stack.pop(), stack.pop(), stack.pop()
+                stack.append(App(y, z))
+                stack.append(z)
+                head = x
+            elif isinstance(head, Const) and head.rules and stack:
+                stack[-1] = norm(stack[-1], memo)
+                for lhs, rhs in head.rules:
+                    if lhs == stack[-1]:
+                        spend()
+                        stack.pop()
+                        head = rhs
+                        break
+                else:
+                    break
+            else:
+                break
+        out = head
+        while stack:
+            out = App(out, norm(stack.pop(), memo))
+        memo[id(t)] = (t, out)
+        return out
+
+    try:
+        nf = norm(t, {})
+    except _OutOfFuel:
+        return None, fuel
+    return nf, fuel - left

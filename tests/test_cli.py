@@ -343,12 +343,13 @@ def test_deeply_nested_term_parses(term, normal_form, capsys):
     assert code == 0 and json.loads(out)["body"]["normal_form"] == normal_form
 
 
-def test_deeply_nested_term_exits_3(capsys):
-    # parsing is iterative, normalizing still recurses once per nested argument
-    assert cli.run(["pca", "eval", "--term", "K (" * 3000 + "S" + ")" * 3000]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "oraclemod: error: term nests too deeply to normalize\n"
+def test_deeply_nested_term_normalizes(capsys):
+    # parsing, normalizing and printing all keep their own stacks; the
+    # term is already normal and printed with minimal parentheses
+    term = "K (" * 99_999 + "K S" + ")" * 99_999
+    code, out = run_capture(capsys, ["--format", "json", "pca", "eval", "--term", term])
+    body = json.loads(out)["body"]
+    assert code == 0 and body["normal_form"] == term and body["steps"] == 0
 
 
 SPINE = " ".join(["x"] * 1500)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclemod.errors import ArityError, SizeLimitExceeded, TermSyntaxError, UnknownConstant
+from oraclemod.errors import ArityError, TermSyntaxError, UnknownConstant
 from oraclemod import pca
 from oraclemod.pca import (
     App,
@@ -23,7 +23,7 @@ from oraclemod.pca import (
     tag_node,
 )
 from catalog import PAIR_FST, PAIR_SND
-from oracles import recursive_parse_term, recursive_pp, recursive_tokenize
+from oracles import recursive_eval, recursive_parse_term, recursive_pp, recursive_tokenize
 
 OMEGA = app(S, app(S, K, K), app(S, K, K))
 
@@ -165,15 +165,114 @@ def test_evaluation_deterministic():
         assert (a.term, a.steps) == (b.term, b.steps)
 
 
+def nest_under_k(t, depth):
+    """K (K (... t)) with depth K's."""
+    for _ in range(depth):
+        t = App(K, t)
+    return t
+
+
 def test_nesting_past_the_recursion_limit_is_not_divergence():
     # K (K (... S)) nested 5000 deep is already a normal form
-    t = S
-    for _ in range(5000):
-        t = App(K, t)
+    t = nest_under_k(S, 5000)
     assert not mentions_constants(t)
     assert mentions_constants(App(t, Const("c")))
-    with pytest.raises(SizeLimitExceeded, match="term nests too deeply to normalize"):
-        eval_term(t)
+    r = eval_term(t)
+    assert r.term == t and r.steps == 0
+
+
+def test_redex_at_the_bottom_of_a_deep_term_is_contracted():
+    # K K S S contracts to K S in one step, under 100,000 K's
+    r = eval_term(nest_under_k(app(K, K, S, S), 100_000))
+    assert r.steps == 1
+    assert r.term == nest_under_k(App(K, S), 100_000)
+
+
+def test_a_normal_term_is_returned_itself():
+    t = app(S, App(K, Const("x")), app(S, K, K))
+    assert eval_term(t).term is t
+    # a contraction anywhere builds a new spine
+    u = app(S, App(K, Const("x")), app(K, K, S, S))
+    assert eval_term(u).term == app(S, App(K, Const("x")), App(K, S))
+
+
+def test_deep_terms_compare_and_hash_without_recursion():
+    a, b = nest_under_k(S, 100_000), nest_under_k(S, 100_000)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert nest_under_k(S, 100_000) != nest_under_k(K, 100_000)
+    spine = parse_term(" ".join(["x"] * 100_000), auto_declare=True)
+    same = parse_term(" ".join(["x"] * 100_000), auto_declare=True)
+    assert spine == same and hash(spine) == hash(same)
+    assert spine != parse_term(" ".join(["y"] + ["x"] * 99_999), auto_declare=True)
+
+
+def test_constants_of_separate_parses_are_equal_and_match_rules():
+    d0 = parse_term("d0", auto_declare=True)
+    again = parse_term("d0", auto_declare=True)
+    assert d0 is not again and d0 == again and hash(d0) == hash(again)
+    c = Const("c", rules=((parse_term("K d0", auto_declare=True), S),))
+    assert eval_term(App(c, parse_term("K d0", auto_declare=True))).term == S
+    assert eval_term(App(c, parse_term("K d1", auto_declare=True))).steps == 0
+
+
+# -- the normalizer against the recursive referee -----------------------------
+
+I = app(S, K, K)
+RULE_LHS = ("K", "S K", "a", "K a", "S (K b)", "b")
+
+
+def rand_redexes(rng, depth, atoms):
+    """Random terms over the atom makers, with S redexes whose shared last
+    argument is itself a K redex."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms)()
+    if rng.random() < 0.15:
+        return app(S, rand_redexes(rng, depth - 1, atoms), rand_redexes(rng, depth - 1, atoms),
+                   app(K, rand_redexes(rng, depth - 1, atoms), rand_redexes(rng, depth - 1, atoms)))
+    return App(rand_redexes(rng, depth - 1, atoms), rand_redexes(rng, depth - 1, atoms))
+
+
+def rand_rule_case(rng):
+    """A term over S, K, inert constants a and b (a new object at each
+    occurrence) and a constant c whose rules' left-hand sides are parsed on
+    their own, applied to redexes that may normalize to one of them."""
+    inert = [lambda: S, lambda: K, lambda: Const("a"), lambda: Const("b")]
+    c = Const("c", rules=tuple(
+        (parse_term(rng.choice(RULE_LHS), auto_declare=True), rand_redexes(rng, 2, inert))
+        for _ in range(rng.randint(1, 3))))
+
+    def disguised():
+        lhs = parse_term(rng.choice(RULE_LHS), auto_declare=True)
+        return app(K, lhs, S) if rng.random() < 0.5 else App(I, lhs)
+
+    atoms = inert * 2 + [lambda: c, lambda: c, disguised]
+    if rng.random() < 0.05:
+        atoms.append(lambda: OMEGA)
+    head = c if rng.random() < 0.5 else rand_redexes(rng, 2, atoms)
+    return app(head, *(rand_redexes(rng, 4, atoms) for _ in range(rng.randint(1, 3))))
+
+
+def test_normalizer_matches_recursive_referee():
+    rng = random.Random(53)
+    matched_after_steps = out_in_argument = 0
+    for _ in range(2000):
+        t = rand_rule_case(rng)
+        head, args = t, []
+        while isinstance(head, App):
+            args.append(head.arg)
+            head = head.fn
+        for fuel in (0, 1, 50, 500, 5000):
+            got = eval_term(t, fuel)
+            want, steps = recursive_eval(t, fuel)
+            assert (got.diverged, got.steps) == (want is None, steps), (pp(t), fuel)
+            if want is not None:
+                assert pp(got.term) == pp(want), (pp(t), fuel)
+            if isinstance(head, Const) and head.rules:
+                arg, arg_steps = recursive_eval(args[-1], fuel)
+                out_in_argument += arg is None
+                matched_after_steps += bool(
+                    arg_steps and arg is not None and any(lhs == arg for lhs, _ in head.rules))
+    assert matched_after_steps > 50 and out_in_argument > 500
 
 
 # -- reader and printer against the recursive referees ----------------------
