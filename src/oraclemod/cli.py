@@ -2,9 +2,16 @@
 
 Every run emits one report, as stable sorted-key JSON (no timings, so equal
 inputs and seed give byte-identical output) or as human-readable text.
+The JSON is exactly ``json.dumps(report, sort_keys=True, indent=2)`` plus a
+newline, written by one encoder of this module (``_to_json``) that keeps
+its open containers on an explicit stack, so a report of any depth renders
+(the standard encoder recurses once per level under ``indent``), and that
+writes a list of strings, the shape of a frame element, with one ``join``.
+The text format walks a stack the same way.
 Exit codes: 0 all checks passed, 1 check failure, 2 usage or input error,
 3 resource exhaustion / unknown verdicts, 4 internal invariant violation or
-any other fault of the program (a bug report on stderr).
+any other fault of the program, rendering the report included (a bug
+report on stderr).
 ``run`` may be called any number of times in one process; it builds its
 parser on the first call and reuses it.
 """
@@ -17,6 +24,7 @@ import json
 import sys
 import time
 import traceback
+from itertools import repeat
 
 from . import __version__, io
 from .containers import (
@@ -256,32 +264,124 @@ def _dispatch(args) -> tuple[dict, int]:
     raise OracleModError(f"unhandled verb {args.verb!r}")
 
 
-def _text_lines(obj, indent: int = 0):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            v = obj[k]
-            if isinstance(v, (dict, list)) and v:
-                yield f"{pad}{k}:"
-                yield from _text_lines(v, indent + 1)
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _leaf(v) -> str | None:
+    """The JSON text of ``v`` when it is a scalar or an empty container,
+    else None for a list, tuple or dict."""
+    if isinstance(v, str):
+        return _ESCAPE(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return "NaN" if v != v else _INFINITIES.get(v) or float.__repr__(v)
+    if isinstance(v, (list, tuple)):
+        return None if v else "[]"
+    if isinstance(v, dict):
+        return None if v else "{}"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _to_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for dicts with string
+    keys, lists, tuples and scalars, on an explicit stack so that nesting
+    costs no recursion. ``todo`` holds, next item last, text to write, a
+    (container, newline and indent of its level) pair to write, and the id
+    of a container to close; ``opened`` holds the ids of the containers
+    being written, so a cycle is refused as ``json`` refuses it."""
+    text = _leaf(obj)
+    if text is not None:
+        return text
+    out: list[str] = []
+    todo: list = [(obj, "\n")]
+    opened: set[int] = set()
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        if isinstance(item, int):
+            opened.discard(item)
+            continue
+        v, nl = item
+        if id(v) in opened:
+            raise ValueError("Circular reference detected")
+        opened.add(id(v))
+        inner = nl + "  "
+        if isinstance(v, dict):
+            keys = sorted(v)
+            if not all(map(isinstance, keys, repeat(str))):
+                bad = next(k for k in keys if not isinstance(k, str))
+                raise TypeError(f"keys must be str, not {type(bad).__name__}")
+            heads = [f",{inner}{_ESCAPE(k)}: " for k in keys]
+            values, run, close = map(v.__getitem__, keys), ["{"], "}"
+        else:
+            heads, values, run, close = ["," + inner] * len(v), v, ["["], "]"
+        heads[0] = heads[0][1:]  # no comma before the first item
+        # the text since the last nested container is joined into one item
+        entries: list = []
+        for head, x in zip(heads, values):
+            if isinstance(x, str):
+                run += (head, _ESCAPE(x))
+            elif isinstance(x, (list, tuple)) and x and all(map(isinstance, x, repeat(str))):
+                # a list of strings, as a frame element is written: one join
+                deeper = inner + "  "
+                run += (head, "[", deeper, f",{deeper}".join(map(_ESCAPE, x)), inner, "]")
             else:
-                yield f"{pad}{k}: {json.dumps(v)}"
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)):
-                yield f"{pad}-"
-                yield from _text_lines(v, indent + 1)
+                text = _leaf(x)
+                if text is None:
+                    run.append(head)
+                    entries += ("".join(run), (x, inner))
+                    run = []
+                else:
+                    run += (head, text)
+        run.append(nl + close)
+        entries += ("".join(run), id(v))
+        todo.extend(reversed(entries))
+    return "".join(out)
+
+
+def _text_lines(report) -> list[str]:
+    """The lines of the text format, on an explicit stack like ``_to_json``:
+    one line per dict key (sorted) or list item ("-"), nested values two
+    spaces further in, scalars and empty containers in JSON."""
+    lines: list[str] = []
+    todo: list = [(report, "")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        v, pad = item
+        if isinstance(v, dict):
+            # an empty container under a key is written on the key's line
+            heads = [(f"{pad}{k}:", v[k], False) for k in sorted(v)]
+        else:
+            heads = [(f"{pad}-", x, True) for x in v]
+        entries: list = []
+        for head, x, in_list in heads:
+            if isinstance(x, (dict, list, tuple)) and (x or in_list):
+                entries += (head, (x, pad + "  "))
             else:
-                yield f"{pad}- {json.dumps(v)}"
-    else:
-        yield f"{pad}{json.dumps(obj)}"
+                entries.append(f"{head} {_to_json(x)}")
+        todo.extend(reversed(entries))
+    return lines
 
 
 def emit_report(report: dict, fmt: str, elapsed_ms: float | None = None) -> str:
-    """Render a report; json output is stable and timing-free."""
+    """Render a report; json output is stable and timing-free, and equals
+    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    lines = list(_text_lines(report))
+        return _to_json(report) + "\n"
+    lines = _text_lines(report)
     if elapsed_ms is not None:
         lines.append(f"elapsed_ms: {elapsed_ms:.1f}")
     return "\n".join(lines) + "\n"
@@ -313,6 +413,18 @@ def run(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         body, status = _dispatch(args)
+        report = {
+            "header": {
+                "command": command,
+                "seed": getattr(args, "seed", 0),
+                "version": __version__,
+            },
+            "body": body,
+            "status": status,
+        }
+        elapsed = (time.perf_counter() - t0) * 1000.0
+        rendered = emit_report(report, args.format,
+                               elapsed if args.format == "text" else None)
     except SizeLimitExceeded as e:
         sys.stderr.write(f"oraclemod: error: {e}\n")
         return 3
@@ -322,20 +434,10 @@ def run(argv=None) -> int:
         sys.stderr.write(f"oraclemod: error: {e}\n")
         return 2
     except Exception as e:
-        # any other exception is a fault of the program, not of its input
+        # any other exception, rendering included, is a fault of the
+        # program, not of its input
         return _bug_report(command, args.format, f"unexpected {type(e).__name__}",
                            traceback.format_exc())
-    report = {
-        "header": {
-            "command": command,
-            "seed": getattr(args, "seed", 0),
-            "version": __version__,
-        },
-        "body": body,
-        "status": status,
-    }
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    rendered = emit_report(report, args.format, elapsed if args.format == "text" else None)
     if not args.output:
         sys.stdout.write(rendered)
         return status

@@ -8,7 +8,10 @@ non-empty and hold no comma. The readers here are the one place where a
 JSON element becomes a carrier index: a nucleus table, always under
 ``"table"``, is read into an index array, checked to name each element
 once, and a container into the index arrays of
-``IndexedPropContainer.of_indices``.
+``IndexedPropContainer.of_indices``. An element spelled as these writers
+spell it, key or label list, costs one dict lookup
+(``Frame.element_index``); any other spelling, and every error message,
+goes through ``Frame.element``.
 """
 
 from __future__ import annotations
@@ -83,16 +86,23 @@ def element_to_json(el: FrameElement) -> list[str]:
 
 
 def _index_from_json(frame: Frame, v) -> int:
-    """The carrier index of a JSON element."""
+    """The carrier index of a JSON element: one lookup in
+    ``Frame.element_index`` for an element's key or label list as written
+    here, else through ``Frame.element`` for any other spelling (``"b,a"``,
+    ``"a,,b"``, a label named twice) and for a label list that names no
+    element, which it refuses."""
     if isinstance(v, str):
-        labels = [x for x in v.split(",") if x]
+        key = v
     elif _is_strings(v):
-        labels = v
+        key = tuple(v)
     else:
         raise OracleModError(
             f"a frame element must be a label list or a comma-joined string, not {v!r}"
         )
-    return frame.element(labels).index
+    index = frame.element_index.get(key)
+    if index is None:
+        index = frame.element([x for x in v.split(",") if x] if key is v else v).index
+    return index
 
 
 # -- nuclei ---------------------------------------------------------------
@@ -108,16 +118,16 @@ def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
     table = _field(d, "table", "nucleus file") if isinstance(d, Mapping) else d
     if not isinstance(table, Mapping):
         raise OracleModError("a nucleus table must be a JSON object")
-    out = np.full(len(frame), -1, dtype=np.int32)
+    out = [-1] * len(frame)
     for k, v in table.items():
         i = _index_from_json(frame, k)
         if out[i] >= 0:
             raise OracleModError(
                 f"nucleus table lists element {list(frame.element_labels[i])!r} twice")
         out[i] = _index_from_json(frame, v)
-    if (out < 0).any():
+    if -1 in out:
         raise FrameMismatch("nucleus table is not total on the carrier")
-    return out
+    return np.array(out, dtype=np.int32)
 
 
 # -- containers -------------------------------------------------------------

@@ -57,13 +57,16 @@ class Const:
 
 class App:
     """An application node.  Equality is structural and hashing is cached;
-    both walk an explicit stack, so any depth of nesting is fine."""
+    both walk an explicit stack, so any depth of nesting is fine.
+    ``_normal`` is set once the normalizer has found the node to be its own
+    normal form, which it then returns without walking it again."""
 
-    __slots__ = ("fn", "arg", "_hash")
+    __slots__ = ("fn", "arg", "_hash", "_normal")
 
     def __init__(self, fn: "Term", arg: "Term"):
         self.fn = fn
         self.arg = arg
+        self._normal = False
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not App:
@@ -222,9 +225,11 @@ def _norm(t: Term, fuel: int) -> tuple[Term | None, int]:
     Contractions share subterm objects (S duplicates its last argument by
     reference), so normal forms are memoized by the identity of the term
     they came from, and a shared subterm is normalized and charged once.
-    A term with no redex anywhere is returned itself.
+    A term with no redex anywhere is returned itself, and marked so
+    (``App._normal``) that no later call walks it again: that costs no fuel
+    either way, so a term's normal form and its steps stay the same.
     """
-    if type(t) is not App:
+    if type(t) is not App or t._normal:
         return t, fuel
     memo: dict[int, tuple[Term, Term]] = {}
     # suspended frames: (term, head, argument stack, normal forms of the
@@ -285,7 +290,7 @@ def _norm(t: Term, fuel: int) -> tuple[Term | None, int]:
                 contracted = True
             elif kind is Const and head.rules and args:
                 a = args[-1]
-                if type(a) is App:
+                if type(a) is App and not a._normal:
                     hit = memo.get(id(a))
                     if hit is None:
                         call = a
@@ -297,7 +302,7 @@ def _norm(t: Term, fuel: int) -> tuple[Term | None, int]:
         # then normalize the remaining arguments, leftmost first
         while call is None and args:
             a = args.pop()
-            if type(a) is App:
+            if type(a) is App and not a._normal:
                 hit = memo.get(id(a))
                 if hit is None:
                     call = a
@@ -322,6 +327,7 @@ def _norm(t: Term, fuel: int) -> tuple[Term | None, int]:
                 nf = App(nf, a)
         else:
             nf = t
+            t._normal = True
         memo[id(t)] = (t, nf)
         t = None
 

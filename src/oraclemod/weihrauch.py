@@ -4,7 +4,7 @@
 is the extended predicate that maps each realizer to the answer sets of the
 elements it realizes.  Reductions (``check_weihrauch``) and tree membership
 (``check_oracle_membership_w``) share one three-valued search,
-``_first_verified``: the first family whose obligations all hold, else
+``_search``: the first family whose obligations all hold, else
 Unknown if some obligation was undefined, else a failure, reported with
 what the check of the blamed obligation found.  A realizer's printed normal
 form is its identity: the predicate maps each printed instance to its
@@ -18,6 +18,8 @@ fails with defined evaluations; anything resting on a diverging or
 depth-exhausted branch stays Unknown. Any other verdict's ``path`` gives,
 from the root down, each node's reason along the branch of the obligation
 that decided it, each entry below the root prefixed ``family i, answer d:``.
+The check and ``recheck_certificate_w`` keep the nodes they have open on
+an explicit stack, so a tree of any depth is checked without recursion.
 """
 
 from __future__ import annotations
@@ -90,22 +92,23 @@ class ExtWeihrauchPredicate:
         return self._instances.get(key, (None, ()))[1]
 
 
-def _first_verified(families, decide):
+def _search(families):
     """The search of both checks: the first family whose obligations all hold.
 
-    ``decide(x)`` returns ``(evidence, detail)``: evidence that obligation x
-    holds (truthy), ``False`` if it fails, or ``None`` if it is undefined,
-    with what its check found.  Returns ``(i, evidence)`` for the first family
-    i whose members all hold, with the evidence in member order.  With no
-    such family (of a non-empty list) it returns ``(None, (k, key, e,
-    detail))``: the first undefined obligation, else the first failed one,
-    its family k, its printed form key and what decide returned for it.
+    A generator: it yields each obligation x in search order and is sent
+    ``(evidence, detail)`` for it: evidence that x holds (truthy), ``False``
+    if it fails, or ``None`` if it is undefined, with what its check found.
+    It returns ``(i, evidence)`` for the first family i whose members all
+    hold, with the evidence in member order.  With no such family (of a
+    non-empty list) it returns ``(None, (k, key, e, detail))``: the first
+    undefined obligation, else the first failed one, its family k, its
+    printed form key and what was sent for it.
     """
     blame = None
     for i, family in enumerate(families):
         evidence = []
         for key, x in family.items():
-            e, detail = decide(x)
+            e, detail = yield x
             if not e:
                 if blame is None or (e is None and blame[2] is not None):
                     blame = (i, key, e, detail)
@@ -114,6 +117,18 @@ def _first_verified(families, decide):
         else:
             return i, evidence
     return None, blame
+
+
+def _first_verified(families, decide):
+    """``_search`` with each obligation x decided by ``decide(x)``, which
+    returns what the search is sent."""
+    search = _search(families)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(decide(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 # -- reducibility ------------------------------------------------------------
@@ -227,9 +242,15 @@ def check_oracle_membership_w(
     if start.diverged:
         return MembershipVerdict("unknown", ("term itself diverged",))
 
-    def go(t_nf: Term, depth: int) -> tuple[dict | bool | None, tuple[str, ...]]:
-        """(certificate, ()) for a member, else (False or None, path): False
-        when the tree is not a member, None when that is unknown."""
+    # The walk keeps its open nodes on a stack, so a tree of any depth takes
+    # no recursion: each is (its search, realizer, c, families, depth), and
+    # ``outcome`` is what the top one's search is sent next, None to start.
+    nodes: list[tuple] = []
+
+    def visit(t_nf: Term, depth: int) -> tuple[dict | bool | None, tuple[str, ...]] | None:
+        """(certificate, ()) for a member leaf, (False or None, path) for a
+        tree that is not a member or whose membership is unknown here; None
+        after opening the search of a node with families and depth left."""
         dec = _decode(t_nf)
         if dec[0] == "malformed":
             return False, (dec[1],)
@@ -245,24 +266,32 @@ def check_oracle_membership_w(
             return False, (f"node realizer {realizer} matches nothing",)
         if depth <= 0:
             return None, ("depth exhausted",)
+        nodes.append((_search(families), realizer, c, families, depth))
+        return None
 
-        def child(d: Term) -> tuple[dict | bool | None, tuple[str, ...]]:
-            e = eval_term(App(c, d), fuel)
-            return (None, ("diverged",)) if e.diverged else go(e.term, depth - 1)
-
-        i, found = _first_verified(families, child)
-        if i is None:
-            k, key, outcome, (first, *rest) = found
-            return outcome, (f"no alternative at {realizer} verified",
-                             f"family {k}, answer {key}: {first}", *rest)
-        return {
-            "kind": "node",
-            "realizer": realizer,
-            "choice": f"family {i}",
-            "children": dict(zip(families[i], found)),
-        }, ()
-
-    cert, path = go(start.term, depth)
+    outcome = visit(start.term, depth)
+    while nodes:
+        search, realizer, c, families, level = nodes[-1]
+        try:
+            d = search.send(outcome)
+        except StopIteration as stop:
+            nodes.pop()
+            i, found = stop.value
+            if i is None:
+                k, key, e, (first, *rest) = found
+                outcome = e, (f"no alternative at {realizer} verified",
+                              f"family {k}, answer {key}: {first}", *rest)
+            else:
+                outcome = {
+                    "kind": "node",
+                    "realizer": realizer,
+                    "choice": f"family {i}",
+                    "children": dict(zip(families[i], found)),
+                }, ()
+            continue
+        e = eval_term(App(c, d), fuel)
+        outcome = (None, ("diverged",)) if e.diverged else visit(e.term, level - 1)
+    cert, path = outcome
     if cert:
         return MembershipVerdict("member", (), cert)
     return MembershipVerdict("not_member" if cert is False else "unknown", path)
@@ -275,17 +304,22 @@ def recheck_certificate_w(
     cert: dict,
     fuel: int = DEFAULT_FUEL,
 ) -> bool:
-    """Independently re-verify a Member certificate against the same data."""
+    """Independently re-verify a Member certificate against the same data,
+    visiting its nodes depth first from a stack, children in answer order,
+    and stopping at the first that fails."""
     members = {pp(_normalize(m, fuel, "answer-set member")) for m in members}
-
-    def go(t_term: Term, cert: dict) -> bool:
+    todo = [(t, cert)]
+    while todo:
+        t_term, cert = todo.pop()
         start = eval_term(t_term, fuel)
         if start.diverged:
             return False
         dec = _decode(start.term)
         if cert["kind"] == "leaf":
-            return (dec[0] == "leaf" and pp(dec[1]) == cert["payload"]
-                    and cert["payload"] in members)
+            if not (dec[0] == "leaf" and pp(dec[1]) == cert["payload"]
+                    and cert["payload"] in members):
+                return False
+            continue
         if cert["kind"] != "node" or dec[0] != "node":
             return False
         _, b, c = dec
@@ -296,6 +330,5 @@ def recheck_certificate_w(
         answers = labelled.get(cert["choice"])
         if answers is None or answers.keys() != cert["children"].keys():
             return False
-        return all(go(App(c, d), cert["children"][key]) for key, d in answers.items())
-
-    return go(t, cert)
+        todo += reversed([(App(c, d), cert["children"][key]) for key, d in answers.items()])
+    return True

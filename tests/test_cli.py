@@ -1,12 +1,16 @@
 import json
+import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oraclemod import cli, io, theorems
 from oraclemod.errors import InternalInvariantViolation
 from oraclemod.frames import downset_frame
-from oraclemod.pca import Const, parse_term, pp, tag_leaf
+from oraclemod.pca import App, Const, K, parse_term, pp, tag_leaf, tag_node
 
 from catalog import canonical_nuclei, dump_json, principal_downset
 
@@ -378,6 +382,29 @@ def test_oracle_tree_check_long_leaf_spine(tmp_path, capsys):
     assert code == 0 and json.loads(out)["body"]["verdict"] == "member"
 
 
+@pytest.mark.parametrize("levels", (340, 2000))
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_oracle_tree_check_deep_chain(tmp_path, levels, fmt):
+    # tag_node(K, K t) nested per level over the leaf m0, under K -> [[S]]:
+    # the check and both renderings of its certificate keep their own stacks
+    dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+              tmp_path / "f.json")
+    dump_json(["m0"], tmp_path / "s.json")
+    t = tag_leaf(Const("m0"))
+    for _ in range(levels):
+        t = tag_node(K, App(K, t))
+    report = tmp_path / "report"
+    assert cli.run(["--format", fmt, "--output", str(report), "oracle-tree", "check",
+                    "--pred", str(tmp_path / "f.json"), "--s", str(tmp_path / "s.json"),
+                    "--term", pp(t), "--depth", str(levels)]) == 0
+    text = report.read_text(encoding="utf-8")
+    report.unlink()  # tens of megabytes at 2000 levels: indent grows with depth
+    quote = '"' if fmt == "json" else ""
+    assert f'{quote}verdict{quote}: "member"' in text
+    assert text.count(f'{quote}realizer{quote}: "K"') == levels
+    assert text.count(f'{quote}payload{quote}: "m0"') == 1
+
+
 def test_emit_report_empty_body():
     report = {"header": {"command": "verify", "seed": 0, "version": "x"},
               "body": {"reports": []}, "status": 0}
@@ -386,6 +413,74 @@ def test_emit_report_empty_body():
     twice = cli.emit_report(report, "json")
     assert twice == cli.emit_report(report, "json")
     assert json.loads(twice)["body"]["reports"] == []
+
+
+# JSON values of every kind the reports may hold: escapes, non-ASCII text,
+# empty and nested containers, tuples, large ints and floats
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers(min_value=-10**60, max_value=10**60) | st.floats(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.text()) | st.dictionaries(st.text(), inner)),
+    max_leaves=25,
+)
+
+
+def dumps_report(report):
+    """The JSON format's referee: the standard library's encoder."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES, st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+def test_json_report_equals_json_dumps(value, extra):
+    report = {"body": value, **extra}
+    assert cli.emit_report(report, "json") == dumps_report(report)
+
+
+def test_json_report_nested_2000_levels():
+    value = []
+    for i in range(2000):
+        value = {"inner": value, "tag": "é"} if i % 2 else [1.5, value, ["a", "b"]]
+    report = {"body": value}
+    rendered = cli.emit_report(report, "json")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)  # the referee recurses once per level
+    try:
+        assert rendered == dumps_report(report)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("value", (object(), {1, 2}, b"bytes", 1j, [1, {"k": object()}]),
+                         ids=("object", "set", "bytes", "complex", "nested"))
+def test_json_report_refuses_what_json_refuses(value):
+    report = {"body": value}
+    with pytest.raises(TypeError) as ours:
+        cli.emit_report(report, "json")
+    with pytest.raises(TypeError) as theirs:
+        dumps_report(report)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_json_report_refuses_cycles_and_non_string_keys():
+    cycle = []
+    cycle.append({"back": cycle})
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        cli.emit_report({"body": cycle}, "json")
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        cli.emit_report({"body": {1: "one"}}, "json")
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_render_fault_exits_4(monkeypatch, poset_file, fmt, capsys):
+    # a report that cannot be rendered is a fault of the program
+    monkeypatch.setattr(cli, "_dispatch", lambda args: ({"value": object()}, 0))
+    assert cli.run(["--format", fmt, "frame", "build", "--poset", poset_file]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unexpected TypeError" in err
+    assert "Object of type object is not JSON serializable" in err
 
 
 def test_usage_error_exits_2(capsys):
@@ -617,6 +712,43 @@ def test_nucleus_roundtrip():
     # values may equally be given in comma-joined string form
     stringy = {"table": {k: ",".join(v) for k, v in d["table"].items()}}
     assert (io.nucleus_table_from_dict(frame, stringy) == dn.table).all()
+
+
+def test_every_spelling_of_an_element_reads_as_its_index():
+    # the key and label list io writes take one lookup; reordered labels,
+    # empty segments and a label named twice go through Frame.element
+    frame = downset_frame(io.poset_from_dict(PAIRS4))
+    for i, labels in enumerate(frame.element_labels):
+        spellings = [",".join(labels), ",".join(reversed(labels)),
+                     "," + ",,".join(labels) + ",", list(labels),
+                     list(reversed(labels)), list(labels) + list(labels[:1])]
+        for v in spellings:
+            assert io._index_from_json(frame, v) == frame.element(labels).index == i
+    table = np.arange(len(frame))[::-1]  # any table will do
+    canonical = io.nucleus_table_to_dict(frame, table)
+    reordered = {",".join(reversed(k.split(","))): v[::-1] for k, v in canonical.items()}
+    assert list(reordered) != list(canonical)
+    for d in (canonical, reordered):
+        assert (io.nucleus_table_from_dict(frame, {"table": d}) == table).all()
+
+
+@pytest.mark.parametrize("cell, message", (
+    (("z", []), "['z'] is not an element of this frame"),
+    (("q", []), "['q'] is not an element of this frame"),  # not a downset
+    (("", ["p", "z", "z"]), "['p', 'z'] is not an element of this frame"),
+    (("", "q,,z"), "['q', 'z'] is not an element of this frame"),
+    (("", 7), "a frame element must be a label list or a comma-joined string, not 7"),
+    (("", ["p", ["q"]]),
+     "a frame element must be a label list or a comma-joined string, not ['p', ['q']]"),
+), ids=("unknown-key", "non-downset-key", "unknown-label", "unknown-in-string",
+        "number", "nested-list"))
+def test_nucleus_naming_no_element_exits_2(tmp_path, capsys, cell, message):
+    poset_path, path = str(tmp_path / "chain2.json"), str(tmp_path / "bad.json")
+    dump_json(CHAIN2, poset_path)
+    key, value = cell
+    dump_json({"table": {"p": ["p"], "p,q": ["p", "q"], key: value}}, path)
+    assert cli.run(["nuclei", "validate", "--poset", poset_path, "--nucleus", path]) == 2
+    assert capsys.readouterr().err == f"oraclemod: error: {message}\n"
 
 
 @pytest.mark.parametrize("swapped", [False, True])

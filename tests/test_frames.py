@@ -207,6 +207,22 @@ def test_downset_carrier_matches_powerset_filter(name):
     )
 
 
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_carrier_key_orders_as_the_tuple_key(name):
+    # the key downset_frame sorted by before its integer key: size, then the
+    # set-bit positions ascending, which is the order by sorted labels
+    frame = make_frame(name)
+    labels = len(frame.poset)
+
+    def tuple_key(m):
+        return m.bit_count(), tuple(i for i in range(labels) if m >> i & 1)
+
+    masks = list(frame.masks)
+    shuffled = random.Random(name).sample(masks, len(masks))
+    assert sorted(shuffled, key=tuple_key) == masks
+    assert sorted(shuffled, key=lambda m: frames._carrier_key(labels, m)) == masks
+
+
 def test_downset_frame_size_limit(monkeypatch):
     # 4 labels, 16 downsets: 4 * 16**2 label steps a sweep
     poset = poset_from_relation(*POSETS["anti4"])

@@ -196,6 +196,22 @@ def test_a_normal_term_is_returned_itself():
     assert eval_term(u).term == app(S, App(K, Const("x")), App(K, S))
 
 
+def test_normal_marks_change_no_result_or_step_count():
+    # normal forms found by one evaluation are marked and not walked again;
+    # a term built around them evaluates as an unmarked copy of it does
+    rng = random.Random(7)
+    for _ in range(200):
+        parts = [rand_normal(rng) for _ in range(3)]
+        for part in parts:
+            assert eval_term(part).term is part
+        t = app(S, App(K, parts[0]), app(S, K, K), app(parts[1], parts[2]))
+        fresh = parse_term(pp(t))
+        for fuel in (0, 1, 2, 5, 50):
+            got, want = eval_term(t, fuel), eval_term(fresh, fuel)
+            assert (got.diverged, got.steps) == (want.diverged, want.steps)
+            assert got.diverged or pp(got.term) == pp(want.term)
+
+
 def test_deep_terms_compare_and_hash_without_recursion():
     a, b = nest_under_k(S, 100_000), nest_under_k(S, 100_000)
     assert a is not b and a == b and hash(a) == hash(b)

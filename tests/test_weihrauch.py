@@ -124,6 +124,45 @@ def build_deep(levels):
     return cur
 
 
+def k_chain(levels, payload=MEMBERS[0]):
+    """tag_node(K, K t) nested ``levels`` times over the leaf ``payload``:
+    under K -> [[S]] each node's one answer S leads to the next."""
+    t = tag_leaf(payload)
+    for _ in range(levels):
+        t = tag_node(K, App(K, t))
+    return t
+
+
+K_TO_S = ExtWeihrauchPredicate([(K, [[S]])])
+
+
+@pytest.mark.parametrize("levels", (340, 2000))
+def test_deep_chain_is_a_rechecked_member(levels):
+    # the search and the recheck keep their open nodes on stacks
+    t = k_chain(levels)
+    v = check_oracle_membership_w(K_TO_S, MEMBERS, t, depth=levels)
+    assert v.verdict == "member" and v.path == ()
+    assert recheck_certificate_w(K_TO_S, MEMBERS, t, v.certificate)
+    cert = v.certificate
+    for _ in range(levels):
+        assert (cert["kind"], cert["realizer"], cert["choice"]) == ("node", "K", "family 0")
+        (cert,) = cert["children"].values()
+    assert cert == {"kind": "leaf", "payload": "m0"}
+    # one level short, the last node has no depth left
+    v = check_oracle_membership_w(K_TO_S, MEMBERS, t, depth=levels - 1)
+    assert v.verdict == "unknown" and v.path[-1] == "family 0, answer S: depth exhausted"
+
+
+def test_deep_chain_blames_its_bottom_leaf():
+    levels = 2000
+    v = check_oracle_membership_w(K_TO_S, MEMBERS, k_chain(levels, NON_MEMBER), depth=levels)
+    assert v.verdict == "not_member" and len(v.path) == levels + 1
+    assert v.path[:3] == ("no alternative at K verified",
+                          "family 0, answer S: no alternative at K verified",
+                          "family 0, answer S: no alternative at K verified")
+    assert v.path[-1] == "family 0, answer S: leaf payload bad not in the set"
+
+
 def test_depth_exhaustion_is_unknown():
     t = to_term(build_deep(3))
     assert check_oracle_membership_w(TOY_F, MEMBERS, t, depth=5).verdict == "member"
