@@ -14,10 +14,10 @@ OR-ing along a topological order. A cycle is reported by the first pair of
 labels, in label order, that lie on one, found by one pass of Tarjan's
 strongly-connected-components algorithm over the labels the topological
 sort leaves over: linear in the pairs, 10 ms CPU for a cycle through 4000
-labels on a 2-core VM. The downsets are generated once each, walking the labels along a
-linear extension (by the size of their principal downsets): a label
-extends every downset found so far that holds the rest of its principal
-downset. A frame keeps one mask per element.
+labels on a 2-core VM. The downsets are generated once each, walking the
+labels along a linear extension (by the size of their principal
+downsets): a label extends every downset found so far that holds the rest
+of its principal downset. A frame keeps one mask per element.
 By Birkhoff, every downset is reached from the empty one by adding its
 labels in that linear extension, so one table, ``add[x, i]`` (downset i
 with label x added), builds all four operation tables: a sweep starts
@@ -25,34 +25,27 @@ every pair (a, b) at bottom and adds each label x in turn where a per-pair
 test holds, x in a and in b for meet, in a or in b for join, and
 ``down(x) & a <= b`` for ``a => b``; the order table is where meet gives
 back its row. A sweep takes labels x n**2 label steps, in blocks of rows.
-The meet sweep gathers only the rows of a block that hold x: a meet table
-took 0.20 ms at carrier 81 either way, 1.75 to 1.45 ms at 243, 19 to 16 ms
-at 729 and 456 to 282 ms for the chain of 585 labels, but 23 to 32 us at
-16 and 18 to 28 us at 3, where the extra gather and scatter cost more than
-the cells they skip (medians of interleaved builds, CPU time on a 2-core
-VM, numpy 2.4). The join sweep steps whole blocks: gathering the rows
-that hold x and the columns that hold x for the rest took 0.33 to 0.47 ms
-at 81, 3.4 to 3.5 ms at 243 and 34 to 36 ms at 729, and won only on that
-chain (650 to 540 ms).
+The meet sweep gathers only the rows of a block that hold x: from carriers
+of about 81 up that skips more cells than the gather and scatter cost. The
+join sweep steps whole blocks, since gathering the rows and columns that
+hold x cost more than it skipped on every carrier but long chains. Every
+blocked pass takes its slices from ``blocks``, the one place that applies
+``BLOCK_CELLS``, and reduces by an operation table with ``fold``.
 Element labels, keys and lookup (``element_index`` finds an element by its
 key or its label tuple), and the label tables the closed form of nuclei
 reads (label membership, the index of ``down(x) - {x}`` and the
 single-label nuclei j_{x}), are derived from the masks on first use, label
 membership once per frame, for them and for the meet and join sweeps.
-The carrier is sorted by one int per downset (``_carrier_key``), not a
-tuple of label positions: a whole build of the 81 downsets of four
-two-label chains took 0.14-0.23 ms before and 0.11 ms after, and of the
-729 of six 1.7-2.7 ms before and 1.0-1.1 ms after (medians of 41 and 9
-builds in separate runs, same machine).
+The carrier is sorted by one int per downset (``_carrier_key``), which is
+cheaper to build and compare than a tuple of label positions.
 
 So the label-level verbs build few tables: ``frame build`` none,
 ``oracle compute`` and an accepted ``nuclei validate`` the meet table
 alone, a rejected ``nuclei validate`` meet and order, and ``oracle
 compare``, ``verify`` and ``check_laws`` all four. At the 4096 downsets of
 12 incomparable labels, a whole ``frame build`` process takes 0.5 s CPU and
-33 MB max RSS, and ``oracle compute`` 1.7 s and 99 MB, against 4.0 s and
-243 MB for either when every table was built with the frame (2-core VM,
-numpy 2.4).
+33 MB max RSS, and ``oracle compute`` 1.7 s and 99 MB, where building every
+table with the frame would take 4.0 s and 243 MB (2-core VM, numpy 2.4).
 
 ``Frame.check_laws`` checks its two-index laws cell by cell and decides
 each three-index law with n**2 cells of work per candidate element, read
@@ -60,16 +53,12 @@ from the masks: associativity by Light's test over a generating set,
 distributivity from the down(x) being join-dense and join-prime in the
 lattice of the tables, and residuation at the down(x) alone (the proofs
 are in its docstring). It takes about 1 ms at carriers 64 and 81, 7 ms at
-243 and 70-85 ms at 729, where the blocked scan of all four laws takes
-4.3 ms, 6.7 ms, 0.10 s and 2.7 s (CPU time on a 2-core VM, numpy 2.4).
-The blocked scan only names witnesses: it runs for a law the decisions
-refute or cannot decide, so never on a sound frame. It works in blocks
-over the first index, reading int16 copies of the value tables and one
-intp copy of one index table at a time, cast once per law, so its
-temporaries hold O(max(BLOCK_CELLS, n**2)) cells, never ``n**3``; its
-time is cubic. Every blocked pass takes its slices from ``blocks``, the
-one place that applies ``BLOCK_CELLS``, and reduces by an operation table
-with ``fold``.
+243 and 65-110 ms at 729 (CPU time on a 2-core VM, numpy 2.4). Light's test
+is exact, so associativity needs no scan. A residuation or distributivity
+law that the decisions refute or leave open is scanned only to name its
+first witness, one row a at a time, comparing the two [b, c] sides: n**2
+cells of temporaries and at worst cubic time. A sound frame never reaches
+the scan, so it is kept plain rather than fast.
 
 One rule decides frame size: a build whose sweeps would take more than
 ``BUILD_COST_LIMIT`` label steps each, labels x downsets**2, the cost at the
@@ -496,10 +485,10 @@ class Frame:
           and meet distributes over that join, so residuation holds iff it
           holds for a among the down(x) (``_residuated``).
 
-        A law that these decisions refute or cannot decide goes to the
-        blocked scan (``_scan_laws``), which finds its message and first
-        witness. The scan only names witnesses: on a sound frame it never
-        runs.
+        Associativity is refuted by Light's test itself, which names no
+        witness. A residuation or distributivity law that these decisions
+        refute or cannot decide goes to ``_scan_laws``, which finds its
+        message and first witness; on a sound frame it never runs.
         """
         n = self._n
         leq, meet, join, imp = (
@@ -521,75 +510,52 @@ class Frame:
         # Order agrees with the operations: a <= b iff meet(a,b) == a.
         if not ((meet == rng[:, None]) == leq).all():
             bad.append("order does not match meet")
+        # int16 copies halve the bytes Light's test and absorption gather
         assert n < 1 << 15, "carrier indices must fit int16"
         meet16, join16 = meet.astype(np.int16), join.astype(np.int16)
         down = self._label_down
-        holds = {
-            "meet not associative": _associative(
-                meet16, np.append(self._label_outside, self.top_index)),
-            "join not associative": _associative(join16, np.append(down, self.bot_index)),
-        }
-        lattice = (not bad and all(holds.values())
+        if not _associative(meet16, np.append(self._label_outside, self.top_index)):
+            bad.append("meet not associative")
+        if not _associative(join16, np.append(down, self.bot_index)):
+            bad.append("join not associative")
+        lattice = (not bad
                    # meet(a, join(a, b)) == a == join(a, meet(a, b))
                    and (np.take_along_axis(meet16, join, axis=1) == rng[:, None]).all()
                    and (np.take_along_axis(join16, meet, axis=1) == rng[:, None]).all())
         distributive = (lattice and _join_dense(leq, join, down, self.bot_index)
                         and _join_prime(leq, join, down))
-        holds["residuation fails"] = distributive and _residuated(leq, meet, imp, down)
-        holds["distributivity fails"] = distributive
-        return bad + self._scan_laws([m for m, proved in holds.items() if not proved],
-                                     meet16, join16)
+        if not distributive:
+            return bad + self._scan_laws(["residuation fails", "distributivity fails"])
+        if not _residuated(leq, meet, imp, down):
+            return bad + self._scan_laws(["residuation fails"])
+        return bad
 
-    def _scan_laws(self, messages: list[str], meet16: np.ndarray,
-                   join16: np.ndarray) -> list[str]:
-        """The blocked scan of the named three-index laws, in the order of
-        ``check_laws``: each law's message, with its lexicographically first
-        witness (a, b, c) for residuation and distributivity, if the scan
-        finds one.
-
-        Each law compares two [a, b, c] arrays per block of a (``blocks``).
-        The meet and join tables are read as int16, and each law casts its
-        index table to intp once, so one intp copy of one table is alive at a
-        time and the temporaries hold O(max(BLOCK_CELLS, n**2)) cells. The
-        elementwise side is ``np.take(vals[a], idx, axis=1)``, the row side
-        ``vals[idx[a]]``, and distributivity's right side is built row by row
-        (``_joins_of``).
-        """
-        if not messages:
-            return []
-        n = self._n
+    def _scan_laws(self, messages: list[str]) -> list[str]:
+        """Each of the named laws, residuation and distributivity, in that
+        order, with its lexicographically first witness (a, b, c), if it has
+        one: the two [b, c] sides for one a at a time, n**2 cells, until
+        they differ."""
         leq, meet, join, imp = (
             self.leq_table,
             self.meet_table,
             self.join_table,
             self.implies_table,
         )
-        # Each law's intp copy of its index table lives in its ``sides``
-        # partial and is dropped when its scan ends, before the next cast.
-        join16_t = join.T.astype(np.int16, order="C")
-        laws = (
-            # op[op[a,b],c] == op[a,op[b,c]]
-            ("meet not associative", False, meet,
-             lambda idx, a: (meet16[idx[a]], np.take(meet16[a], idx, axis=1))),
-            ("join not associative", False, join,
-             lambda idx, a: (join16[idx[a]], np.take(join16[a], idx, axis=1))),
+        sides = {
             # meet(a,b) <= c  iff  a <= implies(b,c)
-            ("residuation fails", True, imp,
-             lambda idx, a: (leq[meet[a]], np.take(leq[a], idx, axis=1))),
+            "residuation fails": lambda a: (leq[meet[a]], leq[a].take(imp)),
             # a /\ (b \/ c) == (a /\ b) \/ (a /\ c)
-            ("distributivity fails", True, join,
-             lambda idx, a: (np.take(meet16[a], idx, axis=1), _joins_of(join16_t, meet[a]))),
-        )
+            "distributivity fails": lambda a: (meet[a].take(join),
+                                               join[meet[a]].take(meet[a], axis=1)),
+        }
         bad: list[str] = []
-        for message, with_witness, table, sides in laws:
-            if message not in messages:
-                continue
-            witness = _first_mismatch(blocks(n, n * n),
-                                      functools.partial(sides, table.astype(np.intp)))
-            if witness is None:
-                continue
-            bad.append(f"{message} at ({','.join(map(str, witness))})"
-                       if with_witness else message)
+        for message in messages:
+            for a in range(self._n):
+                diff = np.not_equal(*sides[message](a))
+                if diff.any():
+                    b, c = np.argwhere(diff)[0]
+                    bad.append(f"{message} at ({a},{b},{c})")
+                    break
         return bad
 
 
@@ -645,36 +611,9 @@ def _residuated(leq: np.ndarray, meet: np.ndarray, imp: np.ndarray, basis: np.nd
     return all(np.array_equal(leq[meet[j]], leq[j][imp]) for j in basis)
 
 
-def _joins_of(join_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """[a, b, c] = join[rows[a, b], rows[a, c]] for each row a of ``rows``,
-    read from ``join_t``, the transposed join table: per row r, the rows r of
-    ``join_t`` hold [c, x] = join[x, r[c]], and the rows r of their transpose
-    are [b, c]. Both gathers copy whole rows (numpy makes the transpose
-    contiguous first), about half the time of picking the columns r of
-    ``join[r]`` cell by cell."""
-    out = np.empty((len(rows), *join_t.shape), dtype=join_t.dtype)
-    for k, r in enumerate(rows.astype(np.intp)):
-        # join_t[r] has already refused any r out of range, so "wrap" reads
-        # the rows "raise" would, and writes to out[k] with no buffer
-        np.take(join_t[r].T, r, axis=0, out=out[k], mode="wrap")
-    return out
-
-
 def _frozen(table: np.ndarray) -> np.ndarray:
     table.flags.writeable = False
     return table
-
-
-def _first_mismatch(slices: list[slice], sides) -> tuple[int, int, int] | None:
-    """Lexicographically first (a, b, c) where the two [a, b, c] arrays that
-    ``sides(block)`` gives for each block of a, in order, differ, or None."""
-    for block in slices:
-        # the sides are dropped once compared, before the next block's
-        diff = np.not_equal(*sides(block))
-        if diff.any():
-            a, b, c = map(int, np.argwhere(diff)[0])
-            return a + block.start, b, c
-    return None
 
 
 def _check_build_cost(labels: int, n: int) -> None:

@@ -245,27 +245,28 @@ def check_oracle_membership_w(
     # The walk keeps its open nodes on a stack, so a tree of any depth takes
     # no recursion: each is (its search, realizer, c, families, depth), and
     # ``outcome`` is what the top one's search is sent next, None to start.
+    # A path is built reversed, so each level adds to its end.
     nodes: list[tuple] = []
 
-    def visit(t_nf: Term, depth: int) -> tuple[dict | bool | None, tuple[str, ...]] | None:
-        """(certificate, ()) for a member leaf, (False or None, path) for a
+    def visit(t_nf: Term, depth: int) -> tuple[dict | bool | None, list[str]] | None:
+        """(certificate, []) for a member leaf, (False or None, path) for a
         tree that is not a member or whose membership is unknown here; None
         after opening the search of a node with families and depth left."""
         dec = _decode(t_nf)
         if dec[0] == "malformed":
-            return False, (dec[1],)
+            return False, [dec[1]]
         if dec[0] == "leaf":
             payload = pp(dec[1])
             if payload in members:
-                return {"kind": "leaf", "payload": payload}, ()
-            return False, (f"leaf payload {payload} not in the set",)
+                return {"kind": "leaf", "payload": payload}, []
+            return False, [f"leaf payload {payload} not in the set"]
         _, b, c = dec
         realizer = pp(b)
         families = f.families_for(realizer)
         if not families:
-            return False, (f"node realizer {realizer} matches nothing",)
+            return False, [f"node realizer {realizer} matches nothing"]
         if depth <= 0:
-            return None, ("depth exhausted",)
+            return None, ["depth exhausted"]
         nodes.append((_search(families), realizer, c, families, depth))
         return None
 
@@ -278,23 +279,24 @@ def check_oracle_membership_w(
             nodes.pop()
             i, found = stop.value
             if i is None:
-                k, key, e, (first, *rest) = found
-                outcome = e, (f"no alternative at {realizer} verified",
-                              f"family {k}, answer {key}: {first}", *rest)
+                k, key, e, path = found
+                path.append(f"family {k}, answer {key}: {path.pop()}")
+                path.append(f"no alternative at {realizer} verified")
+                outcome = e, path
             else:
                 outcome = {
                     "kind": "node",
                     "realizer": realizer,
                     "choice": f"family {i}",
                     "children": dict(zip(families[i], found)),
-                }, ()
+                }, []
             continue
         e = eval_term(App(c, d), fuel)
-        outcome = (None, ("diverged",)) if e.diverged else visit(e.term, level - 1)
+        outcome = (None, ["diverged"]) if e.diverged else visit(e.term, level - 1)
     cert, path = outcome
     if cert:
         return MembershipVerdict("member", (), cert)
-    return MembershipVerdict("not_member" if cert is False else "unknown", path)
+    return MembershipVerdict("not_member" if cert is False else "unknown", tuple(reversed(path)))
 
 
 def recheck_certificate_w(

@@ -35,8 +35,8 @@ def chain_union(copies, length):
     return labels, pairs
 
 
-# The catalog, carriers 81 and 243 (check_laws takes several blocks of rows
-# there), and a chain whose downset masks pass 64 bits.
+# The catalog, carriers 81 and 243, and a chain whose downset masks pass 64
+# bits.
 REFEREE_POSETS = {
     **POSETS,
     "chains2x4": chain_union(4, 2),    # 81
@@ -401,28 +401,26 @@ CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("cells", (frames.BLOCK_CELLS, 1))
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_check_laws_reports_corrupted_table(monkeypatch, o4, name, cells):
+def test_check_laws_reports_corrupted_table(monkeypatch, o4, name):
     (i, j, value), want = CORRUPTIONS[name]
     broken = with_cell(o4, name.split("-")[0], i, j, value)
-    monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
-    assert broken.check_laws() == want
+    sent = scanned_laws(monkeypatch)
+    assert assert_laws_match_scan(broken) == want
+    # Light's test refutes associativity, and the scan is sent no such law
+    assert not any(m.endswith("not associative") for laws in sent for m in laws)
 
 
-def assert_laws_match_scan(monkeypatch, frame):
-    """check_laws equals the law_scan referee at the default block size and
-    at one row per block; returns the list."""
+def assert_laws_match_scan(frame):
+    """check_laws equals the law_scan referee; returns the list."""
     want = law_scan(frame)
-    for cells in (frames.BLOCK_CELLS, 1):
-        monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
-        assert frame.check_laws() == want, cells
+    assert frame.check_laws() == want
     return want
 
 
 @pytest.mark.parametrize("table", LAW_TABLES)
 @pytest.mark.parametrize("name", sorted(POSETS))
-def test_check_laws_matches_law_scan_on_corrupted_cells(monkeypatch, name, table):
+def test_check_laws_matches_law_scan_on_corrupted_cells(name, table):
     frame = make_frame(name)
     n = len(frame)
     rng = random.Random(f"laws:{name}:{table}")
@@ -434,47 +432,45 @@ def test_check_laws_matches_law_scan_on_corrupted_cells(monkeypatch, name, table
             continue  # carrier 1: no other index to write
         broken = with_cell(frame, table, i, j, rng.choice(others))
         # one changed cell always breaks some law
-        assert assert_laws_match_scan(monkeypatch, broken), (i, j)
+        assert assert_laws_match_scan(broken), (i, j)
 
 
-def test_check_laws_witness_past_the_first_block(monkeypatch):
+def test_check_laws_witness_in_a_late_row():
     frame = downset_frame(poset_from_relation(*REFEREE_POSETS["chains2x4"]))
-    # both witnesses lie inside the second block of rows, not at its start
-    second = frames.blocks(len(frame), len(frame) ** 2)[1]
-    assert second.start < 70 < second.stop
-    got = assert_laws_match_scan(monkeypatch, with_cell(frame, "meet", 70, 75, 40))
+    # both witnesses lie in row 70 of 81, after 70 rows without one
+    got = assert_laws_match_scan(with_cell(frame, "meet", 70, 75, 40))
     assert got == ["meet/join not commutative", "meet not associative",
                    "residuation fails at (70,75,40)", "distributivity fails at (70,1,75)"]
 
 
 @pytest.mark.parametrize("name, carrier", (("empty", 1), ("point", 2)))
-def test_check_laws_on_edge_carriers(monkeypatch, name, carrier):
+def test_check_laws_on_edge_carriers(name, carrier):
     frame = make_frame(name)
     assert len(frame) == carrier
-    assert assert_laws_match_scan(monkeypatch, frame) == []
+    assert assert_laws_match_scan(frame) == []
 
 
 def no_scan(*args):
-    raise AssertionError("the blocked scan ran on a sound frame")
+    raise AssertionError("the witness scan ran on a sound frame")
 
 
 @pytest.mark.parametrize("name", sorted(REFEREE_POSETS))
 def test_frame_laws_hold(monkeypatch, name):
     frame = downset_frame(poset_from_relation(*REFEREE_POSETS[name]))
     # every law is decided without the scan
-    monkeypatch.setattr(frames, "_first_mismatch", no_scan)
+    monkeypatch.setattr(Frame, "_scan_laws", no_scan)
     assert frame.check_laws() == []
 
 
 def test_frame_laws_hold_at_carrier_729(monkeypatch):
     frame = downset_frame(poset_from_relation(*chain_union(6, 2)))
     assert len(frame) == 729
-    monkeypatch.setattr(frames, "_first_mismatch", no_scan)
+    monkeypatch.setattr(Frame, "_scan_laws", no_scan)
     assert frame.check_laws() == []
 
 
 def scanned_laws(monkeypatch):
-    """The list of laws each ``check_laws`` call sends to the blocked scan,
+    """The list of laws each ``check_laws`` call sends to the witness scan,
     one list per call, filled as the calls are made."""
     sent = []
     scan = Frame._scan_laws
@@ -528,10 +524,10 @@ def test_check_laws_refutes_distributivity_by_a_join_prime(monkeypatch, name):
     assert frames._join_dense(frame.leq_table, frame.join_table, down, 0)
     assert not frames._join_prime(frame.leq_table, frame.join_table, down)
     sent = scanned_laws(monkeypatch)
-    got = assert_laws_match_scan(monkeypatch, frame)
+    got = assert_laws_match_scan(frame)
     assert got[-1].startswith("distributivity fails at")
     # the lattice and its associativity are proved without the scan
-    assert sent == [["residuation fails", "distributivity fails"]] * 2
+    assert sent == [["residuation fails", "distributivity fails"]]
 
 
 def test_check_laws_refutes_residuation_on_the_fast_path(monkeypatch):
@@ -541,10 +537,10 @@ def test_check_laws_refutes_residuation_on_the_fast_path(monkeypatch):
     for _ in range(3):
         i, j = rng.randrange(81), rng.randrange(81)
         value = rng.choice([v for v in range(81) if v != frame.implies_table[i, j]])
-        got = assert_laws_match_scan(monkeypatch, with_cell(frame, "implies", i, j, value))
+        got = assert_laws_match_scan(with_cell(frame, "implies", i, j, value))
         assert len(got) == 1 and got[0].startswith("residuation fails at")
     # distributivity is proved, so residuation alone reaches the scan
-    assert sent == [["residuation fails"]] * 6
+    assert sent == [["residuation fails"]] * 3
 
 
 def test_check_laws_tests_the_elements_its_candidates_miss(monkeypatch, o4):
@@ -559,7 +555,10 @@ def test_check_laws_tests_the_elements_its_candidates_miss(monkeypatch, o4):
     meet, candidates = broken.meet_table, np.append(broken._label_outside, broken.top_index)
     assert frames._generators(meet, candidates).tolist() == [2, 1, 3, 0]
     assert all((meet[meet[:, g]] == meet[:, meet[g]]).all() for g in candidates)
-    assert "meet not associative" in assert_laws_match_scan(monkeypatch, broken)
+    sent = scanned_laws(monkeypatch)
+    assert "meet not associative" in assert_laws_match_scan(broken)
+    # Light's test refutes it, and the scan is sent no associativity law
+    assert not any(m.endswith("not associative") for laws in sent for m in laws)
 
 
 def tables(frame):
@@ -581,8 +580,8 @@ def test_check_laws_scans_when_a_candidate_is_not_join_irreducible(monkeypatch):
     assert frames._join_dense(leq, join, down, 0)
     assert not frames._join_prime(leq, join, down)
     sent = scanned_laws(monkeypatch)
-    assert assert_laws_match_scan(monkeypatch, frame) == []
-    assert sent == [["residuation fails", "distributivity fails"]] * 2
+    assert assert_laws_match_scan(frame) == []
+    assert sent == [["residuation fails", "distributivity fails"]]
 
 
 def test_check_laws_scans_when_the_candidates_are_not_join_dense(monkeypatch):
@@ -598,8 +597,8 @@ def test_check_laws_scans_when_the_candidates_are_not_join_dense(monkeypatch):
     assert frames._join_prime(leq, join, down)
     assert not frames._join_dense(leq, join, down, 0)
     sent = scanned_laws(monkeypatch)
-    assert assert_laws_match_scan(monkeypatch, frame) == ["residuation fails at (3,3,3)"]
-    assert sent == [["residuation fails", "distributivity fails"]] * 2
+    assert assert_laws_match_scan(frame) == ["residuation fails at (3,3,3)"]
+    assert sent == [["residuation fails", "distributivity fails"]]
 
 
 def test_check_laws_scans_when_absorption_fails(monkeypatch):
@@ -614,9 +613,9 @@ def test_check_laws_scans_when_absorption_fails(monkeypatch):
     assert frames._join_dense(leq, frame.join_table, down, 0)
     assert frames._join_prime(leq, frame.join_table, down)
     sent = scanned_laws(monkeypatch)
-    got = assert_laws_match_scan(monkeypatch, frame)
+    got = assert_laws_match_scan(frame)
     assert got == ["residuation fails at (1,1,2)", "distributivity fails at (1,1,2)"]
-    assert sent == [["residuation fails", "distributivity fails"]] * 2
+    assert sent == [["residuation fails", "distributivity fails"]]
 
 
 @pytest.mark.parametrize("name", sorted(POSETS))
