@@ -401,10 +401,13 @@ CORRUPTIONS = {
 }
 
 
+@pytest.mark.parametrize("cells", (frames.BLOCK_CELLS, 1))
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_check_laws_reports_corrupted_table(monkeypatch, o4, name):
+def test_check_laws_reports_corrupted_table(monkeypatch, o4, name, cells):
     (i, j, value), want = CORRUPTIONS[name]
-    broken = with_cell(o4, name.split("-")[0], i, j, value)
+    # the tables are swept afresh at the default blocks, and one row per block
+    monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
+    broken = with_cell(Frame(o4.poset, o4.masks), name.split("-")[0], i, j, value)
     sent = scanned_laws(monkeypatch)
     assert assert_laws_match_scan(broken) == want
     # Light's test refutes associativity, and the scan is sent no such law
