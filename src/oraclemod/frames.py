@@ -534,24 +534,24 @@ class Frame:
         """Each of the named laws, residuation and distributivity, in that
         order, with its lexicographically first witness (a, b, c), if it has
         one: the two [b, c] sides for one a at a time, n**2 cells, until
-        they differ."""
-        leq, meet, join, imp = (
-            self.leq_table,
-            self.meet_table,
-            self.join_table,
-            self.implies_table,
-        )
-        sides = {
-            # meet(a,b) <= c  iff  a <= implies(b,c)
-            "residuation fails": lambda a: (leq[meet[a]], leq[a].take(imp)),
-            # a /\ (b \/ c) == (a /\ b) \/ (a /\ c)
-            "distributivity fails": lambda a: (meet[a].take(join),
-                                               join[meet[a]].take(meet[a], axis=1)),
+        they differ. Each law casts the table it gathers through to intp
+        once, before its rows."""
+        leq, meet, join = self.leq_table, self.meet_table, self.join_table
+        laws = {
+            # meet(a,b) <= c  iff  a <= implies(b,c); idx is implies
+            "residuation fails": (self.implies_table,
+                                  lambda a, idx: (leq[meet[a]], leq[a].take(idx))),
+            # a /\ (b \/ c) == (a /\ b) \/ (a /\ c); idx is join
+            "distributivity fails": (join, lambda a, idx: (meet[a].take(idx),
+                                                           join[meet[a]].take(meet[a], axis=1))),
         }
         bad: list[str] = []
         for message in messages:
+            table, sides = laws[message]
+            idx = None  # the previous law's copy goes before this one is made
+            idx = table.astype(np.intp)
             for a in range(self._n):
-                diff = np.not_equal(*sides[message](a))
+                diff = np.not_equal(*sides(a, idx))
                 if diff.any():
                     b, c = np.argwhere(diff)[0]
                     bad.append(f"{message} at ({a},{b},{c})")

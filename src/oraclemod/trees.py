@@ -225,14 +225,6 @@ def sheaf_classify(p: Mapping[str, bool], xsize: int) -> SheafClassification:
 
 # -- randomized suites -------------------------------------------------------
 
-SUITE_NAMES = (
-    "monad-laws",
-    "equifoliate-bind",
-    "mem-bind",
-    "single-member",
-    "delta-membership",
-)
-
 # Upper bounds on the size of each random case.
 MAX_SHAPES = 3
 MAX_POSITIONS = 3
@@ -273,81 +265,86 @@ def _rand_equifoliate_tree(rng: random.Random, c: SetContainer,
     return _rand_tree(rng, c, [v], depth)
 
 
+def _case_monad_laws(rng: random.Random, c: SetContainer,
+                     values: Sequence[str], depth: int) -> str | None:
+    f = {v: _rand_tree(rng, c, values, depth - 1) for v in values}.__getitem__
+    t = _rand_tree(rng, c, values, depth)
+    x = rng.choice(list(values))
+    if tree_bind(f, Leaf(x)) != f(x):
+        return f"left unit at {x}"
+    if tree_bind(Leaf, t) != t:
+        return "right unit"
+    g = {v: _rand_tree(rng, c, values, depth - 1) for v in values}.__getitem__
+    if tree_bind(g, tree_bind(f, t)) != tree_bind(lambda v: tree_bind(g, f(v)), t):
+        return "associativity"
+    return None
+
+
+def _case_equifoliate_bind(rng: random.Random, c: SetContainer,
+                           values: Sequence[str], depth: int) -> str | None:
+    t = _rand_equifoliate_tree(rng, c, values, depth)
+    etable = {v: _rand_equifoliate_tree(rng, c, values, depth - 1) for v in values}
+    if not equifoliate(c, tree_bind(etable.__getitem__, t), values).ok:
+        return "bind broke the equifoliate certificate"
+    return None
+
+
+def _case_mem_bind(rng: random.Random, c: SetContainer,
+                   values: Sequence[str], depth: int) -> str | None:
+    f = {v: _rand_tree(rng, c, values, depth - 1) for v in values}.__getitem__
+    t = _rand_equifoliate_tree(rng, c, values, depth)
+    bound = tree_bind(f, t)
+    computed = [x for x in values if membership(c, x, t)]
+    for y in values:
+        if membership(c, y, bound) != all(membership(c, y, f(x)) for x in computed):
+            return f"membership mismatch at {y}"
+    return None
+
+
+def _case_single_member(rng: random.Random, c: SetContainer,
+                        values: Sequence[str], depth: int) -> str | None:
+    ms = member_set(c, _rand_equifoliate_tree(rng, c, values, depth), values)
+    if c.degenerate:
+        if ms != frozenset(values):
+            return f"degenerate member set {sorted(ms)}"
+    elif len(ms) != 1:
+        return f"member set {sorted(ms)} not a singleton"
+    return None
+
+
+def _case_delta_membership(rng: random.Random, c: SetContainer,
+                           values: Sequence[str], depth: int) -> str | None:
+    t = _rand_equifoliate_tree(rng, c, values, depth)
+    img = delta(c, EquiTree.check(c, t, values))
+    for x in values:
+        if membership(c, x, t) != img.contains(x):
+            return f"descent changed membership of {x}"
+    return None
+
+
+# Suite name -> case, in report order.  Each case draws from rng only the
+# trees its law reads, and returns a failure or None.
+_SUITES = {
+    "monad-laws": _case_monad_laws,
+    "equifoliate-bind": _case_equifoliate_bind,
+    "mem-bind": _case_mem_bind,
+    "single-member": _case_single_member,
+    "delta-membership": _case_delta_membership,
+}
+
+
 def run_tree_suites(seed: int, cases: int, depth: int = 4) -> list[dict]:
     """Run the randomized law suites; returns one JSON-ready report each."""
     reports = []
-    for name in SUITE_NAMES:
+    for name, case in _SUITES.items():
         rng = random.Random(f"{seed}:{name}")
         failures: list[str] = []
         for i in range(cases):
             values = [f"x{j}" for j in range(rng.randint(1, MAX_VALUES))]
-            c = _rand_container(rng)
-            fails = _run_case(name, rng, c, values, depth)
+            fails = case(rng, _rand_container(rng), values, depth)
             if fails:
                 failures.append(f"case {i}: {fails}")
         reports.append(
             {"suite": name, "cases": cases, "failures": failures, "seed": seed}
         )
     return reports
-
-
-def _run_case(name: str, rng: random.Random, c: SetContainer,
-              values: Sequence[str], depth: int) -> str | None:
-    table = {v: _rand_tree(rng, c, values, depth - 1) for v in values}
-    f = lambda v: table[v]  # noqa: E731
-
-    if name == "monad-laws":
-        t = _rand_tree(rng, c, values, depth)
-        x = rng.choice(list(values))
-        if tree_bind(f, Leaf(x)) != f(x):
-            return f"left unit at {x}"
-        if tree_bind(Leaf, t) != t:
-            return "right unit"
-        g_table = {v: _rand_tree(rng, c, values, depth - 1) for v in values}
-        g = lambda v: g_table[v]  # noqa: E731
-        lhs = tree_bind(g, tree_bind(f, t))
-        rhs = tree_bind(lambda v: tree_bind(g, f(v)), t)
-        if lhs != rhs:
-            return "associativity"
-        return None
-
-    if name == "equifoliate-bind":
-        t = _rand_equifoliate_tree(rng, c, values, depth)
-        etable = {v: _rand_equifoliate_tree(rng, c, values, depth - 1) for v in values}
-        bound = tree_bind(lambda v: etable[v], t)
-        if not equifoliate(c, bound, values).ok:
-            return "bind broke the equifoliate certificate"
-        return None
-
-    if name == "mem-bind":
-        t = _rand_equifoliate_tree(rng, c, values, depth)
-        bound = tree_bind(f, t)
-        for y in values:
-            lhs = membership(c, y, bound)
-            rhs = all(
-                (not membership(c, x, t)) or membership(c, y, f(x)) for x in values
-            )
-            if lhs != rhs:
-                return f"membership mismatch at {y}"
-        return None
-
-    if name == "single-member":
-        t = _rand_equifoliate_tree(rng, c, values, depth)
-        ms = member_set(c, t, values)
-        if c.degenerate:
-            if ms != frozenset(values):
-                return f"degenerate member set {sorted(ms)}"
-        elif len(ms) != 1:
-            return f"member set {sorted(ms)} not a singleton"
-        return None
-
-    if name == "delta-membership":
-        t = _rand_equifoliate_tree(rng, c, values, depth)
-        e = EquiTree.check(c, t, values)
-        img = delta(c, e)
-        for x in values:
-            if membership(c, x, t) != img.contains(x):
-                return f"descent changed membership of {x}"
-        return None
-
-    raise UnknownLabel(f"unknown suite {name!r}")

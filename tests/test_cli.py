@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -592,6 +594,40 @@ def test_missing_field_is_named_and_exits_2(poset_file, tmp_path, kind, doc, mes
     }[kind]
     assert cli.run(argv) == 2
     assert capsys.readouterr().err == f"oraclemod: error: {message}\n"
+
+
+@pytest.mark.parametrize("kind, doc, message", (
+    # j(bottom) is top but j(p) is p
+    ("nucleus", {"table": {"": ["p", "q"], "p": ["p"], "p,q": ["p", "q"]}},
+     "{path} is not a nucleus: violates ['meet_preservation', 'monotone']"),
+    ("container", {"shapes": ["a0"], "pred": {"a0": ["p", "q"]}, "extent": {"a0": ["p"]}},
+     "container is invalid: some P(a) is not below E(a)"),
+    ("poset", {"elements": ["p", "q", "p"], "le": []}, "duplicate labels in poset description"),
+))
+def test_invalid_input_is_named_and_exits_2(poset_file, tmp_path, kind, doc, message, capsys):
+    path = str(tmp_path / "invalid.json")
+    dump_json(doc, path)
+    argv = {
+        "nucleus": ["nuclei", "sup", "--poset", poset_file, "--nucleus", path],
+        "container": ["oracle", "compute", "--poset", poset_file, "--container", path],
+        "poset": ["frame", "build", "--poset", path],
+    }[kind]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == f"oraclemod: error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("term, code, normal_form", (
+    ("S K K (K S)", 0, "K S"),
+    ("S (S K K) (S K K) (S (S K K) (S K K))", 3, None),
+))
+def test_module_entry_point_passes_exit_code(term, code, normal_form):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-m", "oraclemod.cli", "--format", "json", "pca",
+                          "eval", "--fuel", "10", "--term", term],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == code, run.stderr
+    assert json.loads(run.stdout)["body"]["normal_form"] == normal_form
 
 
 def test_carrier_over_limit_exits_3(tmp_path, capsys):

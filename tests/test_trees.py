@@ -1,11 +1,13 @@
 import itertools
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclemod import trees
+from oraclemod import cli, trees
 from oraclemod.trees import (
     CanonicalSheafElement,
     EquiTree,
@@ -252,11 +254,6 @@ def test_equitree_check_rejects_leaves_outside_values():
     assert EquiTree.check(DEG, t, ["x1", "x2"]).certificate == ("x1", "x2")
 
 
-def test_unknown_suite_rejected():
-    with pytest.raises(UnknownLabel):
-        trees._run_case("no-such-suite", random.Random(0), NONDEG, ["x"], 2)
-
-
 # -- sheaf classification -----------------------------------------------------
 
 
@@ -357,3 +354,59 @@ def test_run_tree_suites_clean():
         ]
         for r in reports:
             assert r["failures"] == [], r
+
+
+# -- every suite can be seen failing ------------------------------------------
+
+
+def bind_dropping_a_branch(f, t):
+    if isinstance(t, Leaf):
+        return f(t.value)
+    return Node(t.shape,
+                tuple((u, bind_dropping_a_branch(f, sub)) for u, sub in t.children[1:]))
+
+
+def bind_into_first_branch(f, t):
+    """Grafts f only along each node's first branch; other leaves stay."""
+    if isinstance(t, Leaf):
+        return f(t.value)
+    return Node(t.shape, tuple((u, bind_into_first_branch(f, sub) if k == 0 else sub)
+                               for k, (u, sub) in enumerate(t.children)))
+
+
+def membership_along_some_branch(c, x, t):
+    if isinstance(t, Leaf):
+        return modal_eq(c, x, t.value)
+    return any(membership_along_some_branch(c, x, sub) for _, sub in t.children)
+
+
+def membership_ignoring_container(c, x, t):
+    return membership(NONDEG, x, t)
+
+
+BROKEN_LAWS = [
+    ("monad-laws", "tree_bind", bind_dropping_a_branch, "right unit"),
+    ("equifoliate-bind", "tree_bind", bind_into_first_branch,
+     "bind broke the equifoliate certificate"),
+    ("mem-bind", "membership", membership_along_some_branch, r"membership mismatch at x\d"),
+    ("single-member", "member_set", lambda c, t, values: frozenset(),
+     r"(degenerate member set|member set) \[\]( not a singleton)?"),
+    ("single-member", "membership", membership_ignoring_container,
+     r"degenerate member set \[.*\]"),
+    ("delta-membership", "delta", lambda c, e: CanonicalSheafElement.collapse(),
+     r"descent changed membership of x\d"),
+]
+
+
+@pytest.mark.parametrize("suite, name, broken, message", BROKEN_LAWS,
+                         ids=[f"{s}-{n}" for s, n, _, _ in BROKEN_LAWS])
+def test_suite_reports_a_broken_law(monkeypatch, capsys, suite, name, broken, message):
+    # the suite alone: a broken law may make another suite raise instead
+    monkeypatch.setattr(trees, "_SUITES", {suite: trees._SUITES[suite]})
+    monkeypatch.setattr(trees, name, broken)
+    (report,) = run_tree_suites(seed=3, cases=100)
+    assert report["suite"] == suite and report["failures"]
+    for failure in report["failures"]:
+        assert re.fullmatch(rf"case \d+: {message}", failure), failure
+    assert cli.run(["--format", "json", "trees", "suite", "--seed", "3", "--cases", "100"]) == 1
+    assert json.loads(capsys.readouterr().out)["body"]["suites"] == [report]

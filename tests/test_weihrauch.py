@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from oraclemod.weihrauch import (
 )
 
 from treebuilder import MEMBERS, NON_MEMBER, OMEGA, TOY_F, TOY_G, TOY_H, TOYS, \
-    build_member, mutations, to_term
+    BLeaf, BNode, build_member, mutations, to_term
 
 I = app(S, K, K)
 L2_ID = App(K, I)               # l2 r s -> s
@@ -255,3 +256,59 @@ def test_malformed_terms_not_member():
         check_oracle_membership_w(TOY_F, MEMBERS, pair(App(K, K), S)).verdict
         == "not_member"
     )
+
+
+DIVERGES = App(OMEGA, OMEGA)  # S I I (S I I)
+
+# S K, family 0 {S, K K}: S leads to the leaf m0, K K to a K node whose
+# family 1 {K K} leads to the leaf m2.
+TWO_LEVELS = BNode(app(S, K), 0, [(S, BLeaf(MEMBERS[0])),
+                                  (App(K, K), BNode(K, 1, [(App(K, K), BLeaf(MEMBERS[2]))]))])
+
+
+def _diverging_branch(t, cert):
+    c = Const("c_omega", rules=((S, DIVERGES), (App(K, K), to_term(TWO_LEVELS.branches[1][1]))))
+    return tag_node(app(S, K), c), cert
+
+
+def _set(path, value):
+    """A tamper that sets the certificate entry at ``path`` to ``value``."""
+    def tamper(t, cert):
+        *keys, last = path
+        node = cert
+        for k in keys:
+            node = node[k]
+        node[last] = value
+        return t, cert
+    return tamper
+
+
+def _drop_child(t, cert):
+    del cert["children"]["S"]
+    return t, cert
+
+
+TAMPERS = {
+    "term diverges": lambda t, cert: (DIVERGES, cert),
+    "branch diverges": _diverging_branch,
+    "wrong leaf payload": _set(("children", "S", "payload"), "m1"),
+    "payload not a member": lambda t, cert: (tag_leaf(NON_MEMBER),
+                                             {"kind": "leaf", "payload": "bad"}),
+    "leaf certificate on a node": lambda t, cert: (t, {"kind": "leaf", "payload": "m0"}),
+    "node certificate on a leaf": lambda t, cert: (tag_leaf(MEMBERS[0]), cert),
+    "node certificate on a malformed term": lambda t, cert: (K, cert),
+    "unknown kind": _set(("kind",), "branch"),
+    "wrong realizer": _set(("realizer",), "K"),
+    "choice names no family": _set(("choice",), "family 2"),
+    "children of another family": _set(("children", "K K", "choice"), "family 0"),
+    "a child missing": _drop_child,
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERS.values(), ids=list(TAMPERS))
+def test_recheck_rejects_tampered_certificates(tamper):
+    t = to_term(TWO_LEVELS)
+    v = check_oracle_membership_w(TOY_F, MEMBERS, t)
+    assert v.verdict == "member"
+    assert recheck_certificate_w(TOY_F, MEMBERS, t, copy.deepcopy(v.certificate))
+    assert not recheck_certificate_w(TOY_F, MEMBERS, *tamper(t, copy.deepcopy(v.certificate)))
