@@ -19,7 +19,14 @@ checked against a route that shares no code with it:
   value t(s), each round after the tabulation is two lookups per cell;
 * ``prefixed_mask`` / ``bruteforce_table`` realize the same operator for
   one container as the meet of all prefixed points, the second,
-  independent referee.
+  independent referee, reading only the leq, implies and meet tables. By
+  the Heyting adjunction, x is prefixed for shape a when
+  (P_a => x) <= (E_a => x), so a block of shapes costs two copies of
+  implies rows and one flat ``take`` from the raveled leq table. The
+  prefixed points r are then met in blocks: a block stacks, for each r,
+  the row that is r at the starts below r and top elsewhere, folds the
+  stack by meet with ``frames.fold`` and meets it into the table. Both
+  passes run in the blocks of ``frames.blocks``.
 """
 
 from __future__ import annotations
@@ -80,19 +87,31 @@ def kleene_table(meet, join, implies, ext, prd, counts, bot: int) -> np.ndarray:
     return q
 
 
-def prefixed_mask(leq, meet, implies, ext, prd) -> np.ndarray:
-    """Boolean mask of the prefixed points of the query operator."""
-    n = meet.shape[0]
-    if ext.shape[0] == 0:
-        return np.ones(n, dtype=bool)
-    carrier = np.arange(n)
-    rows = meet[ext[:, None], implies[prd[:, None], carrier[None, :]]]
-    return leq[rows, carrier[None, :]].all(axis=0)
+def prefixed_mask(leq, implies, ext, prd) -> np.ndarray:
+    """Boolean mask of the prefixed points of the query operator: the x with
+    E_a /\\ (P_a => x) <= x for every shape a, tested as
+    (P_a => x) <= (E_a => x), its form under the Heyting adjunction."""
+    n = implies.shape[0]
+    leq_flat = leq.ravel()
+    ok = np.ones(n, dtype=bool)
+    for rows in frames.blocks(ext.shape[0], n):
+        # cell (a, x) of the raveled leq: row P_a => x, column E_a => x;
+        # indices stay below n**2, which int32 holds under the carrier limit
+        lhs = implies[prd[rows]]
+        lhs *= n
+        lhs += implies[ext[rows]]
+        ok &= leq_flat.take(lhs).all(axis=0)
+    return ok
 
 
 def bruteforce_table(leq, meet, implies, ext, prd, top: int) -> np.ndarray:
     """Modality table as the meet of all prefixed points above each start."""
-    acc = np.full(meet.shape[0], top, dtype=np.int32)
-    for r in np.flatnonzero(prefixed_mask(leq, meet, implies, ext, prd)):
-        acc = np.where(leq[:, r], meet[acc, r], acc)
+    n = meet.shape[0]
+    meet_flat = meet.ravel()
+    acc = np.full(n, top, dtype=np.int32)
+    r = np.flatnonzero(prefixed_mask(leq, implies, ext, prd))
+    for b in frames.blocks(r.shape[0], n):
+        # row i, column s: the prefixed point r_i if s <= r_i, else top
+        part = frames.fold(meet, np.where(leq[:, r[b]].T, r[b, None], top))
+        acc = meet_flat.take(acc * n + part)
     return acc

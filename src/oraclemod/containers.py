@@ -8,24 +8,26 @@ closed form: a nucleus j_S (see ``nuclei``) forces the container iff S
 misses bad(c) = \\/_a (E(a) minus P(a)), a union of label sets, so the
 modality is j of the labels outside bad(c).
 
-Two referees compute the same nucleus from the paper's construction, the
-least fixed point above s of
+The closed form reads the label membership masks and the label rows
+j_{x}, folded by the meet table. Two referees compute the same nucleus
+from the paper's construction, the least fixed point above s of
 
     t  |->  s \\/ \\/_a ( E(a) /\\ (P(a) => t) )
 
-one by Kleene iteration and one as the meet of all prefixed points
-(``oracle_modality_bruteforce``); neither computes its table through the
-closed form, which only validates them. ``oracle_modalities_kleene``
-iterates a batch of containers in one kernel call, validates all their
-tables in one batched test and returns them as an (m, n) stack;
-``oracle_modality_kleene`` wraps its one row as a ``Nucleus``.
-``instance_prenuclei`` tabulates the single-query maps of a batch the same
-way. Containers keep their shapes as built, with aligned ``ext``/``prd``
-carrier-index arrays (joins commute). The constructor takes frame elements
-(library callers); containers read from files, sums, stable-query
-containers and the referees' drawn containers are built from carrier
-indices by ``of_indices``, and
-``instance_reducible`` walks the operation tables index by index.
+one by Kleene iteration, from the meet, join and implies tables, and one
+as the meet of all prefixed points (``oracle_modality_bruteforce``), from
+the leq, implies and meet tables alone; neither computes its table
+through the closed form, which only validates them.
+``oracle_modalities_kleene`` iterates a batch of containers in one kernel
+call, validates all their tables in one batched test and returns them as
+an (m, n) stack; ``oracle_modality_kleene`` wraps its one row as a
+``Nucleus``. ``instance_prenuclei`` tabulates the single-query maps of a
+batch the same way. Containers keep their shapes as built, with aligned
+``ext``/``prd`` carrier-index arrays (joins commute). The constructor
+takes frame elements (library callers); containers read from files, sums,
+stable-query containers and the referees' drawn containers are built from
+carrier indices by ``of_indices``, and ``instance_reducible`` walks the
+operation tables index by index.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ class IndexedPropContainer:
 
     def __repr__(self) -> str:
         parts = ", ".join(
-            f"{a}: {self.frame.el(int(e))!r}<={self.frame.el(int(p))!r}"
-            for a, p, e in zip(self.shapes, self.ext, self.prd)
+            f"{a}: {self.frame.el(int(p))!r}<={self.frame.el(int(e))!r}"
+            for a, e, p in zip(self.shapes, self.ext, self.prd)
         )
         return f"Container({parts})"
 

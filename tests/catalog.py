@@ -61,6 +61,14 @@ def pairs_frame(copies):
     return downset_frame(poset_from_relation(labels, pairs))
 
 
+@functools.cache
+def chain_frame(length):
+    """Frame of a chain of ``length`` labels, a chain of ``length + 1``
+    downsets."""
+    labels = [f"x{i:03d}" for i in range(length)]
+    return downset_frame(poset_from_relation(labels, list(zip(labels, labels[1:]))))
+
+
 def all_labeled_posets(max_size=3):
     """Every labeled poset on at most max_size elements, as (labels, pairs)
     with the relation already transitively closed and deduplicated."""

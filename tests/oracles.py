@@ -3,12 +3,13 @@
 Everything here stays deliberately naive: powerset filters, closure by
 saturation, frozenset lattice tables, residuation scans, the full
 inflationary-table filter, the closure-system search for fixed-point sets,
-the per-shape fold of the single-query map, the dictionary-built
-container of stable queries, and the frame-element routes that drew
-single-shape containers and relabelings and decided instance reducibility,
-the per-ancestor equifoliate walk, the recursive S/K term reader and
-printer, and the triple-loop scan of the frame laws.  None of it shares
-code with the package's own computation paths.
+the per-shape fold of the single-query map, the per-shape test of
+prefixed points, the dictionary-built container of stable queries, and the
+frame-element routes that drew single-shape containers and relabelings and
+decided instance reducibility, the per-ancestor equifoliate walk, the
+recursive S/K term reader and printer, and the triple-loop scan of the
+frame laws.  None of it shares code with the package's own computation
+paths.
 """
 
 import functools
@@ -193,6 +194,17 @@ def per_shape_query_table(frame, ext, prd):
     for e, p in zip(ext, prd):
         table = frame.join_table[table, frame.meet_table[e, frame.implies_table[p, carrier]]]
     return table
+
+
+def per_shape_prefixed_mask(frame, ext, prd):
+    """Referee for ``_kernels.prefixed_mask``: x is a prefixed point when
+    E_a /\\ (P_a => x) <= x, tested literally one shape at a time over the
+    whole carrier."""
+    carrier = np.arange(len(frame))
+    ok = np.ones(len(frame), dtype=bool)
+    for e, p in zip(ext, prd):
+        ok &= frame.leq_table[frame.meet_table[e, frame.implies_table[p, carrier]], carrier]
+    return ok
 
 
 def dict_pred_of_nucleus(j):

@@ -41,6 +41,13 @@ def shape_values(c, a):
     return c.frame.el(int(c.ext[k])), c.frame.el(int(c.prd[k]))
 
 
+def test_repr_lists_each_shape_as_pred_below_extent():
+    f = make_frame("chain2")
+    p, pq = f.el(1), f.top
+    c = IndexedPropContainer(f, {"a": p, "b": f.bot}, {"a": pq, "b": p})
+    assert repr(c) == "Container(a: {p}<={p,q}, b: {}<={p})"
+
+
 def test_validate_empty_container(o3):
     assert validate_container(IndexedPropContainer(o3, {}))
 

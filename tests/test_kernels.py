@@ -15,7 +15,8 @@ from oraclemod.errors import FrameMismatch, InternalInvariantViolation
 from oraclemod.nuclei import enumerate_nuclei, law_scan
 from oraclemod.theorems import random_container
 
-from catalog import SMALL, canonical_nuclei, make_frame, pairs_frame
+from catalog import POSETS, SMALL, canonical_nuclei, chain_frame, make_frame, pairs_frame
+from oracles import per_shape_prefixed_mask
 
 
 def both_routes(frame, c):
@@ -69,6 +70,64 @@ def test_sum_with_one_shape_row_per_block(monkeypatch):
     monkeypatch.setattr(frames, "BLOCK_CELLS", len(frame))
     kle, bru = both_routes(frame, c)
     assert (kle == bru).all() and (kle == whole).all()
+
+
+def prefixed(frame, c):
+    return _kernels.prefixed_mask(frame.leq_table, frame.implies_table, c.ext, c.prd)
+
+
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_prefixed_mask_equals_per_shape_referee(name):
+    frame = make_frame(name)
+    rng = random.Random(f"prefixed:{name}")
+    cs = [random_container(frame, rng) for _ in range(20)]
+    if len(POSETS[name][0]) <= 4:
+        cs += [pred_of_nucleus(j) for j in enumerate_nuclei(frame)]
+    # the empty container, and shapes with E <= P: every point is prefixed
+    trivial = [IndexedPropContainer(frame, {})]
+    for k in (1, 2, 3):
+        ext = [rng.randrange(len(frame)) for _ in range(k)]
+        prd = [frame.join_table[e, rng.randrange(len(frame))] for e in ext]
+        trivial.append(IndexedPropContainer.of_indices(
+            frame, [f"a{i}" for i in range(k)], ext, prd))
+    for c in cs + trivial:
+        got, want = prefixed(frame, c), per_shape_prefixed_mask(frame, c.ext, c.prd)
+        assert got.dtype == want.dtype and (got == want).all(), c
+    assert all(prefixed(frame, c).all() for c in trivial)
+
+
+@pytest.mark.parametrize("cells", (1, 81 * 20))
+@pytest.mark.parametrize("frame, point", ((pairs_frame(4), 1), (chain_frame(80), 27)),
+                         ids=("pairs", "chain"))
+def test_prefixed_kernels_across_block_boundaries(monkeypatch, frame, point, cells):
+    # 81 shapes and 54 prefixed points: one per block, or blocks of 20 with
+    # a shorter last one. A shape or a point that the others imply changes
+    # nothing when its block is skipped. Here only the shape of bot is
+    # needed, so it comes first and, reversed, last; on the chain every
+    # prefixed point but top is needed.
+    c = pred_of_nucleus(canonical_nuclei(frame, "closed", frame.el(point)))
+    rev = IndexedPropContainer.of_indices(frame, c.shapes[::-1], c.ext[::-1], c.prd[::-1])
+    want = [(prefixed(frame, d), *both_routes(frame, d)) for d in (c, rev)]
+    real, taken = frames.blocks, []
+
+    def counted(count, width):
+        slices = real(count, width)
+        taken.append(len(slices))
+        return slices
+
+    monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(frames, "blocks", counted)
+    per = max(1, cells // len(frame))
+    for d, (mask, kle, bru) in zip((c, rev), want):
+        assert (kle == bru).all() and mask.sum() == 54
+        taken.clear()
+        assert (prefixed(frame, d) == mask).all()
+        assert taken == [-(-81 // per)]
+        taken.clear()
+        got = _kernels.bruteforce_table(frame.leq_table, frame.meet_table,
+                                        frame.implies_table, d.ext, d.prd, frame.top_index)
+        assert got.dtype == bru.dtype and (got == bru).all() and (got == kle).all()
+        assert taken == [-(-81 // per), -(-54 // per)] and min(taken) > 1
 
 
 def kleene_tables(frame, cs):

@@ -401,7 +401,7 @@ BROKEN_LAWS = [
 @pytest.mark.parametrize("suite, name, broken, message", BROKEN_LAWS,
                          ids=[f"{s}-{n}" for s, n, _, _ in BROKEN_LAWS])
 def test_suite_reports_a_broken_law(monkeypatch, capsys, suite, name, broken, message):
-    # the suite alone: a broken law may make another suite raise instead
+    # the suite alone, so that every failure reported is the broken law's own
     monkeypatch.setattr(trees, "_SUITES", {suite: trees._SUITES[suite]})
     monkeypatch.setattr(trees, name, broken)
     (report,) = run_tree_suites(seed=3, cases=100)
@@ -410,3 +410,21 @@ def test_suite_reports_a_broken_law(monkeypatch, capsys, suite, name, broken, me
         assert re.fullmatch(rf"case \d+: {message}", failure), failure
     assert cli.run(["--format", "json", "trees", "suite", "--seed", "3", "--cases", "100"]) == 1
     assert json.loads(capsys.readouterr().out)["body"]["suites"] == [report]
+
+
+@pytest.mark.parametrize("name, broken, message", [
+    ("membership", membership_ignoring_container,
+     r"tree is not equifoliate, witness \('x\d', 'u\d', 'u\d'\)"),
+    ("member_set", lambda c, t, values: frozenset(),
+     r"equifoliate tree over nondegenerate container has members \[\]"),
+], ids=["membership", "member_set"])
+def test_uncertified_descent_is_a_failed_case(monkeypatch, capsys, name, broken, message):
+    # every suite runs: the tree that delta-membership draws is no longer
+    # equifoliate, or has no member, and that case fails instead of raising
+    monkeypatch.setattr(trees, name, broken)
+    reports = run_tree_suites(seed=3, cases=100)
+    assert [r["suite"] for r in reports] == list(trees._SUITES)
+    (descent,) = [r["failures"] for r in reports if r["suite"] == "delta-membership"]
+    assert any(re.fullmatch(rf"case \d+: {message}", f) for f in descent), descent
+    assert cli.run(["--format", "json", "trees", "suite", "--seed", "3", "--cases", "100"]) == 1
+    assert json.loads(capsys.readouterr().out)["body"]["suites"] == reports
