@@ -53,6 +53,7 @@ _VERIFY_SUITES = {
     "sup": ("sup",),
     "least-above": ("least-above-instance",),
     "surjection": ("surjection",),
+    "instance-vs-forcing": ("instance-vs-forcing",),
     "all": THEOREM_IDS,
 }
 

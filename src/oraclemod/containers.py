@@ -20,14 +20,18 @@ the leq, implies and meet tables alone; neither computes its table
 through the closed form, which only validates them.
 ``oracle_modalities_kleene`` iterates a batch of containers in one kernel
 call, validates all their tables in one batched test and returns them as
-an (m, n) stack; ``oracle_modality_kleene`` wraps its one row as a
-``Nucleus``. ``instance_prenuclei`` tabulates the single-query maps of a
-batch the same way. Containers keep their shapes as built, with aligned
+an (m, n) stack, and on request hands back the single-query maps of the
+batch, which the kernel tabulates first; ``oracle_modality_kleene`` wraps
+its one row as a ``Nucleus``. The kernel lays a batch out by container
+width, so narrow containers batched with wide ones are not padded to the
+widest. Containers keep their shapes as built, with aligned
 ``ext``/``prd`` carrier-index arrays (joins commute). The constructor
 takes frame elements (library callers); containers read from files, sums,
-stable-query containers and the referees' drawn containers are built from
-carrier indices by ``of_indices``, and ``instance_reducible`` walks the
-operation tables index by index.
+the stable-query containers of a stack of nuclei
+(``stable_query_containers``, one meet gather for the stack) and the
+referees' drawn containers are built from carrier indices by
+``of_indices``, and ``instance_reducible`` walks the operation tables
+index by index.
 """
 
 from __future__ import annotations
@@ -117,9 +121,8 @@ def container_sum(
 
 
 def _kernel_args(frame: Frame, cs: Sequence[IndexedPropContainer]) -> tuple:
-    """The arguments of ``_kernels.query_table`` and ``kleene_table`` for a
-    batch of containers on ``frame``: their shapes concatenated, with a
-    count per container."""
+    """The arguments of ``_kernels.kleene_table`` for a batch of containers
+    on ``frame``: their shapes concatenated, with a count per container."""
     if any(c.frame is not frame for c in cs):
         raise FrameMismatch("containers on different frames")
     none = np.zeros(0, dtype=np.int32)
@@ -127,12 +130,6 @@ def _kernel_args(frame: Frame, cs: Sequence[IndexedPropContainer]) -> tuple:
             np.concatenate([c.ext for c in cs] + [none]),
             np.concatenate([c.prd for c in cs] + [none]),
             [len(c) for c in cs], frame.bot_index)
-
-
-def instance_prenuclei(frame: Frame, cs: Sequence[IndexedPropContainer]) -> np.ndarray:
-    """The single-query maps t |-> \\/_a (E(a) /\\ (P(a) => t)) of a batch of
-    containers, as an (m, n) stack of monotone tables."""
-    return _kernels.query_table(*_kernel_args(frame, cs))
 
 
 def _law_violation(report) -> InternalInvariantViolation:
@@ -149,13 +146,17 @@ def oracle_modality(c: IndexedPropContainer) -> Nucleus:
     return Nucleus(c.frame, j_table(c.frame, ~bad))
 
 
-def oracle_modalities_kleene(frame: Frame, cs: Sequence[IndexedPropContainer]) -> np.ndarray:
+def oracle_modalities_kleene(
+    frame: Frame, cs: Sequence[IndexedPropContainer], maps: np.ndarray | None = None
+) -> np.ndarray:
     """Referee: the least nucleus forcing each container by Kleene iteration
     from s, the paper's construction, in one kernel call for all of them,
-    as an (m, n) stack of tables. Each table is checked to be a nucleus; the
-    first that is not raises ``InternalInvariantViolation`` naming the laws
-    it violates."""
-    tables = _kernels.kleene_table(*_kernel_args(frame, cs))
+    as an (m, n) stack of tables. ``maps``, if given, an (m, n) array,
+    receives the single-query maps t |-> \\/_a (E(a) /\\ (P(a) => t)) of the
+    containers, which the kernel tabulates before it iterates. Each table
+    is checked to be a nucleus; the first that is not raises
+    ``InternalInvariantViolation`` naming the laws it violates."""
+    tables = _kernels.kleene_table(*_kernel_args(frame, cs), maps)
     bad = np.flatnonzero(~nucleus_rows(frame, tables))
     if bad.size:
         raise _law_violation(law_scan(frame, tables[bad[0]]))
@@ -197,13 +198,18 @@ def forces(j: Nucleus, c: IndexedPropContainer) -> bool:
     return forced_by(c, j.table)
 
 
+def stable_query_containers(frame: Frame, tables: np.ndarray) -> list[IndexedPropContainer]:
+    """The container of stable queries of each row of an (m, n) stack of
+    nucleus tables j: one shape per element s, in carrier order, existing at
+    stage j(s) and asking for s itself, with one meet gather for the stack."""
+    names = frame.element_reprs
+    prd = frame.meet_table[np.arange(len(frame)), tables]
+    return [IndexedPropContainer.of_indices(frame, names, e, p) for e, p in zip(tables, prd)]
+
+
 def pred_of_nucleus(j: Nucleus) -> IndexedPropContainer:
-    """The container of stable queries: one shape per element s, in carrier
-    order, existing at stage j(s) and asking for s itself."""
-    frame = j.frame
-    names = [f"{{{key}}}" for key in frame.element_keys]
-    prd = frame.meet_table[np.arange(len(frame)), j.table]
-    return IndexedPropContainer.of_indices(frame, names, j.table, prd)
+    """The container of stable queries of one nucleus."""
+    return stable_query_containers(j.frame, j.table[None])[0]
 
 
 def instance_reducible(c: IndexedPropContainer, d: IndexedPropContainer) -> bool:

@@ -322,6 +322,12 @@ class Frame:
         return tuple(map(",".join, self.element_labels))
 
     @functools.cached_property
+    def element_reprs(self) -> tuple[str, ...]:
+        """``repr`` of every element, in carrier order: the shape names of a
+        stable-query container."""
+        return tuple(f"{{{key}}}" for key in self.element_keys)
+
+    @functools.cached_property
     def element_index(self) -> dict[str | tuple[str, ...], int]:
         """Carrier index of each element by its key and by its label tuple:
         one lookup for an element as ``io`` writes it."""

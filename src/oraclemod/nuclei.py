@@ -19,9 +19,9 @@ equals j of its own subset (O(n x labels); the law scan runs only on a
 table that fails, to name its violations). ``validate_nucleus`` applies
 that test to one table and ``nucleus_rows`` to a stack of them, such as
 the Kleene tables of a batch of containers. The
-sup of a family is j of the intersection of their subsets, enumeration is
-one ``j_table`` call on all 2^labels subset masks, and the frame of fixed
-points is the downset frame of the subposet S.
+sup of a family is j of the intersection of their subsets, enumeration
+(``nucleus_stack``) is one ``j_table`` call on all 2^labels subset masks,
+and the frame of fixed points is the downset frame of the subposet S.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import frames
 from .errors import FrameMismatch, SizeLimitExceeded
 from .frames import Frame, FrameElement, Poset, downset_frame
 
-# Cells of the tables enumerate_nuclei builds at once, 2**labels x carrier.
+# Cells of the tables nucleus_stack builds at once, 2**labels x carrier.
 ENUMERATION_LIMIT = 1 << 14
 
 
@@ -163,9 +163,9 @@ def dense_elements(j: Nucleus) -> tuple[FrameElement, ...]:
     )
 
 
-def enumerate_nuclei(frame: Frame) -> tuple[Nucleus, ...]:
-    """All nuclei on the frame, in lexicographic table order: the j_S for
-    every subset S of the labels."""
+def nucleus_stack(frame: Frame) -> np.ndarray:
+    """All nuclei on the frame as a (2**labels, n) int32 stack of tables, in
+    lexicographic table order: the j_S for every subset S of the labels."""
     if len(frame) << len(frame.poset) > ENUMERATION_LIMIT:
         raise SizeLimitExceeded(
             f"2**{len(frame.poset)} nuclei on carrier {len(frame)} exceed the"
@@ -175,8 +175,13 @@ def enumerate_nuclei(frame: Frame) -> tuple[Nucleus, ...]:
     # row s holds label x iff bit x of s is set
     subsets = (np.arange(1 << labels)[:, None] >> np.arange(labels) & 1).astype(bool)
     tables = j_table(frame, subsets)
-    tables = tables[np.lexsort(tables.T[::-1])]
-    return tuple(Nucleus(frame, t) for t in tables)
+    return tables[np.lexsort(tables.T[::-1])]
+
+
+def enumerate_nuclei(frame: Frame) -> tuple[Nucleus, ...]:
+    """All nuclei on the frame, in lexicographic table order: the rows of
+    ``nucleus_stack`` as ``Nucleus`` objects."""
+    return tuple(Nucleus(frame, t) for t in nucleus_stack(frame))
 
 
 def sup_nuclei(frame: Frame, js: Iterable[Nucleus]) -> Nucleus:

@@ -4,17 +4,20 @@ Each referee enumerates instances when the space fits the budget and
 otherwise draws a seeded sample, so reports are reproducible from
 (frame, suite, seed) alone. Modalities are computed by Kleene iteration,
 the paper's construction, and checked against the nuclei that
-``enumerate_nuclei`` lists in closed form, so no referee checks the closed
-form against itself. A referee draws all its containers before computing
-any modality, and then computes their modalities in one batched call to
-``oracle_modalities_kleene``, as a stack of tables compared row by row.
-``_least_above`` checks "least nucleus above" for ``least-above-instance``
-(above the single-query maps) and ``sup`` (above the join of two
-modalities). The referees draw their containers as carrier indices and
-build them with ``IndexedPropContainer.of_indices``, never from frame
-elements. A run enumerates the nuclei at most once; if the enumeration is
-refused, each referee that needs it reports "refused" and the others still
-run.
+``nucleus_stack`` lists in closed form, as one (N, n) array, so no referee
+checks the closed form against itself. A run has two phases: every
+referee draws all its containers, from its own rng, and then the
+containers of all referees go through one shared call to
+``oracle_modalities_kleene``, which validates every Kleene table and also
+hands back the single-query maps; each referee then judges its own slice
+of the two stacks. ``_least_above`` checks "least nucleus above" for
+``least-above-instance`` (above the single-query maps) and ``sup`` (above
+the join of two modalities). The referees draw their containers as
+carrier indices and build them with ``IndexedPropContainer.of_indices``,
+never from frame elements; ``retraction`` builds the stable-query
+containers of the whole stack with ``stable_query_containers``. A run
+enumerates the nuclei at most once; if the enumeration is refused, each
+referee that needs it reports "refused" and the others still run.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import functools
 import random
 import time
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +35,13 @@ from .containers import (
     IndexedPropContainer,
     container_sum,
     forced_by,
-    instance_prenuclei,
     instance_reducible,
     oracle_modalities_kleene,
-    pred_of_nucleus,
+    stable_query_containers,
 )
 from .errors import InternalInvariantViolation, SizeLimitExceeded, UnknownLabel
 from .frames import Frame
-from .nuclei import Nucleus, enumerate_nuclei
+from .nuclei import Nucleus, nucleus_stack
 
 
 @dataclass
@@ -127,20 +130,24 @@ def _containers_for(frame: Frame, budget: Budget, rng: random.Random):
 # -- individual referees --------------------------------------------------
 #
 # Each referee takes the frame, the budget, its own seeded rng and
-# ``enumerated``, a call returning the frame's nuclei as an (N, n) stack,
-# enumerated on the first call in a run only. A referee draws all its
-# containers first and then computes their Kleene modalities in one call.
+# ``enumerated``, a call returning the frame's nuclei as the (N, n) stack of
+# ``nucleus_stack``, built on the first call in a run only. A referee that
+# needs Kleene modalities is a generator: it draws all its containers and
+# yields them, and receives their Kleene tables and their single-query maps
+# as two (m, n) stacks, its slice of the run's one shared pass. Any other
+# referee returns its result at once.
 
 
 def _check_retraction(frame: Frame, budget: Budget, rng: random.Random, enumerated):
-    nuclei = [Nucleus(frame, t) for t in enumerated()] + list(budget.extra_nuclei)
-    modalities = oracle_modalities_kleene(frame, [pred_of_nucleus(j) for j in nuclei])
+    tables = enumerated()
+    if budget.extra_nuclei:
+        tables = np.concatenate([tables, [j.table for j in budget.extra_nuclei]])
+    modalities, _ = yield stable_query_containers(frame, tables)
     failures = [
-        f"nucleus {list(map(int, j.table))} came back as {list(map(int, k))}"
-        for j, k in zip(nuclei, modalities)
-        if (k != j.table).any()
+        f"nucleus {list(map(int, tables[i]))} came back as {list(map(int, modalities[i]))}"
+        for i in np.flatnonzero((modalities != tables).any(axis=1))
     ]
-    return len(nuclei), failures, "exhaustive"
+    return len(tables), failures, "exhaustive"
 
 
 def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random, enumerated):
@@ -155,7 +162,7 @@ def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random, enumera
                  for _ in range(budget.cases)]
         cs, pairs = [c for _, c in drawn], [(j, k) for k, (j, _) in enumerate(drawn)]
         coverage = f"sampled {budget.cases}"
-    modalities = oracle_modalities_kleene(frame, cs)
+    modalities, _ = yield cs
     failures = []
     for j, k in pairs:
         c, table = cs[k], nuclei[j]
@@ -178,7 +185,7 @@ def _check_oracle_leq(frame: Frame, budget: Budget, rng: random.Random, enumerat
         cs = [random_container(frame, rng) for _ in range(2 * budget.cases)]
         pairs = [(a, a + 1) for a in range(0, len(cs), 2)]
         coverage = f"sampled {budget.cases}"
-    modalities = oracle_modalities_kleene(frame, cs)
+    modalities, _ = yield cs
     failures = []
     for a, b in pairs:
         c, d, od = cs[a], cs[b], modalities[b]
@@ -210,8 +217,7 @@ def _check_least_above(frame: Frame, budget: Budget, rng: random.Random, enumera
     # so it is the least nucleus above that map iff it equals their meet.
     nuclei = enumerated()
     cs, coverage = _containers_for(frame, budget, rng)
-    pre = instance_prenuclei(frame, cs)
-    modalities = oracle_modalities_kleene(frame, cs)
+    modalities, pre = yield cs
     above = frame.leq_table[pre, modalities].all(axis=1)
     least = (_least_above(frame, nuclei, pre) == modalities).all(axis=1)
     failures = []
@@ -231,8 +237,7 @@ def _check_sup(frame: Frame, budget: Budget, rng: random.Random, enumerated):
     n_pairs = budget.cases
     pairs = [(random_container(frame, rng), random_container(frame, rng))
              for _ in range(n_pairs)]
-    modalities = oracle_modalities_kleene(
-        frame, [x for c1, c2 in pairs for x in (container_sum([c1, c2]), c1, c2)])
+    modalities, _ = yield [x for c1, c2 in pairs for x in (container_sum([c1, c2]), c1, c2)]
     sups = _least_above(frame, nuclei, frame.join_table[modalities[1::3], modalities[2::3]])
     failures = [
         f"sum modality {list(map(int, lhs))} != sup {list(map(int, rhs))} for {c1!r}, {c2!r}"
@@ -247,7 +252,7 @@ def _check_surjection(frame: Frame, budget: Budget, rng: random.Random, enumerat
     for _ in range(budget.cases):
         c = random_container(frame, rng)
         pairs.append((c, surjective_relabeling(c, rng)))
-    modalities = oracle_modalities_kleene(frame, [x for pair in pairs for x in pair])
+    modalities, _ = yield [x for pair in pairs for x in pair]
     failures = []
     for (c, cq), mc, mcq in zip(pairs, modalities[0::2], modalities[1::2]):
         if (mcq != mc).any():
@@ -261,8 +266,9 @@ def _check_instance_vs_forcing(frame: Frame, budget: Budget, rng: random.Random,
     # tabulated single-query map: E_c(a) <= i_d(P_c(a)) for every shape a.
     cs, coverage = _containers_for(frame, budget, rng)
     ds = [random_container(frame, rng) for _ in cs]
+    _, maps = yield ds
     failures = []
-    for c, d, i_d in zip(cs, ds, instance_prenuclei(frame, ds)):
+    for c, d, i_d in zip(cs, ds, maps):
         lhs = instance_reducible(c, d)
         rhs = forced_by(c, i_d)
         if lhs != rhs:
@@ -283,12 +289,26 @@ _CHECKERS = {
 THEOREM_IDS = tuple(_CHECKERS)
 
 
+def _judge(referee: Generator, tables: np.ndarray, maps: np.ndarray):
+    """Hand a referee its slice of the shared pass and return its result."""
+    try:
+        referee.send((tables, maps))
+    except StopIteration as done:
+        return done.value
+    raise InternalInvariantViolation("a referee asked for a second Kleene pass")
+
+
 def verify_theorems(
     frame: Frame,
     suite: tuple[str, ...] | None = None,
     budget: Budget | None = None,
 ) -> list[TheoremReport]:
     """Run the requested referees and return one report per theorem id.
+
+    The run has two phases: every referee draws its containers, then all of
+    them go through one shared Kleene pass and each referee judges its own
+    slice. A referee's ``elapsed_ms`` is its draw and judge time plus its
+    share of the shared pass in proportion to its containers.
 
     A referee whose enumeration of nuclei is refused reports nothing checked
     with coverage "refused"; the enumeration is attempted once per run and
@@ -298,12 +318,11 @@ def verify_theorems(
 
     @functools.cache
     def attempt():
-        # Looked up at call time, so a wrapped enumerate_nuclei is the one called.
+        # Looked up at call time, so a wrapped nucleus_stack is the one called.
         try:
-            nuclei = enumerate_nuclei(frame)
+            return nucleus_stack(frame)
         except SizeLimitExceeded as e:
             return e
-        return np.array([k.table for k in nuclei])
 
     def enumerated():
         nuclei = attempt()
@@ -311,26 +330,37 @@ def verify_theorems(
             raise nuclei
         return nuclei
 
-    reports = []
+    reports, drawn = [], []  # drawn: (report, referee generator, its containers)
     for name in ids:
         if name not in _CHECKERS:
             raise UnknownLabel(f"unknown theorem id {name!r}")
         rng = random.Random(f"{budget.seed}:{name}")
+        report = TheoremReport(theorem=name, checked=0, seed=budget.seed)
         t0 = time.perf_counter()
-        refusal = None
         try:
-            checked, failures, coverage = _CHECKERS[name](frame, budget, rng, enumerated)
+            result = _CHECKERS[name](frame, budget, rng, enumerated)
+            if isinstance(result, Generator):
+                drawn.append((report, result, next(result)))
+            else:
+                report.checked, report.failures, report.coverage = result
         except SizeLimitExceeded as e:
-            checked, failures, coverage, refusal = 0, [], "refused", str(e)
-        reports.append(
-            TheoremReport(
-                theorem=name,
-                checked=checked,
-                failures=failures,
-                seed=budget.seed,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-                coverage=coverage,
-                refusal=refusal,
-            )
-        )
+            report.coverage, report.refusal = "refused", str(e)
+        report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        reports.append(report)
+
+    if drawn:
+        # the one Kleene pass of the run, over every referee's containers
+        everything = [c for _, _, cs in drawn for c in cs]
+        t0 = time.perf_counter()
+        maps = np.empty((len(everything), len(frame)), dtype=np.int32)
+        tables = oracle_modalities_kleene(frame, everything, maps)
+        per_row = (time.perf_counter() - t0) * 1000.0 / max(1, len(everything))
+        lo = 0
+        for report, referee, cs in drawn:
+            hi = lo + len(cs)
+            t0 = time.perf_counter()
+            report.checked, report.failures, report.coverage = _judge(
+                referee, tables[lo:hi], maps[lo:hi])
+            report.elapsed_ms += (time.perf_counter() - t0) * 1000.0 + per_row * len(cs)
+            lo = hi
     return reports

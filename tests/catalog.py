@@ -1,13 +1,14 @@
 """Shared poset catalog for the test suite, with the paper's example
-nuclei and containers built from a frame's operation tables and the JSON
-writer of the test inputs."""
+nuclei and containers built from a frame's operation tables, the
+single-query maps of a batch as the Kleene kernel hands them back, and the
+JSON writer of the test inputs."""
 
 import functools
 import json
 
 import numpy as np
 
-from oraclemod.containers import IndexedPropContainer
+from oraclemod.containers import IndexedPropContainer, oracle_modalities_kleene
 from oraclemod.frames import downset_frame, poset_from_relation
 from oraclemod.nuclei import Nucleus
 from oraclemod.pca import I_TERM, App, K, S, app
@@ -97,6 +98,15 @@ def all_labeled_posets(max_size=3):
                 seen.add(key)
                 out.append((labels, sorted(rel)))
     return out
+
+
+def instance_prenuclei(frame, cs):
+    """The single-query maps t |-> \\/_a (E(a) /\\ (P(a) => t)) of a batch of
+    containers, as an (m, n) stack: the rows ``oracle_modalities_kleene``
+    writes to ``maps``."""
+    maps = np.empty((len(cs), len(frame)), dtype=np.int32)
+    oracle_modalities_kleene(frame, cs, maps)
+    return maps
 
 
 def dump_json(obj, path):

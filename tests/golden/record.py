@@ -32,7 +32,7 @@ from oraclemod.pca import App, Const, K, S, app, pp, tag_leaf, tag_node  # noqa:
 
 NAMES = ("chain2", "anti4", "diamond", "chain7")
 VERIFY_SUITES = ("retraction", "forcing", "oracle-leq", "least-above", "sup",
-                 "surjection", "all")
+                 "surjection", "instance-vs-forcing", "all")
 
 
 def _container(frame, rng: random.Random) -> dict:

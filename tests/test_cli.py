@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclemod import cli, io, theorems
+from oraclemod import _kernels, cli, io, theorems
 from oraclemod.errors import InternalInvariantViolation
 from oraclemod.frames import downset_frame
 from oraclemod.pca import App, Const, K, parse_term, pp, tag_leaf, tag_node
@@ -185,6 +185,93 @@ def test_verify_all_passes(poset_file, capsys):
     assert code == 0
     names = [r["theorem"] for r in json.loads(out)["body"]["reports"]]
     assert len(names) == 7
+
+
+def test_verify_instance_vs_forcing_suite(monkeypatch, pairs4_file, capsys):
+    # It needs no nuclei, so it runs above the enumeration limit too, and it
+    # reports as it does inside "all", from the same rng stream.
+    def reports(suite):
+        code, out = run_capture(capsys, ["--format", "json", "verify", suite,
+                                         "--poset", pairs4_file, "--cases", "4"])
+        return code, json.loads(out)["body"]["reports"]
+
+    code, (report,) = reports("instance-vs-forcing")
+    assert code == 0 and report["theorem"] == "instance-vs-forcing"
+    assert report["checked"] == 4 and report["failures"] == []
+    assert report in reports("all")[1]
+    monkeypatch.setattr(theorems, "instance_reducible", lambda c, d: True)
+    code, (report,) = reports("instance-vs-forcing")
+    assert code == 1 and report["failures"]
+
+
+# -- the shared Kleene pass ----------------------------------------------------
+
+
+def verify_reports(capsys, poset, *extra):
+    code, out = run_capture(capsys, ["--format", "json", "verify", "all",
+                                     "--poset", poset, *extra])
+    return code, json.loads(out)["body"]["reports"]
+
+
+@pytest.mark.parametrize("suite", ("all", "retraction", "instance-vs-forcing"))
+def test_verify_makes_one_kleene_call(monkeypatch, poset_file, suite, capsys):
+    calls = []
+    real = theorems.oracle_modalities_kleene
+
+    def counting(frame, cs, *args):
+        calls.append(len(cs))
+        return real(frame, cs, *args)
+
+    monkeypatch.setattr(theorems, "oracle_modalities_kleene", counting)
+    assert cli.run(["verify", suite, "--poset", poset_file, "--cases", "30"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("stack, referees", (
+    ("tables", {"retraction", "forcing-iff", "oracle-leq", "least-above-instance", "sup",
+                "surjection"}),
+    ("maps", {"least-above-instance", "instance-vs-forcing"}),
+))
+def test_rolled_shared_pass_fails_its_readers(monkeypatch, poset_file, stack, referees,
+                                              capsys):
+    # each referee's slice then holds its neighbour's rows
+    real = theorems.oracle_modalities_kleene
+
+    def rolled(frame, cs, maps):
+        tables = real(frame, cs, maps)
+        if stack == "maps":
+            maps[:] = np.roll(maps, 1, axis=0)
+            return tables
+        return np.roll(tables, 1, axis=0)
+
+    monkeypatch.setattr(theorems, "oracle_modalities_kleene", rolled)
+    code, reports = verify_reports(capsys, poset_file, "--cases", "30")
+    assert code == 1
+    assert {r["theorem"] for r in reports if r["failures"]} == referees
+
+
+def test_verify_all_with_no_cases(poset_file, capsys):
+    # every referee but the exhaustive retraction gets an empty slice
+    code, reports = verify_reports(capsys, poset_file, "--cases", "0")
+    assert code == 0
+    assert [(r["checked"], r["coverage"], r["failures"]) for r in reports] == (
+        [(4, "exhaustive", [])] + [(0, "sampled 0", [])] * 6)
+
+
+def test_non_nucleus_in_shared_pass_is_a_bug(monkeypatch, poset_file, capsys):
+    # The last row is a table only the validation reads: instance-vs-forcing
+    # judges the single-query maps of its containers, not their modalities.
+    real = _kernels.kleene_table
+
+    def top_to_bottom(*args):
+        tables = real(*args)
+        tables[-1, -1] = 0
+        return tables
+
+    monkeypatch.setattr(_kernels, "kleene_table", top_to_bottom)
+    assert cli.run(["verify", "all", "--poset", poset_file, "--cases", "30"]) == 4
+    assert "computed modality violates nucleus laws: ['inflationary'" in (
+        capsys.readouterr().err)
 
 
 def test_trees_suite_runs_clean(capsys):
@@ -951,13 +1038,13 @@ def test_parser_built_once_per_process(fresh_parser, monkeypatch, poset_file, ca
 
 def test_verify_all_reports_refused_enumeration(monkeypatch, pairs4_file, capsys):
     attempts = []
-    real = theorems.enumerate_nuclei
+    real = theorems.nucleus_stack
 
     def counting(frame):
         attempts.append(frame)
         return real(frame)
 
-    monkeypatch.setattr(theorems, "enumerate_nuclei", counting)
+    monkeypatch.setattr(theorems, "nucleus_stack", counting)
     code = cli.run(["--format", "json", "verify", "all", "--poset", pairs4_file,
                     "--cases", "4"])
     captured = capsys.readouterr()

@@ -7,7 +7,6 @@ from oraclemod.containers import (
     IndexedPropContainer,
     container_sum,
     forces,
-    instance_prenuclei,
     instance_reducible,
     oracle_modality,
     oracle_modality_bruteforce,
@@ -23,6 +22,7 @@ from catalog import (
     SMALL,
     canonical_nuclei,
     counterexample_container,
+    instance_prenuclei,
     lem_container,
     make_frame,
     pairs_frame,

@@ -7,7 +7,6 @@ from oraclemod import _kernels, frames
 from oraclemod.containers import (
     IndexedPropContainer,
     container_sum,
-    instance_prenuclei,
     oracle_modalities_kleene,
     pred_of_nucleus,
 )
@@ -15,7 +14,7 @@ from oraclemod.errors import FrameMismatch, InternalInvariantViolation
 from oraclemod.nuclei import enumerate_nuclei, law_scan
 from oraclemod.theorems import random_container
 
-from catalog import POSETS, SMALL, canonical_nuclei, chain_frame, make_frame, pairs_frame
+from catalog import POSETS, SMALL, canonical_nuclei, chain_frame, instance_prenuclei, make_frame, pairs_frame
 from oracles import per_shape_prefixed_mask
 
 
@@ -196,6 +195,31 @@ def test_batched_query_table_rows(monkeypatch):
     for cells in (frames.BLOCK_CELLS, len(frame)):
         monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
         assert all((row == w).all() for row, w in zip(_kernels.query_table(*args), want))
+
+
+# SPLIT_CELLS 0 splits a batch wherever a split saves a slot, 2**62 never
+@pytest.mark.parametrize("split_cells, split", ((0, True), (1 << 62, False)))
+@pytest.mark.parametrize("name", ("chain7", "anti4"))
+def test_query_table_split_by_width(monkeypatch, name, split_cells, split):
+    # narrow containers beside the stable-query ones, one shape per element
+    frame = make_frame(name)
+    cs = container_mix(frame, random.Random(f"split:{name}"))
+    cs += [pred_of_nucleus(j) for j in enumerate_nuclei(frame)[::4]]
+    random.Random(name).shuffle(cs)
+    args = (frame.meet_table, frame.join_table, frame.implies_table,
+            np.concatenate([c.ext for c in cs]), np.concatenate([c.prd for c in cs]),
+            [len(c) for c in cs], frame.bot_index)
+    want = [instance_prenuclei(frame, [c])[0] for c in cs]
+    monkeypatch.setattr(_kernels, "SPLIT_CELLS", split_cells)
+    real, grids = _kernels._grid_table, []
+
+    def counting(*args):
+        grids.append(len(args[5]))
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_grid_table", counting)
+    assert all((row == w).all() for row, w in zip(_kernels.query_table(*args), want))
+    assert sum(grids) == len(cs) and (len(grids) > 1) == split
 
 
 def test_non_inflationary_kleene_row_raises(monkeypatch):

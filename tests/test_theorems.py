@@ -8,7 +8,6 @@ from oraclemod import frames, theorems
 from oraclemod.containers import (
     IndexedPropContainer,
     container_sum,
-    instance_prenuclei,
     oracle_modality,
 )
 from oraclemod.errors import InternalInvariantViolation, UnknownLabel
@@ -25,7 +24,7 @@ from oraclemod.theorems import (
     verify_theorems,
 )
 
-from catalog import POSETS, canonical_nuclei, make_frame
+from catalog import POSETS, canonical_nuclei, instance_prenuclei, make_frame
 from oracles import (
     bruteforce_nuclei,
     bruteforce_sup,
@@ -139,13 +138,13 @@ def test_injected_broken_nucleus_fails_retraction(o3):
                                           (("surjection",), 0)))
 def test_nuclei_enumerated_at_most_once_per_run(monkeypatch, o4, suite, calls):
     seen = []
-    real = theorems.enumerate_nuclei
+    real = theorems.nucleus_stack
 
     def counting(frame):
         seen.append(frame)
         return real(frame)
 
-    monkeypatch.setattr(theorems, "enumerate_nuclei", counting)
+    monkeypatch.setattr(theorems, "nucleus_stack", counting)
     reports = verify_theorems(o4, suite=suite, budget=Budget(seed=1, cases=20))
     assert all(r.passed for r in reports)
     assert len(seen) == calls
@@ -274,8 +273,8 @@ _EXHAUSTIVE_ON_CHAIN2 = ("retraction", "forcing-iff", "oracle-leq")
 def _faulted_reports(monkeypatch, mode, name, cases, suite=None):
     real = theorems.oracle_modalities_kleene
 
-    def faulty(frame, cs):
-        tables = real(frame, cs)
+    def faulty(frame, cs, *args):
+        tables = real(frame, cs, *args)
         for i, c in enumerate(cs):
             if (t := _wrong_table(mode, c)) is not None:
                 tables[i] = t
