@@ -8,14 +8,10 @@ checked against a route that shares no code with it:
 * ``query_table`` tabulates the single-query maps
   q(x) = \\/_a (E_a /\\ (P_a => x)) of m containers at once, from their
   shapes concatenated with a count per container. The shapes are laid out
-  on grids of slots, one row per container, the empty slots filled with a
-  shape whose row is bottom; the rows are gathered with flat ``take`` from
-  the raveled tables, in the blocks of ``frames.blocks``, and join-reduced
-  along the slots by ``frames.fold``. One grid as wide as the widest
-  container would pad a batch of narrow containers beside a few wide ones
-  (the stable-query containers have one shape per element) to that width,
-  so a batch is split by container width wherever a split saves more
-  cells than the fixed cost of another grid;
+  on one grid of slots, one row per container and as wide as the widest,
+  the empty slots filled with a shape whose row is bottom; the rows are
+  gathered with flat ``take`` from the raveled tables, in the blocks of
+  ``frames.blocks``, and join-reduced along the slots by ``frames.fold``;
 * ``kleene_table`` iterates t := s \\/ q(t) from t = s until it stabilizes,
   for every start s of every container at once, in the blocks of
   ``frames.blocks``. Since q depends on t only through the
@@ -40,32 +36,16 @@ import numpy as np
 from . import frames
 
 
-# Cells a split of a batch must save before ``query_table`` lays out one
-# more grid: the fixed numpy cost of a grid, about 25 us, is the time of
-# about 4000 cells at 6 ns each (carriers 8 and 16, 2-core VM, numpy 2.4).
-SPLIT_CELLS = 1 << 12
+def query_table(meet, join, implies, ext, prd, counts, bot: int) -> np.ndarray:
+    """The single-query maps of m containers as an (m, n) table.
 
-
-def _narrow_rows(counts: np.ndarray, n: int) -> np.ndarray | None:
-    """Mask of the containers to lay out apart from the widest: those no
-    wider than the width that leaves the fewest slots on the two grids, when
-    that saves more than ``SPLIT_CELLS`` cells against one grid as wide as
-    the widest container; else None."""
-    if counts.shape[0] < 2:
-        return None
-    narrow = np.cumsum(np.bincount(counts))  # containers no wider than each width
-    width = narrow.shape[0] - 1
-    slots = np.arange(width + 1) * narrow + width * (counts.shape[0] - narrow)
-    split = int(slots.argmin())
-    if (slots[-1] - slots[split]) * n <= SPLIT_CELLS:
-        return None
-    return counts <= split
-
-
-def _grid_table(meet, join, implies, ext, prd, counts, bot: int) -> np.ndarray:
-    """``query_table`` on one grid of (m, widest) slots."""
+    ``ext`` and ``prd`` hold the shapes of the containers one after another,
+    ``counts[i]`` of them for container i; a container with no shapes maps
+    everything to ``bot``. The containers lie on one grid of (m, widest)
+    slots."""
     n = meet.shape[0]
     meet_flat, join_flat, imp_flat = meet.ravel(), join.ravel(), implies.ravel()
+    counts = np.asarray(counts, dtype=np.intp)
     m, width = counts.shape[0], int(counts.max(initial=0))
     # Slot (i, a) holds shape a of container i. The slots past its count
     # hold the shape (bot, bot), whose row is bot: the unit of join.
@@ -83,25 +63,6 @@ def _grid_table(meet, join, implies, ext, prd, counts, bot: int) -> np.ndarray:
             p = p_slots[rows, cols].T[:, :, None] * n
             part = frames.fold(join, meet_flat.take(e + imp_flat.take(p + carrier)))
             q[rows] = part if cols.start == 0 else join_flat.take(q[rows] * n + part)
-    return q
-
-
-def query_table(meet, join, implies, ext, prd, counts, bot: int) -> np.ndarray:
-    """The single-query maps of m containers as an (m, n) table.
-
-    ``ext`` and ``prd`` hold the shapes of the containers one after another,
-    ``counts[i]`` of them for container i; a container with no shapes maps
-    everything to ``bot``. The containers lie on one slot grid, unless
-    ``_narrow_rows`` splits them by width: then each part is tabulated
-    the same way."""
-    counts = np.asarray(counts, dtype=np.intp)
-    narrow = _narrow_rows(counts, meet.shape[0])
-    if narrow is None:
-        return _grid_table(meet, join, implies, ext, prd, counts, bot)
-    q = np.empty((counts.shape[0], meet.shape[0]), dtype=np.int32)
-    shapes = np.repeat(narrow, counts)
-    for rows, kept in ((narrow, shapes), (~narrow, ~shapes)):
-        q[rows] = query_table(meet, join, implies, ext[kept], prd[kept], counts[rows], bot)
     return q
 
 

@@ -44,7 +44,7 @@ from .nuclei import (
 from .pca import DEFAULT_FUEL, eval_term, parse_term, pp
 from .theorems import THEOREM_IDS, Budget, verify_theorems
 from .trees import run_tree_suites
-from .weihrauch import check_oracle_membership_w, check_weihrauch
+from .weihrauch import check_oracle_membership_w, check_weihrauch, recheck_certificate_w
 
 _VERIFY_SUITES = {
     "retraction": ("retraction",),
@@ -254,6 +254,9 @@ def _dispatch(args) -> tuple[dict, int]:
         members = io.terms_from_json(io.load_json(args.s))
         t = parse_term(args.term, auto_declare=True)
         v = check_oracle_membership_w(f, members, t, depth=args.depth, fuel=args.fuel)
+        if v.verdict == "member" and not recheck_certificate_w(
+                f, members, t, v.certificate, fuel=args.fuel):
+            raise InternalInvariantViolation("member certificate failed its recheck")
         body = {
             "verdict": v.verdict,
             "path": list(v.path),

@@ -22,12 +22,11 @@ through the closed form, which only validates them.
 call, validates all their tables in one batched test and returns them as
 an (m, n) stack, and on request hands back the single-query maps of the
 batch, which the kernel tabulates first; ``oracle_modality_kleene`` wraps
-its one row as a ``Nucleus``. The kernel lays a batch out by container
-width, so narrow containers batched with wide ones are not padded to the
-widest. Containers keep their shapes as built, with aligned
-``ext``/``prd`` carrier-index arrays (joins commute). The constructor
-takes frame elements (library callers); containers read from files, sums,
-the stable-query containers of a stack of nuclei
+its one row as a ``Nucleus``. The kernel lays a batch out on one grid of
+slots as wide as its widest container. Containers keep their shapes as
+built, with aligned ``ext``/``prd`` carrier-index arrays (joins commute).
+The constructor takes frame elements (library callers); containers read
+from files, sums, the stable-query containers of a stack of nuclei
 (``stable_query_containers``, one meet gather for the stack) and the
 referees' drawn containers are built from carrier indices by
 ``of_indices``, and ``instance_reducible`` walks the operation tables

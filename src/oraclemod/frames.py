@@ -43,8 +43,8 @@ So the label-level verbs build few tables: ``frame build`` none,
 ``oracle compute`` and an accepted ``nuclei validate`` the meet table
 alone, a rejected ``nuclei validate`` meet and order, and ``oracle
 compare``, ``verify`` and ``check_laws`` all four. At the 4096 downsets of
-12 incomparable labels, a whole ``frame build`` process takes 0.5 s CPU and
-33 MB max RSS, and ``oracle compute`` 1.7 s and 99 MB, where building every
+12 incomparable labels, a whole ``frame build`` process takes 0.26 s CPU and
+32 MB max RSS, and ``oracle compute`` 0.62 s and 100 MB, where building every
 table with the frame would take 4.0 s and 243 MB (2-core VM, numpy 2.4).
 
 ``Frame.check_laws`` checks its two-index laws cell by cell and decides

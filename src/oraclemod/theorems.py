@@ -131,11 +131,10 @@ def _containers_for(frame: Frame, budget: Budget, rng: random.Random):
 #
 # Each referee takes the frame, the budget, its own seeded rng and
 # ``enumerated``, a call returning the frame's nuclei as the (N, n) stack of
-# ``nucleus_stack``, built on the first call in a run only. A referee that
-# needs Kleene modalities is a generator: it draws all its containers and
-# yields them, and receives their Kleene tables and their single-query maps
-# as two (m, n) stacks, its slice of the run's one shared pass. Any other
-# referee returns its result at once.
+# ``nucleus_stack``, built on the first call in a run only. Every referee
+# is a generator: it draws all its containers and yields them, and receives
+# their Kleene tables and their single-query maps as two (m, n) stacks, its
+# slice of the run's one shared pass.
 
 
 def _check_retraction(frame: Frame, budget: Budget, rng: random.Random, enumerated):
@@ -338,11 +337,8 @@ def verify_theorems(
         report = TheoremReport(theorem=name, checked=0, seed=budget.seed)
         t0 = time.perf_counter()
         try:
-            result = _CHECKERS[name](frame, budget, rng, enumerated)
-            if isinstance(result, Generator):
-                drawn.append((report, result, next(result)))
-            else:
-                report.checked, report.failures, report.coverage = result
+            referee = _CHECKERS[name](frame, budget, rng, enumerated)
+            drawn.append((report, referee, next(referee)))
         except SizeLimitExceeded as e:
             report.coverage, report.refusal = "refused", str(e)
         report.elapsed_ms = (time.perf_counter() - t0) * 1000.0

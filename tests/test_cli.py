@@ -333,6 +333,29 @@ def test_oracle_tree_check(tmp_path, capsys):
     assert code == 1
 
 
+def test_oracle_tree_member_failing_recheck_exits_4(monkeypatch, tmp_path, capsys):
+    dump_json({"entries": [{"instance": "K", "families": [["S"]]}]},
+              tmp_path / "f.json")
+    dump_json(["m0"], tmp_path / "s.json")
+    rechecked = []
+
+    def refuse(f, members, t, cert, fuel):
+        rechecked.append(cert)
+        return False
+
+    monkeypatch.setattr(cli, "recheck_certificate_w", refuse)
+    code = cli.run(["--format", "json", "oracle-tree", "check",
+                    "--pred", str(tmp_path / "f.json"), "--s", str(tmp_path / "s.json"),
+                    "--term", pp(tag_leaf(Const("m0")))])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert rechecked == [{"kind": "leaf", "payload": "m0"}]
+    report = json.loads(captured.err)
+    assert report["status"] == 4
+    assert report["bug_report"] == {"error": "internal invariant violation",
+                                    "detail": "member certificate failed its recheck"}
+
+
 def test_instances_sharing_a_realizer_are_merged(tmp_path, capsys):
     # S K K K normalizes to K, so the second entry adds family [K] to K:
     # written apart or together, f has a family nothing in g translates into
@@ -1060,8 +1083,11 @@ def test_verify_all_reports_refused_enumeration(monkeypatch, pairs4_file, capsys
 
 
 def test_failure_beside_refused_enumeration_exits_1(monkeypatch, pairs4_file, capsys):
-    monkeypatch.setitem(theorems._CHECKERS, "surjection",
-                        lambda *args: (1, ["synthetic"], "sampled 1"))
+    def synthetic(*args):
+        yield []
+        return 1, ["synthetic"], "sampled 1"
+
+    monkeypatch.setitem(theorems._CHECKERS, "surjection", synthetic)
     code = cli.run(["--format", "json", "verify", "all", "--poset", pairs4_file,
                     "--cases", "4"])
     captured = capsys.readouterr()

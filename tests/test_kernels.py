@@ -129,14 +129,17 @@ def test_prefixed_kernels_across_block_boundaries(monkeypatch, frame, point, cel
         assert taken == [-(-81 // per), -(-54 // per)] and min(taken) > 1
 
 
+def batch_args(frame, cs):
+    """The positional arguments of the batch kernels for a list of containers."""
+    return (frame.meet_table, frame.join_table, frame.implies_table,
+            np.concatenate([c.ext for c in cs] + [np.zeros(0, dtype=np.int32)]),
+            np.concatenate([c.prd for c in cs] + [np.zeros(0, dtype=np.int32)]),
+            [len(c) for c in cs], frame.bot_index)
+
+
 def kleene_tables(frame, cs):
     """The batched Kleene tables of a list of containers."""
-    return _kernels.kleene_table(
-        frame.meet_table, frame.join_table, frame.implies_table,
-        np.concatenate([c.ext for c in cs] + [np.zeros(0, dtype=np.int32)]),
-        np.concatenate([c.prd for c in cs] + [np.zeros(0, dtype=np.int32)]),
-        [len(c) for c in cs], frame.bot_index,
-    )
+    return _kernels.kleene_table(*batch_args(frame, cs))
 
 
 def kleene_rounds(frame, c):
@@ -185,41 +188,23 @@ def test_container_mix_converges_in_different_rounds():
     assert len({kleene_rounds(frame, c) for c in cs}) >= 3
 
 
-def test_batched_query_table_rows(monkeypatch):
-    frame = make_frame("anti4")
-    cs = container_mix(frame, random.Random("query"))
-    args = (frame.meet_table, frame.join_table, frame.implies_table,
-            np.concatenate([c.ext for c in cs]), np.concatenate([c.prd for c in cs]),
-            [len(c) for c in cs], frame.bot_index)
+@pytest.mark.parametrize("name", ("chain7", "anti4"))
+def test_batched_query_table_rows(monkeypatch, name):
+    # narrow containers beside the stable-query ones, one shape per element,
+    # all on one grid as wide as the widest
+    frame = make_frame(name)
+    cs = container_mix(frame, random.Random(f"query:{name}"))
+    cs += [pred_of_nucleus(j) for j in enumerate_nuclei(frame)[::4]]
+    random.Random(name).shuffle(cs)
+    args = batch_args(frame, cs)
     want = [instance_prenuclei(frame, [c])[0] for c in cs]
     for cells in (frames.BLOCK_CELLS, len(frame)):
         monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
-        assert all((row == w).all() for row, w in zip(_kernels.query_table(*args), want))
-
-
-# SPLIT_CELLS 0 splits a batch wherever a split saves a slot, 2**62 never
-@pytest.mark.parametrize("split_cells, split", ((0, True), (1 << 62, False)))
-@pytest.mark.parametrize("name", ("chain7", "anti4"))
-def test_query_table_split_by_width(monkeypatch, name, split_cells, split):
-    # narrow containers beside the stable-query ones, one shape per element
-    frame = make_frame(name)
-    cs = container_mix(frame, random.Random(f"split:{name}"))
-    cs += [pred_of_nucleus(j) for j in enumerate_nuclei(frame)[::4]]
-    random.Random(name).shuffle(cs)
-    args = (frame.meet_table, frame.join_table, frame.implies_table,
-            np.concatenate([c.ext for c in cs]), np.concatenate([c.prd for c in cs]),
-            [len(c) for c in cs], frame.bot_index)
-    want = [instance_prenuclei(frame, [c])[0] for c in cs]
-    monkeypatch.setattr(_kernels, "SPLIT_CELLS", split_cells)
-    real, grids = _kernels._grid_table, []
-
-    def counting(*args):
-        grids.append(len(args[5]))
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "_grid_table", counting)
-    assert all((row == w).all() for row, w in zip(_kernels.query_table(*args), want))
-    assert sum(grids) == len(cs) and (len(grids) > 1) == split
+        # query_table's rows, and the maps kleene_table writes over -1s
+        maps = np.full((len(cs), len(frame)), -1, dtype=np.int32)
+        _kernels.kleene_table(*args, maps=maps)
+        for got in (_kernels.query_table(*args), maps):
+            assert all((row == w).all() for row, w in zip(got, want))
 
 
 def test_non_inflationary_kleene_row_raises(monkeypatch):
