@@ -188,23 +188,24 @@ def test_container_mix_converges_in_different_rounds():
     assert len({kleene_rounds(frame, c) for c in cs}) >= 3
 
 
-@pytest.mark.parametrize("name", ("chain7", "anti4"))
-def test_batched_query_table_rows(monkeypatch, name):
-    # narrow containers beside the stable-query ones, one shape per element,
-    # all on one grid as wide as the widest
-    frame = make_frame(name)
-    cs = container_mix(frame, random.Random(f"query:{name}"))
-    cs += [pred_of_nucleus(j) for j in enumerate_nuclei(frame)[::4]]
-    random.Random(name).shuffle(cs)
-    args = batch_args(frame, cs)
-    want = [instance_prenuclei(frame, [c])[0] for c in cs]
-    for cells in (frames.BLOCK_CELLS, len(frame)):
-        monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
-        # query_table's rows, and the maps kleene_table writes over -1s
-        maps = np.full((len(cs), len(frame)), -1, dtype=np.int32)
-        _kernels.kleene_table(*args, maps=maps)
-        for got in (_kernels.query_table(*args), maps):
-            assert all((row == w).all() for row, w in zip(got, want))
+def test_batched_query_table_rows(monkeypatch):
+    # on each frame, narrow containers beside the stable-query ones, one shape
+    # per element, all on one grid as wide as the widest
+    default = frames.BLOCK_CELLS
+    for name in ("chain7", "anti4"):
+        frame = make_frame(name)
+        cs = container_mix(frame, random.Random(f"query:{name}"))
+        cs += [pred_of_nucleus(j) for j in enumerate_nuclei(frame)[::4]]
+        random.Random(name).shuffle(cs)
+        args = batch_args(frame, cs)
+        want = [instance_prenuclei(frame, [c])[0] for c in cs]
+        for cells in (default, len(frame)):
+            monkeypatch.setattr(frames, "BLOCK_CELLS", cells)
+            # query_table's rows, and the maps kleene_table writes over -1s
+            maps = np.full((len(cs), len(frame)), -1, dtype=np.int32)
+            _kernels.kleene_table(*args, maps=maps)
+            for got in (_kernels.query_table(*args), maps):
+                assert all((row == w).all() for row, w in zip(got, want)), name
 
 
 def test_non_inflationary_kleene_row_raises(monkeypatch):
