@@ -13,9 +13,11 @@ hands back the single-query maps; each referee then judges its own slice
 of the two stacks. ``_least_above`` checks "least nucleus above" for
 ``least-above-instance`` (above the single-query maps) and ``sup`` (above
 the join of two modalities). The referees draw their containers as
-carrier indices and build them with ``IndexedPropContainer.of_indices``,
-never from frame elements; ``retraction`` builds the stable-query
-containers of the whole stack with ``stable_query_containers``. A run
+carrier indices, each integer through ``_draws.randbelow`` (the draws of
+``random.Random``'s ``choice``, ``randint`` and ``randrange``), and build
+them with ``IndexedPropContainer.of_indices``, never from frame
+elements; ``retraction`` builds the stable-query containers of the whole
+stack with ``stable_query_containers``. A run
 enumerates the nuclei at most once; if the enumeration is refused, each
 referee that needs it reports "refused" and the others still run.
 """
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames
+from ._draws import randbelow
 from .containers import (
     IndexedPropContainer,
     container_sum,
@@ -94,12 +97,13 @@ def all_single_shape_containers(frame: Frame) -> list[IndexedPropContainer]:
 
 
 def random_container(frame: Frame, rng: random.Random) -> IndexedPropContainer:
-    k = rng.randint(1, 3)
+    k = 1 + randbelow(rng, 3)
     ext, prd = [], []
     for _ in range(k):
-        e = frame.top_index if rng.random() < 0.5 else rng.randrange(len(frame))
+        e = frame.top_index if rng.random() < 0.5 else randbelow(rng, len(frame))
         ext.append(e)
-        prd.append(rng.choice(frame.below[e]))
+        below = frame.below[e]
+        prd.append(below[randbelow(rng, len(below))])
     return IndexedPropContainer.of_indices(frame, [f"a{i}" for i in range(k)], ext, prd)
 
 
@@ -108,8 +112,8 @@ def surjective_relabeling(
 ) -> IndexedPropContainer:
     """Precompose a container with a random surjection onto its shapes."""
     k = len(c.shapes)
-    m = k + rng.randint(0, 2)
-    targets = list(range(k)) + [rng.choice(range(k)) for _ in range(m - k)]
+    m = k + randbelow(rng, 3)
+    targets = list(range(k)) + [randbelow(rng, k) for _ in range(m - k)]
     rng.shuffle(targets)
     return IndexedPropContainer.of_indices(
         c.frame, [f"b{i}" for i in range(m)], c.ext[targets], c.prd[targets])
@@ -157,7 +161,7 @@ def _check_forcing_iff(frame: Frame, budget: Budget, rng: random.Random, enumera
         pairs = [(j, k) for j in range(len(nuclei)) for k in range(len(cs))]
         coverage = "exhaustive-singles"
     else:
-        drawn = [(rng.choice(range(len(nuclei))), random_container(frame, rng))
+        drawn = [(randbelow(rng, len(nuclei)), random_container(frame, rng))
                  for _ in range(budget.cases)]
         cs, pairs = [c for _, c in drawn], [(j, k) for k, (j, _) in enumerate(drawn)]
         coverage = f"sampled {budget.cases}"

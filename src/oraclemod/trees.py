@@ -7,6 +7,13 @@ are plain inductive values; the equifoliate predicate singles out those
 that compute at most one value up to that collapsed equality, and such
 trees descend to canonical sheaf elements. A member set is the values that
 pass ``membership``.
+
+The randomized law suites draw every integer through ``_draws.randbelow``,
+which reproduces ``random.Random``'s ``choice``, ``randint`` and
+``randrange`` draw for draw, so a seed names the same cases, and the same
+reports, as it did when the suites called those methods. Every law goes
+through the module-level ``tree_bind``, ``membership``, ``member_set``,
+``equifoliate`` and ``delta``, so a broken one fails its suite.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from ._draws import randbelow
 from .errors import InternalInvariantViolation, NotEquifoliate, UnknownLabel
 
 
@@ -28,16 +36,26 @@ class SetContainer:
         }
         self.degenerate: bool = any(not ps for ps in self.positions.values())
 
+    @classmethod
+    def _sorted(cls, positions: dict[str, tuple[str, ...]]) -> "SetContainer":
+        """The container of ``positions``, whose shapes and position tuples
+        are already in sorted order, without sorting them again."""
+        c = cls.__new__(cls)
+        c.shapes = tuple(positions)
+        c.positions = positions
+        c.degenerate = not all(positions.values())
+        return c
+
     def __repr__(self) -> str:
         return f"SetContainer({self.positions!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     shape: str
     children: tuple[tuple[str, "Tree"], ...]  # keyed by position, sorted
@@ -66,12 +84,15 @@ def membership(c: SetContainer, x: str, t: Tree) -> bool:
     every branch (vacuously at empty-position nodes)."""
     if isinstance(t, Leaf):
         return modal_eq(c, x, t.value)
-    return all(membership(c, x, sub) for _, sub in t.children)
+    for _, sub in t.children:
+        if not membership(c, x, sub):
+            return False
+    return True
 
 
 def member_set(c: SetContainer, t: Tree, values: Sequence[str]) -> frozenset[str]:
     """The values that t computes, by ``membership``."""
-    return frozenset(x for x in values if membership(c, x, t))
+    return frozenset([x for x in values if membership(c, x, t)])
 
 
 def _ambient_values(t: Tree, values: Sequence[str] | None) -> tuple[str, ...]:
@@ -150,7 +171,7 @@ def tree_bind(f: Callable[[str], Tree], t: Tree) -> Tree:
     """Graft f at every leaf."""
     if isinstance(t, Leaf):
         return f(t.value)
-    return Node(t.shape, tuple((u, tree_bind(f, sub)) for u, sub in t.children))
+    return Node(t.shape, tuple([(u, tree_bind(f, sub)) for u, sub in t.children]))
 
 
 @dataclass(frozen=True)
@@ -231,27 +252,27 @@ MAX_POSITIONS = 3
 MAX_VALUES = 3
 
 
+# Shape, position and value names by count; each tuple is in sorted order.
+_SHAPES = tuple(f"a{i}" for i in range(MAX_SHAPES))
+_POSITIONS = tuple(tuple(f"u{j}" for j in range(m)) for m in range(MAX_POSITIONS + 1))
+_VALUES = tuple(tuple(f"x{j}" for j in range(m)) for m in range(1, MAX_VALUES + 1))
+
+
 def _rand_container(rng: random.Random) -> SetContainer:
     # A shape may get no positions, so degenerate containers are drawn too.
-    k = rng.randint(1, MAX_SHAPES)
-    return SetContainer(
-        {
-            f"a{i}": [f"u{j}" for j in range(rng.randint(0, MAX_POSITIONS))]
-            for i in range(k)
-        }
+    k = 1 + randbelow(rng, MAX_SHAPES)
+    return SetContainer._sorted(
+        {a: _POSITIONS[randbelow(rng, MAX_POSITIONS + 1)] for a in _SHAPES[:k]}
     )
 
 
 def _rand_tree(rng: random.Random, c: SetContainer, values: Sequence[str],
                depth: int) -> Tree:
     if depth <= 0 or rng.random() < 0.35:
-        return Leaf(rng.choice(list(values)))
-    a = rng.choice(c.shapes)
+        return Leaf(values[randbelow(rng, len(values))])
+    a = c.shapes[randbelow(rng, len(c.shapes))]
     return Node(
-        a,
-        tuple(
-            (u, _rand_tree(rng, c, values, depth - 1)) for u in c.positions[a]
-        ),
+        a, tuple([(u, _rand_tree(rng, c, values, depth - 1)) for u in c.positions[a]])
     )
 
 
@@ -261,21 +282,23 @@ def _rand_equifoliate_tree(rng: random.Random, c: SetContainer,
         return _rand_tree(rng, c, values, depth)
     # Over a nondegenerate container the equifoliate trees are exactly the
     # ones whose leaves all carry one common value.
-    v = rng.choice(list(values))
-    return _rand_tree(rng, c, [v], depth)
+    v = values[randbelow(rng, len(values))]
+    return _rand_tree(rng, c, (v,), depth)
 
 
 def _case_monad_laws(rng: random.Random, c: SetContainer,
                      values: Sequence[str], depth: int) -> str | None:
     f = {v: _rand_tree(rng, c, values, depth - 1) for v in values}.__getitem__
     t = _rand_tree(rng, c, values, depth)
-    x = rng.choice(list(values))
+    x = values[randbelow(rng, len(values))]
     if tree_bind(f, Leaf(x)) != f(x):
         return f"left unit at {x}"
     if tree_bind(Leaf, t) != t:
         return "right unit"
     g = {v: _rand_tree(rng, c, values, depth - 1) for v in values}.__getitem__
-    if tree_bind(g, tree_bind(f, t)) != tree_bind(lambda v: tree_bind(g, f(v)), t):
+    # v |-> f(v) >>= g, bound once per value rather than once per leaf of t
+    fg = {v: tree_bind(g, f(v)) for v in values}.__getitem__
+    if tree_bind(g, tree_bind(f, t)) != tree_bind(fg, t):
         return "associativity"
     return None
 
@@ -344,7 +367,7 @@ def run_tree_suites(seed: int, cases: int, depth: int = 4) -> list[dict]:
         rng = random.Random(f"{seed}:{name}")
         failures: list[str] = []
         for i in range(cases):
-            values = [f"x{j}" for j in range(rng.randint(1, MAX_VALUES))]
+            values = _VALUES[randbelow(rng, MAX_VALUES)]
             fails = case(rng, _rand_container(rng), values, depth)
             if fails:
                 failures.append(f"case {i}: {fails}")

@@ -31,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = "src/oraclemod/_kernels.py"
+TREES = "src/oraclemod/trees.py"
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,30 @@ MUTANTS = (
         "referee, tables[lo:hi], maps[lo:hi])",
         "referee, tables[lo + 1:hi + 1], maps[lo + 1:hi + 1])",
         ("tests/test_theorems.py",),
+    ),
+    Mutant(
+        "randbelow bit count of n - 1", "src/oraclemod/_draws.py",
+        "k = n.bit_length()",
+        "k = (n - 1).bit_length()",
+        ("tests/test_draws.py",),
+    ),
+    Mutant(
+        "membership decided by the first child", TREES,
+        "        if not membership(c, x, sub):\n            return False\n",
+        "        return membership(c, x, sub)\n",
+        ("tests/test_trees.py",),
+    ),
+    Mutant(
+        "monad-law memo binds f for g", TREES,
+        "fg = {v: tree_bind(g, f(v)) for v in values}",
+        "fg = {v: tree_bind(f, f(v)) for v in values}",
+        ("tests/test_trees.py",),
+    ),
+    Mutant(
+        "suite containers drawn from one position fewer", TREES,
+        "_POSITIONS[randbelow(rng, MAX_POSITIONS + 1)]",
+        "_POSITIONS[randbelow(rng, MAX_POSITIONS)]",
+        ("tests/test_trees.py",),
     ),
 )
 
