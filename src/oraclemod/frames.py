@@ -18,24 +18,26 @@ labels on a 2-core VM. The downsets are generated once each, walking the
 labels along a linear extension (by the size of their principal
 downsets): a label extends every downset found so far that holds the rest
 of its principal downset. A frame keeps one mask per element.
-By Birkhoff, every downset is reached from the empty one by adding its
-labels in that linear extension, so one table, ``add[x, i]`` (downset i
-with label x added), builds all four operation tables: a sweep starts
-every pair (a, b) at bottom and adds each label x in turn where a per-pair
-test holds, x in a and in b for meet, in a or in b for join, and
-``down(x) & a <= b`` for ``a => b``; the order table is where meet gives
-back its row. A sweep takes labels x n**2 label steps, in blocks of rows.
-The meet sweep gathers only the rows of a block that hold x: from carriers
-of about 81 up that skips more cells than the gather and scatter cost. The
-join sweep steps whole blocks, since gathering the rows and columns that
-hold x cost more than it skipped on every carrier but long chains. Every
-blocked pass takes its slices from ``blocks``, the one place that applies
-``BLOCK_CELLS``, and reduces by an operation table with ``fold``.
+By Birkhoff, every downset r past the empty one is a downset one smaller,
+its parent p, plus one maximal label x: take x as the last label of r along
+the linear extension, and p = r - {x}. The carrier is sorted by size, so
+its levels (the downsets of one size) are contiguous slices, and the
+level pass fills the meet, join and implication tables level by level,
+the row of r one gather from the row of p (``_level_pass``). With one
+table, ``add[x, i]`` (downset i with label x added), the meet row of r is
+p's with x added at the columns that hold x, the join row is p's with x
+added everywhere, and the implication row is the meet of p's with j_{x},
+since a => b is j_a(b) and j_{p | {x}} is j_p meet j_{x}; the order table
+is where meet gives back its row. A table takes n**2 cells of gathers,
+where the label sweeps the pass replaced took labels x n**2 label steps.
+Every blocked pass takes its slices from ``blocks``, the one place that
+applies ``BLOCK_CELLS``; the level pass cuts its rows at every level and
+every block, and other passes reduce by an operation table with ``fold``.
 Element labels, keys and lookup (``element_index`` finds an element by its
 key or its label tuple), and the label tables the closed form of nuclei
 reads (label membership, the index of ``down(x) - {x}`` and the
 single-label nuclei j_{x}), are derived from the masks on first use, label
-membership once per frame, for them and for the meet and join sweeps.
+membership once per frame, for them and for the level pass.
 The carrier is sorted by one int per downset (``_carrier_key``), which is
 cheaper to build and compare than a tuple of label positions.
 
@@ -43,9 +45,9 @@ So the label-level verbs build few tables: ``frame build`` none,
 ``oracle compute`` and an accepted ``nuclei validate`` the meet table
 alone, a rejected ``nuclei validate`` meet and order, and ``oracle
 compare``, ``verify`` and ``check_laws`` all four. At the 4096 downsets of
-12 incomparable labels, a whole ``frame build`` process takes 0.26 s CPU and
-32 MB max RSS, and ``oracle compute`` 0.62 s and 100 MB, where building every
-table with the frame would take 4.0 s and 243 MB (2-core VM, numpy 2.4).
+12 incomparable labels, a whole ``frame build`` process takes 0.27 s CPU and
+32 MB max RSS, ``oracle compute`` 0.35 s and 100 MB, and ``oracle compare``,
+which builds every table, 0.54 s and 246 MB (2-core VM, numpy 2.4).
 
 ``Frame.check_laws`` checks its two-index laws cell by cell and decides
 each three-index law with n**2 cells of work per candidate element, read
@@ -60,20 +62,24 @@ first witness, one row a at a time, comparing the two [b, c] sides: n**2
 cells of temporaries and at worst cubic time. A sound frame never reaches
 the scan, so it is kept plain rather than fast.
 
-One rule decides frame size: a build whose sweeps would take more than
-``BUILD_COST_LIMIT`` label steps each, labels x downsets**2, the cost at the
-4096 downsets of 12 incomparable labels, is refused. ``downset_frame``
-applies it first to the least carrier the labels allow (labels + 1
-downsets), before any downset is enumerated, so a chain of 586 labels, the
-shortest refused, is refused with its order unread; then after each label,
-to the downsets found so far. The rule caps the carrier too: a poset has
-at most 2**labels downsets, so over 4096 of them take at least 13 labels
-and 13 x 4097**2 label steps. At 4096 the four tables take 13 bytes per
-pair, about 218 MB.
+One rule decides frame size: a build of more than ``BUILD_COST_LIMIT``
+label steps, labels x downsets**2, is refused; the limit is that cost at
+the 4096 downsets of 12 incomparable labels. The rule still counts the
+label steps of the label sweeps that once built each table, though a table
+of the level pass costs about downsets**2 cells: the rule and its message
+are unchanged. ``downset_frame`` applies it
+first to the least carrier the labels allow (labels + 1 downsets), before
+any downset is enumerated, so a chain of 586 labels, the shortest refused,
+is refused with its order unread; then after each label, to the downsets
+found so far. The rule caps the carrier too: a poset has at most
+2**labels downsets, so over 4096 of them take at least 13 labels and 13 x
+4097**2 label steps. At 4096 the four tables take 13 bytes per pair,
+about 218 MB.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from itertools import compress
@@ -88,9 +94,10 @@ from .errors import (
     UnknownLabel,
 )
 
-# Label steps of one table sweep, labels x carrier**2, at the 4096 downsets
-# of 12 incomparable labels; the longest chain within it has 585 labels and
-# every carrier within it has at most 4096 downsets.
+# Label steps, labels x carrier**2, at the 4096 downsets of 12 incomparable
+# labels: the cost of one label sweep, which built a table before the level
+# pass. The longest chain within it has 585 labels and every carrier within
+# it has at most 4096 downsets.
 BUILD_COST_LIMIT = 12 * 4096 ** 2
 # Cells per block of every blocked pass (see ``blocks``).
 BLOCK_CELLS = 1 << 18
@@ -265,8 +272,8 @@ class Frame:
     ``Poset.masks``, sorted by (size, labels), so bottom is index 0 and top
     index n - 1. The masks are the whole state a frame starts with. The
     tables (``meet_table``, ``join_table``, ``implies_table`` and
-    ``leq_table``, where meet gives back its row) are filled by label sweeps
-    on first read; the label lists and keys of the elements, their lookup
+    ``leq_table``, where meet gives back its row) are filled by the level
+    pass on first read; the label lists and keys of the elements, their lookup
     ``element_index``, the mask lookup of ``element`` and the label tables
     (``label_members``, ``label_strict``, ``label_rows``) are derived from
     the masks on first use, and ``below``, the elements under each element
@@ -342,66 +349,86 @@ class Frame:
 
     # -- operation tables ------------------------------------------------
     #
-    # Each is built on first read by a label sweep (``_sweep``) and is
-    # read-only. A sweep stays inside the carrier: when it adds label x,
-    # every label below x came earlier in the linear extension and passed
-    # the same test.
-
-    @functools.cached_property
-    def _extension(self) -> list[int]:
-        """The labels along the linear extension the enumeration walked."""
-        return _linear_extension(self.poset)
+    # Each is built on first read by the level pass and is read-only: row r
+    # past bottom is one gather from the row of its parent p, r minus its
+    # added label x (``_levels``), which lies one level below.
 
     @functools.cached_property
     def _add(self) -> np.ndarray:
-        """(labels, n) int32: add[x, i] is downset i with label x added where
-        that is a downset, else i."""
-        index = self._mask_index
+        """(labels + 1, n) int32: add[x, i] is downset i with label x added
+        where that is a downset, else i; the last row adds nothing."""
+        index, n = self._mask_index, self._n
         return np.array([[index.get(m | 1 << x, i) for i, m in enumerate(self.masks)]
-                         for x in range(len(self.poset))],
-                        dtype=np.int32).reshape(len(self.poset), self._n)
+                         for x in range(len(self.poset))] + [range(n)],
+                        dtype=np.int32).reshape(len(self.poset) + 1, n)
 
-    def _sweep(self, step) -> np.ndarray:
-        """Read-only (n, n) int32 table of one operation: every pair (a, b)
-        starts at bottom and walks the labels x along the linear extension,
-        moving from i to ``add[x, i]`` where the operation's test holds;
-        ``step(cur, rows, x, add[x])`` makes that move for the pairs of one
-        block of rows, ``cur``, the rows ``rows`` of the table."""
-        add, n = self._add, self._n
-        out = np.zeros((n, n), dtype=np.int32)
-        for rows in blocks(n, n):
-            cur = out[rows]
-            for x in self._extension:
-                step(cur, rows, x, add[x])
+    @functools.cached_property
+    def _levels(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+        """The steps of the level pass, in order: for each block of
+        ``blocks`` within one level past bottom, its rows and each row's
+        parent and added label.
+
+        The added label x of an element is its last label along the linear
+        extension the enumeration walked. It is maximal in the element, since a label above x has a
+        larger principal downset and comes later, so the parent, the element
+        without x, is a downset. The carrier is sorted by size first, so each
+        level is a contiguous slice and the parents of a level lie in the
+        one before it."""
+        n, members = self._n, self.label_members.T
+        label = np.zeros(n, dtype=np.intp)
+        for x in _linear_extension(self.poset):
+            label[members[x]] = x  # a later label overwrites an earlier one
+        index = self._mask_index
+        parent = np.array([0] + [index[m ^ 1 << x]
+                                 for m, x in zip(self.masks[1:], label[1:].tolist())],
+                          dtype=np.intp)
+        # the rows past bottom, cut at the end of every level and block
+        sizes = [m.bit_count() for m in self.masks]
+        cuts = {bisect.bisect_left(sizes, k) for k in range(1, len(self.poset) + 2)}
+        cuts = sorted(cuts.union(b.stop for b in blocks(n, n)))
+        return [(rows, parent[rows], label[rows]) for rows in map(slice, cuts, cuts[1:])]
+
+    def _level_pass(self, bottom, op: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Read-only (n, n) int32 table whose bottom row is ``bottom`` and
+        whose row r past bottom is one gather from the row of its parent p:
+        cell b is ``op.flat[offsets[x, b] + row_p[b]]``, x the label r adds
+        to p. ``offsets`` is a (labels, n) intp table."""
+        # take copies a table that is not C-contiguous whole on every call
+        n, flat, offsets = self._n, op.ravel(), np.ascontiguousarray(offsets)
+        out = np.empty((n, n), dtype=np.int32)
+        out[self.bot_index] = bottom
+        for rows, parent, x in self._levels:
+            index = offsets.take(x, axis=0)
+            index += out.take(parent, axis=0)
+            out[rows] = flat.take(index)
+            del index  # before the next step makes its own
         return _frozen(out)
 
     @functools.cached_property
     def meet_table(self) -> np.ndarray:
-        """(n, n) int32: meet[a, b] holds the labels in a and in b."""
-        members = self.label_members.T.copy()  # one contiguous row per label
-
-        def step(cur, rows, x, add_x):
-            # only the rows holding x move, at the columns holding x
-            held = members[x, rows]
-            sub = cur[held]
-            np.copyto(sub, add_x.take(sub), where=members[x])
-            cur[held] = sub
-        return self._sweep(step)
+        """(n, n) int32: meet[a, b] holds the labels in a and in b. Row r is
+        its parent's row with x added at the columns b that hold x, where
+        down(x) minus {x} lies in both, and kept elsewhere."""
+        n, labels = self._n, len(self.poset)
+        # row x of add where column b holds x, else its last row
+        offsets = np.where(self.label_members.T, np.arange(0, n * labels, n)[:, None], n * labels)
+        return self._level_pass(0, self._add, offsets)
 
     @functools.cached_property
     def join_table(self) -> np.ndarray:
-        """(n, n) int32: join[a, b] holds the labels in a or in b."""
-        members = self.label_members.T.copy()  # one contiguous row per label
-        return self._sweep(lambda cur, rows, x, add_x: np.copyto(
-            cur, add_x.take(cur), where=members[x, rows, None] | members[x]))
+        """(n, n) int32: join[a, b] holds the labels in a or in b. Row r is
+        its parent's row with x added everywhere."""
+        n, labels = self._n, len(self.poset)
+        offsets = np.arange(0, n * labels, n).repeat(n).reshape(labels, n)  # row x of add
+        return self._level_pass(np.arange(n), self._add, offsets)
 
     @functools.cached_property
     def implies_table(self) -> np.ndarray:
-        """(n, n) int32: implies[a, b] holds label x iff down(x) meets a
-        only inside b."""
-        leq, meet, down = self.leq_table, self.meet_table, self._label_down
-        return self._sweep(lambda cur, rows, x, add_x: np.copyto(
-            cur, add_x.take(cur), where=leq[meet[down[x], rows]]))
+        """(n, n) int32: implies[a, b] holds label y iff down(y) meets a
+        only inside b. So a => b is j_a(b), and j_r is the meet of j_p and
+        j_{x}: row r is the meet of its parent's row with ``label_rows[x]``."""
+        offsets = np.multiply(self.label_rows, self._n, dtype=np.intp)
+        return self._level_pass(self.top_index, self.meet_table, offsets)
 
     @functools.cached_property
     def leq_table(self) -> np.ndarray:
@@ -433,9 +460,10 @@ class Frame:
     @functools.cached_property
     def label_rows(self) -> np.ndarray:
         """(labels, n) int32: row x is the table of j_{x}, top at the
-        elements holding x and P minus up(x) elsewhere."""
+        elements holding x and P minus up(x) elsewhere; C-ordered, so that a
+        row is contiguous for the gathers that read rows."""
         return _frozen(np.where(self.label_members.T, self.top_index,
-                                self._label_outside[:, None]).astype(np.int32))
+                                self._label_outside[:, None]).astype(np.int32, order="C"))
 
     @functools.cached_property
     def _label_down(self) -> np.ndarray:
@@ -623,8 +651,8 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 
 
 def _check_build_cost(labels: int, n: int) -> None:
-    """Refuse a build whose sweeps, labels x n**2 label steps each, would
-    take more than ``BUILD_COST_LIMIT`` label steps: the one size rule."""
+    """Refuse a build of labels x n**2 label steps, the cost of one label
+    sweep, over ``BUILD_COST_LIMIT``: the one size rule."""
     cost = labels * n * n
     if cost > BUILD_COST_LIMIT:
         raise SizeLimitExceeded(
@@ -634,13 +662,14 @@ def _check_build_cost(labels: int, n: int) -> None:
 
 def _linear_extension(poset: Poset) -> list[int]:
     """The labels by the size of their principal downsets, a linear
-    extension: the order the enumeration and every sweep walk them in."""
+    extension: the order the enumeration walks them in, and the one whose
+    last label in each downset the level pass removes."""
     return sorted(range(len(poset)), key=lambda x: poset.masks[x].bit_count())
 
 
 def downset_frame(poset: Poset) -> Frame:
     """The frame of downward-closed subsets of a poset, ordered by inclusion,
-    refused past ``BUILD_COST_LIMIT`` label steps a sweep."""
+    refused past ``BUILD_COST_LIMIT`` label steps."""
     labels = len(poset)
     # a poset has at least one downset more than labels: the empty one and
     # the principal ones

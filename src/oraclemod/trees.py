@@ -256,6 +256,8 @@ MAX_VALUES = 3
 _SHAPES = tuple(f"a{i}" for i in range(MAX_SHAPES))
 _POSITIONS = tuple(tuple(f"u{j}" for j in range(m)) for m in range(MAX_POSITIONS + 1))
 _VALUES = tuple(tuple(f"x{j}" for j in range(m)) for m in range(1, MAX_VALUES + 1))
+# One leaf per value name; a Leaf is immutable, so every draw can share it.
+_LEAVES = {v: Leaf(v) for v in _VALUES[-1]}
 
 
 def _rand_container(rng: random.Random) -> SetContainer:
@@ -269,7 +271,7 @@ def _rand_container(rng: random.Random) -> SetContainer:
 def _rand_tree(rng: random.Random, c: SetContainer, values: Sequence[str],
                depth: int) -> Tree:
     if depth <= 0 or rng.random() < 0.35:
-        return Leaf(values[randbelow(rng, len(values))])
+        return _LEAVES[values[randbelow(rng, len(values))]]
     a = c.shapes[randbelow(rng, len(c.shapes))]
     return Node(
         a, tuple([(u, _rand_tree(rng, c, values, depth - 1)) for u in c.positions[a]])

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FRAMES = "src/oraclemod/frames.py"
 KERNELS = "src/oraclemod/_kernels.py"
 TREES = "src/oraclemod/trees.py"
 
@@ -94,6 +95,42 @@ MUTANTS = (
         "for rows in frames.blocks(ext.shape[0], n):",
         "for rows in frames.blocks(ext.shape[0], n)[1:]:",
         ("tests/test_kernels.py",),
+    ),
+    Mutant(
+        "meet keeps the parent's row where b holds x", FRAMES,
+        "np.where(self.label_members.T, np.arange(0, n * labels, n)[:, None], n * labels)",
+        "np.where(self.label_members.T, n * labels, np.arange(0, n * labels, n)[:, None])",
+        ("tests/test_frames.py",),
+    ),
+    Mutant(
+        "join drops add[x]", FRAMES,
+        "offsets = np.arange(0, n * labels, n).repeat(n).reshape(labels, n)",
+        "offsets = np.full((labels, n), n * labels)",
+        ("tests/test_frames.py",),
+    ),
+    Mutant(
+        "implies folds by join", FRAMES,
+        "self._level_pass(self.top_index, self.meet_table,",
+        "self._level_pass(self.top_index, self.join_table,",
+        ("tests/test_frames.py",),
+    ),
+    Mutant(
+        "level pass unblocked", FRAMES,
+        "cuts.union(b.stop for b in blocks(n, n))",
+        "cuts.union(b.stop for b in blocks(1, n))",
+        ("tests/test_frames.py",),
+    ),
+    Mutant(
+        "build cost unchecked before enumerating", FRAMES,
+        "    _check_build_cost(labels, labels + 1)\n",
+        "",
+        ("tests/test_frames.py",),
+    ),
+    Mutant(
+        "build cost unchecked after each label", FRAMES,
+        "        _check_build_cost(labels, len(downsets))\n",
+        "",
+        ("tests/test_frames.py",),
     ),
     Mutant(
         "nucleus_rows accepts all", "src/oraclemod/nuclei.py",

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,26 @@ def test_tables_match_frozenset_referee(monkeypatch, name):
         assert (frame.bot_index, frame.top_index) == (0, len(frame) - 1)
         assert frame.leq_table[frame.bot_index].all()
         assert frame.leq_table[:, frame.top_index].all()
+
+
+def test_level_pass_memory_is_bounded_by_blocks(monkeypatch):
+    # carrier 729, whose largest level has 141 rows of 729 cells: about six
+    # blocks of 1 << 14 cells
+    monkeypatch.setattr(frames, "BLOCK_CELLS", 1 << 14)
+    frame = downset_frame(poset_from_relation(*chain_union(6, 2)))
+    n = len(frame)
+    sizes = [len(e.labels) for e in frame.all_elements()]
+    assert n == 729 and max(sizes.count(k) for k in set(sizes)) == 141
+    tracemalloc.start()
+    try:
+        tables = (frame.meet_table, frame.join_table, frame.implies_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(t.nbytes for t in tables)
+    assert own == 3 * 4 * n * n
+    # the level pass unblocked peaks about 1.5 MB above the tables
+    assert peak - own <= 5 * frames.BLOCK_CELLS * 8
 
 
 def connected_parts(poset):
