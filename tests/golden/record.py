@@ -33,6 +33,9 @@ from oraclemod.pca import App, Const, K, S, app, pp, tag_leaf, tag_node  # noqa:
 NAMES = ("chain2", "anti4", "diamond", "chain7")
 VERIFY_SUITES = ("retraction", "forcing", "oracle-leq", "least-above", "sup",
                  "surjection", "instance-vs-forcing", "all")
+# posets whose `verify all` is also recorded at the CLI's default --cases 200,
+# where a run's container batch is largest
+CLI_DEFAULT_SCALE = ("anti4", "chain7")
 
 
 def _container(frame, rng: random.Random) -> dict:
@@ -137,6 +140,9 @@ def cases() -> list[tuple[str, list[str]]]:
                                            "--nucleus", f"{d}/sup1.json"]))
         out.append((f"{name}-verify-all",
                     ["verify", "all", *poset, "--seed", "0", "--cases", "4"]))
+        if name in CLI_DEFAULT_SCALE:
+            out.append((f"{name}-verify-all-cases200",
+                        ["verify", "all", *poset, "--seed", "0", "--cases", "200"]))
         for suite in VERIFY_SUITES:
             out.append((f"{name}-verify-{suite}-seed1",
                         ["verify", suite, *poset, "--seed", "1", "--cases", "30"]))
