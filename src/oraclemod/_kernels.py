@@ -7,7 +7,9 @@ checked against a route that shares no code with it:
 
 * ``query_table`` tabulates the single-query maps
   q(x) = \\/_a (E_a /\\ (P_a => x)) of m containers at once, from their
-  shapes concatenated with a count per container. The shapes are laid out
+  shapes concatenated with a count per container: the flat ``ext`` and
+  ``prd`` arrays of a ``containers.ContainerBatch`` and the differences of
+  its offsets, read as they are. The shapes are laid out
   on one grid of slots, one row per container and as wide as the widest,
   the empty slots filled with a shape whose row is bottom; the rows are
   gathered with flat ``take`` from the raveled tables, in the blocks of

@@ -6,7 +6,8 @@ The JSON is exactly ``json.dumps(report, sort_keys=True, indent=2)`` plus a
 newline, written by one encoder of this module (``_to_json``) that keeps
 its open containers on an explicit stack, so a report of any depth renders
 (the standard encoder recurses once per level under ``indent``), and that
-writes a list of strings, the shape of a frame element, with one ``join``.
+writes a list of strings, the shape of a frame element, with one ``join``,
+once per list object and depth in a report.
 The text format walks a stack the same way.
 Exit codes: 0 all checks passed, 1 check failure, 2 usage or input error,
 3 resource exhaustion / unknown verdicts, 4 internal invariant violation or
@@ -300,13 +301,17 @@ def _to_json(obj) -> str:
     costs no recursion. ``todo`` holds, next item last, text to write, a
     (container, newline and indent of its level) pair to write, and the id
     of a container to close; ``opened`` holds the ids of the containers
-    being written, so a cycle is refused as ``json`` refuses it."""
+    being written, so a cycle is refused as ``json`` refuses it.
+    ``strings`` holds the text of each list of strings by (id, indent), so a
+    list object that recurs, as a nucleus table's label lists do, is
+    rendered once per depth."""
     text = _leaf(obj)
     if text is not None:
         return text
     out: list[str] = []
     todo: list = [(obj, "\n")]
     opened: set[int] = set()
+    strings: dict[tuple[int, str], str] = {}
     while todo:
         item = todo.pop()
         if isinstance(item, str):
@@ -335,18 +340,25 @@ def _to_json(obj) -> str:
         for head, x in zip(heads, values):
             if isinstance(x, str):
                 run += (head, _ESCAPE(x))
-            elif isinstance(x, (list, tuple)) and x and all(map(isinstance, x, repeat(str))):
-                # a list of strings, as a frame element is written: one join
-                deeper = inner + "  "
-                run += (head, "[", deeper, f",{deeper}".join(map(_ESCAPE, x)), inner, "]")
-            else:
-                text = _leaf(x)
-                if text is None:
-                    run.append(head)
-                    entries += ("".join(run), (x, inner))
-                    run = []
-                else:
+                continue
+            if isinstance(x, (list, tuple)) and x:
+                key = (id(x), inner)
+                text = strings.get(key)
+                if text is None and all(map(isinstance, x, repeat(str))):
+                    # a list of strings, as a frame element is written: one join
+                    deeper = inner + "  "
+                    items = f",{deeper}".join(map(_ESCAPE, x))
+                    text = strings[key] = f"[{deeper}{items}{inner}]"
+                if text is not None:
                     run += (head, text)
+                    continue
+            text = _leaf(x)
+            if text is None:
+                run.append(head)
+                entries += ("".join(run), (x, inner))
+                run = []
+            else:
+                run += (head, text)
         run.append(nl + close)
         entries += ("".join(run), id(v))
         todo.extend(reversed(entries))

@@ -23,14 +23,20 @@ call, validates all their tables in one batched test and returns them as
 an (m, n) stack, and on request hands back the single-query maps of the
 batch, which the kernel tabulates first; ``oracle_modality_kleene`` wraps
 its one row as a ``Nucleus``. The kernel lays a batch out on one grid of
-slots as wide as its widest container. Containers keep their shapes as
-built, with aligned ``ext``/``prd`` carrier-index arrays (joins commute).
-The constructor takes frame elements (library callers); containers read
-from files, sums, the stable-query containers of a stack of nuclei
-(``stable_query_containers``, one meet gather for the stack) and the
-referees' drawn containers are built from carrier indices by
-``of_indices``, and ``instance_reducible`` walks the operation tables
-index by index.
+slots as wide as its widest container.
+
+``IndexedPropContainer`` is one container, read from a file or built by a
+library caller: it keeps its shapes as built, with aligned ``ext``/``prd``
+carrier-index arrays (joins commute). The constructor takes frame elements;
+containers read from files, sums and ``pred_of_nucleus`` are built from
+carrier indices by ``of_indices``. ``ContainerBatch`` holds many
+containers as one flat pair of shape arrays with row offsets, which is
+what the kernel reads; the ``verify`` referees draw straight into batches,
+``stable_query_batch`` builds the stable-query containers of a stack of
+nuclei with one meet gather, and ``ContainerBatch.forced_by`` judges every
+row against its own table at once. A batch names its shapes only when a
+row is built as an ``IndexedPropContainer``. ``instance_reducible`` walks
+the operation tables index by index.
 """
 
 from __future__ import annotations
@@ -96,6 +102,11 @@ def validate_container(c: IndexedPropContainer) -> bool:
     return not (members[c.prd] & ~members[c.ext]).any()
 
 
+def sum_shapes(parts: Sequence[Sequence[str]]) -> tuple[str, ...]:
+    """The shape names of a sum: each component's, tagged by its index."""
+    return tuple(f"{i}:{a}" for i, names in enumerate(parts) for a in names)
+
+
 def container_sum(
     cs: Sequence[IndexedPropContainer], frame: Frame | None = None
 ) -> IndexedPropContainer:
@@ -110,25 +121,99 @@ def container_sum(
     frame = cs[0].frame
     if any(c.frame is not frame for c in cs):
         raise FrameMismatch("containers on different frames")
-    shapes = [f"{i}:{a}" for i, c in enumerate(cs) for a in c.shapes]
     return IndexedPropContainer.of_indices(
         frame,
-        shapes,
+        sum_shapes([c.shapes for c in cs]),
         np.concatenate([c.ext for c in cs]),
         np.concatenate([c.prd for c in cs]),
     )
 
 
-def _kernel_args(frame: Frame, cs: Sequence[IndexedPropContainer]) -> tuple:
-    """The arguments of ``_kernels.kleene_table`` for a batch of containers
-    on ``frame``: their shapes concatenated, with a count per container."""
-    if any(c.frame is not frame for c in cs):
-        raise FrameMismatch("containers on different frames")
-    none = np.zeros(0, dtype=np.int32)
-    return (frame.meet_table, frame.join_table, frame.implies_table,
-            np.concatenate([c.ext for c in cs] + [none]),
-            np.concatenate([c.prd for c in cs] + [none]),
-            [len(c) for c in cs], frame.bot_index)
+class ContainerBatch:
+    """m containers on one frame as flat shape arrays: row i owns the shapes
+    ``offsets[i]`` up to ``offsets[i + 1]`` of the int32 ``ext`` and ``prd``.
+
+    ``names[i]`` is the shape-name tuple of row i, one tuple shared by every
+    row of its kind, or None for a stable-query row, whose names are the
+    frame's ``element_reprs``. Names are read only when a row is built as an
+    ``IndexedPropContainer``, by indexing or iterating the batch."""
+
+    def __init__(self, frame: Frame, ext, prd, offsets, names: list):
+        self.frame = frame
+        self.ext = np.asarray(ext, dtype=np.int32)
+        self.prd = np.asarray(prd, dtype=np.int32)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.names = names
+
+    @classmethod
+    def of(cls, frame: Frame, cs: Sequence[IndexedPropContainer]) -> ContainerBatch:
+        """A batch as it is, or the batch of a sequence of containers: their
+        sum's shape arrays, cut into one row per container."""
+        if isinstance(cs, ContainerBatch):
+            if cs.frame is not frame:
+                raise FrameMismatch("containers on different frames")
+            return cs
+        if any(c.frame is not frame for c in cs):
+            raise FrameMismatch("containers on different frames")
+        total = container_sum(cs, frame)
+        offsets = np.cumsum([0] + [len(c) for c in cs])
+        return cls(frame, total.ext, total.prd, offsets, [c.shapes for c in cs])
+
+    @classmethod
+    def concat(cls, frame: Frame, batches: Sequence[ContainerBatch]) -> ContainerBatch:
+        """The rows of several batches on ``frame``, one batch after another."""
+        if any(b.frame is not frame for b in batches):
+            raise FrameMismatch("containers on different frames")
+        if len(batches) == 1:
+            return batches[0]
+        none = np.zeros(0, dtype=np.int32)
+        bases = np.cumsum([0] + [len(b.ext) for b in batches])
+        return cls(frame,
+                   np.concatenate([b.ext for b in batches] + [none]),
+                   np.concatenate([b.prd for b in batches] + [none]),
+                   np.concatenate([[0]] + [b.offsets[1:] + base
+                                           for b, base in zip(batches, bases)]),
+                   [names for b in batches for names in b.names])
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i: int) -> IndexedPropContainer:
+        i = range(len(self))[i]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        names = self.names[i]
+        return IndexedPropContainer.of_indices(
+            self.frame, self.frame.element_reprs if names is None else names,
+            self.ext[lo:hi], self.prd[lo:hi])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The number of shapes of each row."""
+        return np.diff(self.offsets)
+
+    def take(self, rows) -> ContainerBatch:
+        """The batch of the given rows, in that order (a row may repeat)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.offsets[rows]
+        counts = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        shapes = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+        return ContainerBatch(self.frame, self.ext[shapes], self.prd[shapes], offsets,
+                              [self.names[r] for r in rows.tolist()])
+
+    def forced_by(self, tables: np.ndarray) -> np.ndarray:
+        """``forced_by`` of every row at once: whether row i is forced by
+        ``tables[i]``, E(a) <= t(P(a)) for each of its shapes a. One gather
+        from leq judges every shape, and a row is forced when it has no
+        failing shape, so an empty row is forced."""
+        m = len(self)
+        row = np.repeat(np.arange(m), self.counts)
+        ok = self.frame.leq_table[self.ext, tables[row, self.prd]]
+        return np.bincount(row[~ok], minlength=m) == 0
 
 
 def _law_violation(report) -> InternalInvariantViolation:
@@ -154,8 +239,11 @@ def oracle_modalities_kleene(
     receives the single-query maps t |-> \\/_a (E(a) /\\ (P(a) => t)) of the
     containers, which the kernel tabulates before it iterates. Each table
     is checked to be a nucleus; the first that is not raises
-    ``InternalInvariantViolation`` naming the laws it violates."""
-    tables = _kernels.kleene_table(*_kernel_args(frame, cs), maps)
+    ``InternalInvariantViolation`` naming the laws it violates. ``cs`` is a
+    ``ContainerBatch``, taken as it is, or a sequence of containers."""
+    batch = ContainerBatch.of(frame, cs)
+    tables = _kernels.kleene_table(frame.meet_table, frame.join_table, frame.implies_table,
+                                   batch.ext, batch.prd, batch.counts, frame.bot_index, maps)
     bad = np.flatnonzero(~nucleus_rows(frame, tables))
     if bad.size:
         raise _law_violation(law_scan(frame, tables[bad[0]]))
@@ -164,7 +252,8 @@ def oracle_modalities_kleene(
 
 def oracle_modality_kleene(c: IndexedPropContainer) -> Nucleus:
     """Referee: ``oracle_modalities_kleene`` of the one container."""
-    return Nucleus(c.frame, oracle_modalities_kleene(c.frame, [c])[0])
+    one = ContainerBatch(c.frame, c.ext, c.prd, [0, len(c)], [c.shapes])
+    return Nucleus(c.frame, oracle_modalities_kleene(c.frame, one)[0])
 
 
 def oracle_modality_bruteforce(c: IndexedPropContainer) -> Nucleus:
@@ -197,18 +286,22 @@ def forces(j: Nucleus, c: IndexedPropContainer) -> bool:
     return forced_by(c, j.table)
 
 
-def stable_query_containers(frame: Frame, tables: np.ndarray) -> list[IndexedPropContainer]:
+def stable_query_batch(frame: Frame, tables: np.ndarray) -> ContainerBatch:
     """The container of stable queries of each row of an (m, n) stack of
-    nucleus tables j: one shape per element s, in carrier order, existing at
-    stage j(s) and asking for s itself, with one meet gather for the stack."""
-    names = frame.element_reprs
-    prd = frame.meet_table[np.arange(len(frame)), tables]
-    return [IndexedPropContainer.of_indices(frame, names, e, p) for e, p in zip(tables, prd)]
+    nucleus tables j, as one batch: one shape per element s, in carrier
+    order, existing at stage j(s) and asking for s /\\ j(s), which is s
+    itself when j is inflationary, with one meet gather for the stack."""
+    m, n = tables.shape
+    prd = frame.meet_table[np.arange(n), tables]
+    return ContainerBatch(frame, tables.ravel(), prd.ravel(), np.arange(0, m * n + 1, n),
+                          [None] * m)
 
 
 def pred_of_nucleus(j: Nucleus) -> IndexedPropContainer:
     """The container of stable queries of one nucleus."""
-    return stable_query_containers(j.frame, j.table[None])[0]
+    frame = j.frame
+    prd = frame.meet_table[np.arange(len(frame)), j.table]
+    return IndexedPropContainer.of_indices(frame, frame.element_reprs, j.table, prd)
 
 
 def instance_reducible(c: IndexedPropContainer, d: IndexedPropContainer) -> bool:

@@ -343,9 +343,12 @@ class Frame:
         return index
 
     @functools.cached_property
-    def below(self) -> tuple[np.ndarray, ...]:
-        """Carrier indices of the elements below each element, ascending."""
-        return tuple(np.flatnonzero(col) for col in self.leq_table.T)
+    def below(self) -> tuple[list[int], list[int]]:
+        """The elements below each element as two flat lists ``ptr`` and
+        ``idx``: those below e are ``idx[ptr[e]:ptr[e + 1]]``, ascending."""
+        above, idx = np.nonzero(self.leq_table.T)
+        ptr = np.searchsorted(above, np.arange(self._n + 1))
+        return ptr.tolist(), idx.tolist()
 
     # -- operation tables ------------------------------------------------
     #

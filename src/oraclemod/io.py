@@ -109,9 +109,12 @@ def _index_from_json(frame: Frame, v) -> int:
 
 
 def nucleus_table_to_dict(frame: Frame, table) -> dict:
-    """A table over the carrier as {element key: label list}."""
+    """A table over the carrier as {element key: label list}, with one list
+    object per distinct value, so that a report renders each list once."""
     keys, labels = frame.element_keys, frame.element_labels
-    return {keys[i]: list(labels[v]) for i, v in enumerate(np.asarray(table).tolist())}
+    values = np.asarray(table).tolist()
+    lists = {v: list(labels[v]) for v in set(values)}
+    return {keys[i]: lists[v] for i, v in enumerate(values)}
 
 
 def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:

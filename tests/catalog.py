@@ -1,5 +1,6 @@
 """Shared poset catalog for the test suite, with the paper's example
-nuclei and containers built from a frame's operation tables, the
+nuclei and containers built from a frame's operation tables, containers
+drawn one at a time as the ``verify`` referees draw their batches, the
 single-query maps of a batch as the Kleene kernel hands them back, and the
 JSON writer of the test inputs."""
 
@@ -8,6 +9,7 @@ import json
 
 import numpy as np
 
+from oraclemod import theorems
 from oraclemod.containers import IndexedPropContainer, oracle_modalities_kleene
 from oraclemod.frames import downset_frame, poset_from_relation
 from oraclemod.nuclei import Nucleus
@@ -98,6 +100,25 @@ def all_labeled_posets(max_size=3):
                 seen.add(key)
                 out.append((labels, sorted(rel)))
     return out
+
+
+def random_container(frame, rng):
+    """One container drawn as the ``verify`` referees draw each of theirs."""
+    return theorems._Draws(frame, rng).containers(1)[0]
+
+
+def surjective_relabeling(c, rng):
+    """Precompose a container with a random surjection onto its shapes,
+    drawn as the ``surjection`` referee draws it; shapes b0, b1, ..."""
+    targets = theorems._Draws(c.frame, rng).surjection(len(c))
+    return IndexedPropContainer.of_indices(
+        c.frame, [f"b{i}" for i in range(len(targets))], c.ext[targets], c.prd[targets])
+
+
+def all_single_shape_containers(frame):
+    """Every single-shape container, one per pair P(a) <= E(a), as the
+    referees list them."""
+    return list(theorems._single_shape_batch(frame))
 
 
 def instance_prenuclei(frame, cs):

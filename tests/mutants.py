@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI = "src/oraclemod/cli.py"
+CONTAINERS = "src/oraclemod/containers.py"
 FRAMES = "src/oraclemod/frames.py"
 KERNELS = "src/oraclemod/_kernels.py"
 TREES = "src/oraclemod/trees.py"
@@ -137,6 +139,24 @@ MUTANTS = (
         "ok[rows] = _is_own_j(frame, tables[rows])",
         "ok[rows] = True",
         ("tests/test_kernels.py", "tests/test_nuclei.py"),
+    ),
+    Mutant(
+        "batch judge reads the next shape's row", CONTAINERS,
+        "ok = self.frame.leq_table[self.ext, tables[row, self.prd]]",
+        "ok = self.frame.leq_table[self.ext, tables[np.append(row[1:], row[-1:]), self.prd]]",
+        ("tests/test_containers.py",),
+    ),
+    Mutant(
+        "batch judge finds an empty row unforced", CONTAINERS,
+        "return np.bincount(row[~ok], minlength=m) == 0",
+        "return (np.bincount(row[~ok], minlength=m) == 0) & (self.counts > 0)",
+        ("tests/test_containers.py",),
+    ),
+    Mutant(
+        "encoder memo keyed without the indent", CLI,
+        "key = (id(x), inner)",
+        "key = id(x)",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "shared-pass slice off by one", "src/oraclemod/theorems.py",

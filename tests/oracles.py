@@ -221,7 +221,7 @@ def dict_pred_of_nucleus(j):
 
 
 def element_single_shape_containers(frame):
-    """Referee for ``theorems.all_single_shape_containers``: one container
+    """Referee for ``theorems._single_shape_batch``: one container
     per pair P(a) <= E(a), built from frame elements, extent by extent."""
     out = []
     for e in frame.all_elements():
@@ -232,7 +232,8 @@ def element_single_shape_containers(frame):
 
 
 def element_surjective_relabeling(c, rng):
-    """Referee for ``theorems.surjective_relabeling``: the same rng calls,
+    """Referee for ``catalog.surjective_relabeling``, the relabelings the
+    ``surjection`` referee draws: the same rng calls,
     with each new shape looked up by name and built from frame elements."""
     k = len(c.shapes)
     m = k + rng.randint(0, 2)

@@ -28,7 +28,7 @@ from oraclemod.pca import (
     eval_term,
     pair,
 )
-from oraclemod.theorems import Budget, random_container, surjective_relabeling, verify_theorems
+from oraclemod.theorems import Budget, verify_theorems
 from oraclemod.trees import run_tree_suites, sheaf_classify
 from oraclemod.weihrauch import check_oracle_membership_w, check_weihrauch, compose_reducers
 
@@ -42,7 +42,9 @@ from catalog import (
     dump_json,
     lem_container,
     make_frame,
+    random_container,
     realized_container,
+    surjective_relabeling,
 )
 from oracles import bruteforce_nuclei, bruteforce_sup
 from test_pca import OMEGA, rand_normal

@@ -564,6 +564,21 @@ def test_json_report_nested_2000_levels():
         sys.setrecursionlimit(limit)
 
 
+def test_json_report_renders_a_recurring_list_at_each_depth():
+    # one list object many times at two depths, and a tuple, as a nucleus
+    # table shares one label list among the elements it sends to one value
+    shared, tup = ["p", 'q"é'], ("r",)
+    report = {"body": {"a": shared, "b": [shared, {"c": shared, "d": tup}],
+                       "e": [shared] * 5, "f": [tup, tup], "g": {"h": {"i": shared}}}}
+    assert cli.emit_report(report, "json") == dumps_report(report)
+    frame = downset_frame(io.poset_from_dict(PAIRS4))
+    table = canonical_nuclei(frame, "closed", frame.el(40)).table
+    d = io.nucleus_table_to_dict(frame, table)
+    assert len({id(v) for v in d.values()}) == len(set(table.tolist())) < len(frame)
+    report = {"body": {"sup": d, "nuclei": [d, {"table": d}]}}
+    assert cli.emit_report(report, "json") == dumps_report(report)
+
+
 @pytest.mark.parametrize("value", (object(), {1, 2}, b"bytes", 1j, [1, {"k": object()}]),
                          ids=("object", "set", "bytes", "complex", "nested"))
 def test_json_report_refuses_what_json_refuses(value):

@@ -4,28 +4,32 @@ import numpy as np
 import pytest
 
 from oraclemod.containers import (
+    ContainerBatch,
     IndexedPropContainer,
     container_sum,
+    forced_by,
     forces,
     instance_reducible,
     oracle_modality,
     oracle_modality_bruteforce,
     pred_of_nucleus,
+    stable_query_batch,
     validate_container,
 )
 from oraclemod import frames
 from oraclemod.errors import FrameMismatch
 from oraclemod.nuclei import Nucleus, enumerate_nuclei, validate_nucleus
-from oraclemod.theorems import all_single_shape_containers, random_container
 
 from catalog import (
     SMALL,
+    all_single_shape_containers,
     canonical_nuclei,
     counterexample_container,
     instance_prenuclei,
     lem_container,
     make_frame,
     pairs_frame,
+    random_container,
     realized_container,
 )
 from oracles import dict_pred_of_nucleus, element_instance_reducible, per_shape_query_table
@@ -357,3 +361,39 @@ def test_container_sum_keeps_component_order(o3):
         for a in c.shapes:
             extent[f"{i}:{a}"], pred[f"{i}:{a}"] = shape_values(c, a)
     assert_container_is(container_sum(cs), pred, extent)
+
+
+def _arrays(c):
+    return c.shapes, c.ext.tolist(), c.prd.tolist()
+
+
+def test_batch_judge_matches_forced_by_row_by_row():
+    # an empty, a single-shape and a 16-shape stable-query container, drawn
+    # containers, and the stable-query rows of every nucleus of anti4
+    frame = make_frame("anti4")
+    rng = random.Random("batch judge")
+    nuclei = enumerate_nuclei(frame)
+    cs = [IndexedPropContainer(frame, {}), all_single_shape_containers(frame)[7],
+          pred_of_nucleus(nuclei[3])]
+    cs += [random_container(frame, rng) for _ in range(20)]
+    stack = np.array([j.table for j in nuclei])
+    batch = ContainerBatch.concat(frame, [ContainerBatch.of(frame, cs),
+                                          stable_query_batch(frame, stack)])
+    rows = list(batch)
+    assert [len(c) for c in rows[:3]] == [0, 1, 16]
+    assert [_arrays(c) for c in rows] == [
+        _arrays(c) for c in cs + [pred_of_nucleus(j) for j in nuclei]]
+    assert _arrays(batch[-1]) == _arrays(rows[-1])
+    pool = list(stack) + [rng.choices(range(len(frame)), k=len(frame)) for _ in range(8)]
+    verdicts = set()
+    for _ in range(40):
+        tables = np.array([pool[rng.randrange(len(pool))] for _ in rows], dtype=np.int32)
+        want = [forced_by(c, t) for c, t in zip(rows, tables)]
+        assert batch.forced_by(tables).tolist() == want
+        verdicts.update(enumerate(want))
+    assert all((i, v) in verdicts for i in range(1, 3) for v in (False, True))
+    assert (0, False) not in verdicts  # an empty container is always forced
+    picks = [2, 0, 2, 5, len(batch) - 1]
+    assert [_arrays(c) for c in batch.take(picks)] == [_arrays(rows[i]) for i in picks]
+    with pytest.raises(FrameMismatch):
+        ContainerBatch.of(make_frame("chain2"), batch)

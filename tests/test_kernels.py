@@ -12,9 +12,17 @@ from oraclemod.containers import (
 )
 from oraclemod.errors import FrameMismatch, InternalInvariantViolation
 from oraclemod.nuclei import enumerate_nuclei, law_scan
-from oraclemod.theorems import random_container
 
-from catalog import POSETS, SMALL, canonical_nuclei, chain_frame, instance_prenuclei, make_frame, pairs_frame
+from catalog import (
+    POSETS,
+    SMALL,
+    canonical_nuclei,
+    chain_frame,
+    instance_prenuclei,
+    make_frame,
+    pairs_frame,
+    random_container,
+)
 from oracles import per_shape_prefixed_mask
 
 

@@ -36,9 +36,15 @@ from oraclemod.nuclei import (
     sup_nuclei,
     validate_nucleus,
 )
-from oraclemod.theorems import random_container
 
-from catalog import POSETS, all_labeled_posets, make_frame, pairs_frame, principal_downset
+from catalog import (
+    POSETS,
+    all_labeled_posets,
+    make_frame,
+    pairs_frame,
+    principal_downset,
+    random_container,
+)
 from oracles import bruteforce_sup, closure_system_nuclei
 
 LABELED = all_labeled_posets(4)

@@ -20,11 +20,17 @@ from oraclemod.nuclei import (
 from oraclemod.theorems import (
     THEOREM_IDS,
     Budget,
-    surjective_relabeling,
     verify_theorems,
 )
 
-from catalog import POSETS, canonical_nuclei, instance_prenuclei, make_frame
+from catalog import (
+    POSETS,
+    canonical_nuclei,
+    instance_prenuclei,
+    make_frame,
+    random_container,
+    surjective_relabeling,
+)
 from oracles import (
     bruteforce_nuclei,
     bruteforce_sup,
@@ -82,7 +88,7 @@ def test_least_above_is_the_least_nucleus_above(monkeypatch, name, cells):
     naive = np.array(search(frame), dtype=np.int32)
     nuclei = np.array([k.table for k in enumerate_nuclei(frame)])
     rng = random.Random(f"least-above:{name}")
-    cs = [theorems.random_container(frame, rng) for _ in range(20)]
+    cs = [random_container(frame, rng) for _ in range(20)]
     js = [nuclei[rng.randrange(len(nuclei))] for _ in range(20)]
     lowers = np.concatenate([
         instance_prenuclei(frame, cs),
@@ -111,8 +117,6 @@ def test_surjective_relabeling_is_surjective(o3):
 
     rng = random.Random(11)
     for _ in range(40):
-        from oraclemod.theorems import random_container
-
         c = random_container(o3, rng)
         cq = surjective_relabeling(c, rng)
         assert len(cq.shapes) >= len(c.shapes)
@@ -158,7 +162,7 @@ def _not_called(frame):
                                    "instance-vs-forcing"))
 def test_sampling_decided_before_building_pairs(monkeypatch, o4, suite):
     # anti4 has 81 single-shape containers, more than --cases 4
-    monkeypatch.setattr(theorems, "all_single_shape_containers", _not_called)
+    monkeypatch.setattr(theorems, "_single_shape_batch", _not_called)
     (report,) = verify_theorems(o4, suite=(suite,), budget=Budget(seed=1, cases=4))
     assert report.passed and report.checked == 4
     assert report.coverage == "sampled 4"
@@ -181,11 +185,19 @@ def test_random_container_draws_as_the_column_scan(name):
     frame = make_frame(name)
     a, b = random.Random(name), random.Random(name)
     for _ in range(200):
-        c, d = theorems.random_container(frame, a), _column_scan_container(frame, b)
+        c, d = random_container(frame, a), _column_scan_container(frame, b)
         assert (c.shapes, c.ext.tolist(), c.prd.tolist()) == (
             d.shapes, d.ext.tolist(), d.prd.tolist())
+
+
+@pytest.mark.parametrize("name", ("empty", "chain2", "diamond", "chain7", "anti4"))
+def test_below_lists_each_column_of_the_order(name):
+    frame = make_frame(name)
     assert frame.below is frame.below
-    assert [x.tolist() for x in frame.below] == [
+    ptr, idx = frame.below
+    assert all(type(x) is int for x in ptr + idx)
+    assert (len(ptr), ptr[0], ptr[-1]) == (len(frame) + 1, 0, len(idx))
+    assert [idx[ptr[e]:ptr[e + 1]] for e in range(len(frame))] == [
         np.flatnonzero(col).tolist() for col in frame.leq_table.T]
 
 
@@ -198,7 +210,7 @@ def test_surjective_relabeling_draws_as_the_element_route(name):
     frame = make_frame(name)
     draw, a, b = random.Random(name), random.Random(name), random.Random(name)
     for _ in range(200):
-        c = theorems.random_container(frame, draw)
+        c = random_container(frame, draw)
         assert _arrays(surjective_relabeling(c, a)) == _arrays(
             element_surjective_relabeling(c, b))
 
@@ -206,7 +218,7 @@ def test_surjective_relabeling_draws_as_the_element_route(name):
 @pytest.mark.parametrize("name", ("chain2", "diamond", "chain7", "anti4"))
 def test_single_shape_containers_as_the_element_route(name):
     frame = make_frame(name)
-    got = theorems.all_single_shape_containers(frame)
+    got = theorems._single_shape_batch(frame)
     assert [_arrays(c) for c in got] == [
         _arrays(c) for c in element_single_shape_containers(frame)]
     assert len(got) == theorems._single_shape_count(frame)
