@@ -9,6 +9,17 @@ applied to a listed normal form) and then normalizes the remaining
 arguments, so a returned value has no enabled redex anywhere.  Running out
 of fuel is an ordinary result, not an error: definedness is only
 semi-decidable.
+
+S and K are the only two ``Prim`` objects: ``Prim("S")`` and ``Prim("K")``
+return the module's ``S`` and ``K``, and any other name is refused.  So the
+normalizer's head loop tells them apart by identity, and a printed ``S`` or
+``K`` always reads back as the primitive it came from.  The head loop
+contracts ``S K y z`` to ``z`` in one iteration charged two steps, the
+steps of ``S K y z -> K z (y z) -> z``, without building the ``y z`` that
+K drops unread; with one step of fuel left it takes the ordinary S step,
+so a run that runs out stops exactly where the step-by-step run does.
+Every ``I = S K K`` applied to an argument is such a redex, and so is
+every pair, numeral and tag applied to a selector.
 """
 
 from __future__ import annotations
@@ -22,14 +33,32 @@ from .errors import ArityError, TermSyntaxError, UnknownConstant
 DEFAULT_FUEL = 100_000
 
 # A name is a run of \w (exactly str.isalnum plus "_") and "'"; a token is a
-# parenthesis, a name, or (group 1) any other character outside whitespace.
+# parenthesis or a name, and any other character outside whitespace is stray.
 _NAME = re.compile(r"[\w']+")
-_TOKEN = re.compile(r"[()]|[\w']+|(\S)")
+_TOKEN = re.compile(r"[()]|[\w']+")
+_STRAY = re.compile(r"[^\s()\w']")
 
 
-@dataclass(frozen=True)
 class Prim:
-    name: str  # "S" or "K"
+    """The combinator S or K.  There is one object of each, the module's
+    ``S`` and ``K``, which ``Prim(name)`` returns; any other name is a
+    ``TermSyntaxError``, since it would print as a constant."""
+
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> "Prim":
+        if name == "S":
+            return S
+        if name == "K":
+            return K
+        raise TermSyntaxError(f"primitive name {name!r} is neither S nor K")
+
+    def __reduce__(self):
+        # copies and unpickled terms hold the module's S and K
+        return Prim, (self.name,)
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return self.name
@@ -108,8 +137,15 @@ class App:
 
 Term = Prim | Const | App
 
-S = Prim("S")
-K = Prim("K")
+
+def _prim(name: str) -> Prim:
+    p = object.__new__(Prim)
+    p.name = name
+    return p
+
+
+S = _prim("S")
+K = _prim("K")
 
 
 def app(*terms: Term) -> Term:
@@ -154,12 +190,10 @@ def mentions_constants(t: Term) -> bool:
 
 
 def _tokenize(src: str) -> list[str]:
-    out: list[str] = []
-    for m in _TOKEN.finditer(src):
-        if m.group(1):
-            raise TermSyntaxError(f"unexpected character {m.group(1)!r} at offset {m.start()}")
-        out.append(m.group())
-    return out
+    stray = _STRAY.search(src)
+    if stray:
+        raise TermSyntaxError(f"unexpected character {stray.group()!r} at offset {stray.start()}")
+    return _TOKEN.findall(src)
 
 
 def parse_term(src: str, auto_declare: bool = False) -> Term:
@@ -221,7 +255,14 @@ def _norm(t: Term, fuel: int) -> tuple[Term | None, int]:
     Each call of the normalizer is a frame on an explicit stack.  A frame
     contracts the leftmost outermost redex of its term until the head is
     stuck, normalizing a constant's leftmost argument before matching its
-    rules, and then normalizes the remaining arguments left to right.
+    rules, and then normalizes the remaining arguments left to right.  The
+    head loop unwinds the spine onto the argument stack and contracts K
+    and S redexes, telling the two apart by identity (they are singletons)
+    and checking the argument count once per step; a constant head with
+    rules leaves it for the rule match.  It contracts ``S K y z`` straight
+    to ``z`` and charges the two steps of ``K z (y z)`` and ``z``, but only
+    with at least two steps of fuel left: with one, it takes the S step
+    alone, so that the run stops at the step where it always stopped.
     Contractions share subterm objects (S duplicates its last argument by
     reference), so normal forms are memoized by the identity of the term
     they came from, and a shared subterm is normalized and charged once.
@@ -249,6 +290,7 @@ def _norm(t: Term, fuel: int) -> tuple[Term | None, int]:
         else:
             return nf, fuel
         call = None
+        push, pop = args.append, args.pop
         # reduce the head; args[-1] is always the leftmost argument, and
         # matching says it is the normal form of a constant head's argument
         while done is None:
@@ -260,35 +302,45 @@ def _norm(t: Term, fuel: int) -> tuple[Term | None, int]:
                         if fuel <= 0:
                             return None, 0
                         fuel -= 1
-                        args.pop()
+                        pop()
                         head = rhs
                         contracted = True
                         break
                 else:
-                    done = [args.pop()]
+                    done = [pop()]
                     break
-            while type(head) is App:
-                args.append(head.arg)
-                head = head.fn
-            kind = type(head)
-            if kind is Prim and head.name == "K" and len(args) >= 2:
-                if fuel <= 0:
-                    return None, 0
-                fuel -= 1
-                head = args.pop()
-                args.pop()
+            # the head loop: contract K and S redexes until the head is stuck
+            while True:
+                while type(head) is App:
+                    push(head.arg)
+                    head = head.fn
+                n = len(args)
+                if head is K and n >= 2:
+                    if fuel <= 0:
+                        return None, 0
+                    fuel -= 1
+                    head = pop()
+                    pop()
+                elif head is S and n >= 3:
+                    if fuel <= 0:
+                        return None, 0
+                    x = pop()
+                    if x is K and fuel >= 2:
+                        # S K y z -> K z (y z) -> z, and K drops y z unread
+                        fuel -= 2
+                        pop()
+                        head = pop()
+                    else:
+                        fuel -= 1
+                        y = pop()
+                        z = args[-1]
+                        args[-1] = App(y, z)
+                        push(z)
+                        head = x
+                else:
+                    break
                 contracted = True
-            elif kind is Prim and head.name == "S" and len(args) >= 3:
-                if fuel <= 0:
-                    return None, 0
-                fuel -= 1
-                head = args.pop()
-                y = args.pop()
-                z = args[-1]
-                args[-1] = App(y, z)
-                args.append(z)
-                contracted = True
-            elif kind is Const and head.rules and args:
+            if type(head) is Const and head.rules and args:
                 a = args[-1]
                 if type(a) is App and not a._normal:
                     hit = memo.get(id(a))
@@ -301,7 +353,7 @@ def _norm(t: Term, fuel: int) -> tuple[Term | None, int]:
                 done = []
         # then normalize the remaining arguments, leftmost first
         while call is None and args:
-            a = args.pop()
+            a = pop()
             if type(a) is App and not a._normal:
                 hit = memo.get(id(a))
                 if hit is None:
@@ -372,18 +424,18 @@ def tag_node(b: Term, c: Term) -> Term:
 
 def match_pair(t: Term) -> tuple[Term, Term] | None:
     """Destructure the canonical normal form S (S I (K p)) (K q) -> (p, q)."""
-    if not (isinstance(t, App) and isinstance(t.fn, App) and t.fn.fn == S):
+    if not (type(t) is App and type(t.fn) is App and t.fn.fn is S):
         return None
     left, right = t.fn.arg, t.arg
-    if not (isinstance(right, App) and right.fn == K):
+    if not (type(right) is App and right.fn is K):
         return None
     if not (
-        isinstance(left, App)
-        and isinstance(left.fn, App)
-        and left.fn.fn == S
-        and left.fn.arg == I_TERM
-        and isinstance(left.arg, App)
-        and left.arg.fn == K
+        type(left) is App
+        and type(left.fn) is App
+        and left.fn.fn is S
+        and (left.fn.arg is I_TERM or left.fn.arg == I_TERM)
+        and type(left.arg) is App
+        and left.arg.fn is K
     ):
         return None
     return left.arg.arg, right.arg

@@ -1,8 +1,8 @@
 """Shared poset catalog for the test suite, with the paper's example
 nuclei and containers built from a frame's operation tables, containers
 drawn one at a time as the ``verify`` referees draw their batches, the
-single-query maps of a batch as the Kleene kernel hands them back, and the
-JSON writer of the test inputs."""
+single-query maps of a batch as the Kleene kernel hands them back, every
+S/K term of a few atoms, and the JSON writer of the test inputs."""
 
 import functools
 import json
@@ -42,6 +42,16 @@ SMALL = ("empty", "point", "chain2", "anti2", "chain3", "vee", "wedge",
 # The projections of ``pca.pair``: PAIR_FST (pair p q) is p, PAIR_SND q.
 PAIR_FST = app(S, I_TERM, App(K, K))
 PAIR_SND = app(S, I_TERM, App(K, App(K, I_TERM)))
+
+
+def sk_terms(k):
+    """Every S/K term of up to k atoms, fewer atoms first.  There are
+    Catalan(n - 1) * 2 ** n terms of n atoms; terms share their subterm
+    objects."""
+    by_size = [[], [S, K]]
+    for n in range(2, k + 1):
+        by_size.append([App(f, a) for i in range(1, n) for f in by_size[i] for a in by_size[n - i]])
+    return [t for terms in by_size[:k + 1] for t in terms]
 
 
 def principal_downset(poset, a):

@@ -34,6 +34,7 @@ CLI = "src/oraclemod/cli.py"
 CONTAINERS = "src/oraclemod/containers.py"
 FRAMES = "src/oraclemod/frames.py"
 KERNELS = "src/oraclemod/_kernels.py"
+PCA = "src/oraclemod/pca.py"
 TREES = "src/oraclemod/trees.py"
 
 
@@ -187,6 +188,24 @@ MUTANTS = (
         "_POSITIONS[randbelow(rng, MAX_POSITIONS + 1)]",
         "_POSITIONS[randbelow(rng, MAX_POSITIONS)]",
         ("tests/test_trees.py",),
+    ),
+    Mutant(
+        "S K y z charged one step", PCA,
+        "fuel -= 2",
+        "fuel -= 1",
+        ("tests/test_pca.py",),
+    ),
+    Mutant(
+        "S K y z contracted with one step of fuel left", PCA,
+        "if x is K and fuel >= 2:",
+        "if x is K and fuel >= 1:",
+        ("tests/test_pca.py",),
+    ),
+    Mutant(
+        "tokenizer skips a stray character", PCA,
+        "stray = _STRAY.search(src)",
+        "stray = None",
+        ("tests/test_pca.py",),
     ),
 )
 

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from oraclemod.pca import (
     App,
     Const,
     K,
+    Prim,
     S,
     app,
     eval_term,
@@ -22,7 +25,7 @@ from oraclemod.pca import (
     tag_leaf,
     tag_node,
 )
-from catalog import PAIR_FST, PAIR_SND
+from catalog import PAIR_FST, PAIR_SND, sk_terms
 from oracles import recursive_eval, recursive_parse_term, recursive_pp, recursive_tokenize
 
 OMEGA = app(S, app(S, K, K), app(S, K, K))
@@ -289,6 +292,72 @@ def test_normalizer_matches_recursive_referee():
                 matched_after_steps += bool(
                     arg_steps and arg is not None and any(lhs == arg for lhs, _ in head.rules))
     assert matched_after_steps > 50 and out_in_argument > 500
+
+
+# -- every small S/K term against the recursive referee ----------------------
+
+# Terms of up to 1, 2, ..., 8 atoms: the sums of Catalan(n - 1) * 2 ** n.
+SK_TERM_COUNTS = [2, 6, 22, 102, 550, 3238, 20134, 129958]
+
+
+def check_every_sk_term(k):
+    """Check every S/K term of up to k atoms, fewest atoms first, so that a
+    failure names a smallest term: it prints and parses back to itself, and
+    it normalizes as ``recursive_eval`` does at fuels 1 (where the two-step
+    ``S K y z`` contraction must not fire), 2 and 50, to a normal form that
+    normalizes to itself in 0 steps.  The enumerated term shares its
+    subterm objects with other terms, which are charged once as they are
+    memoized by identity, and the parsed one shares none, so both are
+    normalized.  CI runs
+
+        PYTHONPATH=src:tests python -c "import test_pca; test_pca.check_every_sk_term(8)"
+    """
+    for t in sk_terms(k):
+        printed = pp(t)
+        fresh = parse_term(printed)
+        assert fresh == t, printed
+        for u in (fresh, t):
+            for fuel in (1, 2, 50):
+                want, steps = recursive_eval(u, fuel)
+                got = eval_term(u, fuel)
+                assert (got.diverged, got.steps) == (want is None, steps), (printed, fuel)
+                if want is not None:
+                    assert got.term == want, (printed, fuel)
+                    again = eval_term(got.term, 0)
+                    assert again.term is got.term and again.steps == 0, (printed, fuel)
+
+
+def test_sk_term_counts():
+    assert [len(sk_terms(k)) for k in range(1, 9)] == SK_TERM_COUNTS
+
+
+def test_every_sk_term_of_up_to_7_atoms_matches_recursive_referee():
+    check_every_sk_term(7)
+
+
+def test_k_and_s_axioms_on_every_small_normal_triple():
+    # Kleene equality, as in the seeded tests: the S side costs exactly
+    # one step more, and both sides run out of fuel together
+    normals = [t for t in sk_terms(3) if not eval_term(t, 0).diverged]
+    assert len(normals) == 18
+    for a, b in itertools.product(normals, repeat=2):
+        r = eval_term(app(K, a, b))
+        assert r.term == a and r.steps == 1, (pp(a), pp(b))
+    for a, b, c in itertools.product(normals, repeat=3):
+        lhs = eval_term(app(S, a, b, c), fuel=51)
+        rhs = eval_term(App(App(a, c), App(b, c)), fuel=50)
+        assert lhs.diverged == rhs.diverged and lhs.term == rhs.term, (pp(a), pp(b), pp(c))
+        assert rhs.diverged or lhs.steps == rhs.steps + 1, (pp(a), pp(b), pp(c))
+
+
+def test_prim_is_s_or_k_and_nothing_else():
+    # a third primitive would print as a constant's name, and a second K
+    # would escape the normalizer's identity tests
+    assert Prim("S") is S and Prim("K") is K
+    assert copy.deepcopy(App(S, K)).fn is S and copy.copy(K) is K
+    for name in ("X", "I", "s", "SK", ""):
+        with pytest.raises(TermSyntaxError, match="is neither S nor K"):
+            Prim(name)
 
 
 # -- reader and printer against the recursive referees ----------------------
