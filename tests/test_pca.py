@@ -305,10 +305,9 @@ def check_every_sk_term(k):
     failure names a smallest term: it prints and parses back to itself, and
     it normalizes as ``recursive_eval`` does at fuels 1 (where the two-step
     ``S K y z`` contraction must not fire), 2 and 50, to a normal form that
-    normalizes to itself in 0 steps.  The enumerated term shares its
-    subterm objects with other terms, which are charged once as they are
-    memoized by identity, and the parsed one shares none, so both are
-    normalized.  CI runs
+    normalizes to itself in 0 steps.  The enumerated term may hold one
+    subterm object twice, which the memo by identity charges once, and its
+    fresh parse never does, so both are normalized.  CI runs
 
         PYTHONPATH=src:tests python -c "import test_pca; test_pca.check_every_sk_term(8)"
     """
