@@ -15,6 +15,10 @@ any other fault of the program, rendering the report included (a bug
 report on stderr).
 ``run`` may be called any number of times in one process; it builds its
 parser on the first call and reuses it.
+The realizability verbs (``pca``, ``weihrauch``, ``oracle-tree``,
+``trees``) run on modules that import no numpy; ``containers``, ``nuclei``
+and ``theorems``, and numpy with them, are imported when a frame-side verb
+(``frame``, ``nuclei``, ``oracle``, ``verify``) is dispatched.
 """
 
 from __future__ import annotations
@@ -28,22 +32,8 @@ import traceback
 from itertools import repeat
 
 from . import __version__, io
-from .containers import (
-    oracle_modality,
-    oracle_modality_bruteforce,
-    oracle_modality_kleene,
-    validate_container,
-)
 from .errors import InternalInvariantViolation, OracleModError, SizeLimitExceeded
-from .nuclei import (
-    Nucleus,
-    dense_elements,
-    enumerate_nuclei,
-    sup_nuclei,
-    validate_nucleus,
-)
 from .pca import DEFAULT_FUEL, eval_term, parse_term, pp
-from .theorems import THEOREM_IDS, Budget, verify_theorems
 from .trees import run_tree_suites
 from .weihrauch import check_oracle_membership_w, check_weihrauch, recheck_certificate_w
 
@@ -55,7 +45,7 @@ _VERIFY_SUITES = {
     "least-above": ("least-above-instance",),
     "surjection": ("surjection",),
     "instance-vs-forcing": ("instance-vs-forcing",),
-    "all": THEOREM_IDS,
+    "all": None,
 }
 
 
@@ -139,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> tuple[dict, int]:
     text = args.format == "text"
+    if args.verb in ("frame", "nuclei", "oracle", "verify"):
+        from . import containers, nuclei, theorems
 
     if args.verb == "frame":
         frame = io.load_frame(args.poset)
@@ -153,7 +145,7 @@ def _dispatch(args) -> tuple[dict, int]:
     if args.verb == "nuclei":
         frame = io.load_frame(args.poset)
         if args.sub == "enumerate":
-            ns = enumerate_nuclei(frame)
+            ns = nuclei.enumerate_nuclei(frame)
             body = {
                 "count": len(ns),
                 "nuclei": [io.nucleus_table_to_dict(frame, j.table) for j in ns],
@@ -161,7 +153,7 @@ def _dispatch(args) -> tuple[dict, int]:
             return body, 0
         if args.sub == "validate":
             table = io.nucleus_table_from_dict(frame, io.load_json(args.nucleus))
-            report = validate_nucleus(frame, table)
+            report = nuclei.validate_nucleus(frame, table)
             body = {
                 "valid": report.valid,
                 "violations": [
@@ -174,31 +166,31 @@ def _dispatch(args) -> tuple[dict, int]:
         js = []
         for path in args.nucleus:
             table = io.nucleus_table_from_dict(frame, io.load_json(path))
-            report = validate_nucleus(frame, table)
+            report = nuclei.validate_nucleus(frame, table)
             if not report.valid:
                 raise OracleModError(
                     f"{path} is not a nucleus: violates {report.law_names()}"
                 )
-            js.append(Nucleus(frame, table))
-        s = sup_nuclei(frame, js)
+            js.append(nuclei.Nucleus(frame, table))
+        s = nuclei.sup_nuclei(frame, js)
         return {"sup": io.nucleus_table_to_dict(frame, s.table)}, 0
 
     if args.verb == "oracle":
         frame = io.load_frame(args.poset)
         c = io.container_from_dict(frame, io.load_json(args.container))
-        if not validate_container(c):
+        if not containers.validate_container(c):
             raise OracleModError("container is invalid: some P(a) is not below E(a)")
         if args.sub == "compute":
-            j = oracle_modality(c)
+            j = containers.oracle_modality(c)
             body = {
                 "modality": io.nucleus_table_to_dict(frame, j.table),
-                "dense": [io.element_to_json(e) for e in dense_elements(j)],
+                "dense": [io.element_to_json(e) for e in nuclei.dense_elements(j)],
             }
             return body, 0
         # the closed form and its two referees
-        j = oracle_modality(c)
-        kle = oracle_modality_kleene(c)
-        k = oracle_modality_bruteforce(c)
+        j = containers.oracle_modality(c)
+        kle = containers.oracle_modality_kleene(c)
+        k = containers.oracle_modality_bruteforce(c)
         agree = j == kle == k
         body = {
             "kleene": io.nucleus_table_to_dict(frame, kle.table),
@@ -210,11 +202,11 @@ def _dispatch(args) -> tuple[dict, int]:
     if args.verb == "verify":
         frame = io.load_frame(args.poset)
         extra = tuple(
-            Nucleus(frame, io.nucleus_table_from_dict(frame, io.load_json(path)))
+            nuclei.Nucleus(frame, io.nucleus_table_from_dict(frame, io.load_json(path)))
             for path in args.nucleus
         )
-        budget = Budget(seed=args.seed, cases=args.cases, extra_nuclei=extra)
-        reports = verify_theorems(frame, _VERIFY_SUITES[args.suite], budget)
+        budget = theorems.Budget(seed=args.seed, cases=args.cases, extra_nuclei=extra)
+        reports = theorems.verify_theorems(frame, _VERIFY_SUITES[args.suite], budget)
         body = {"reports": [r.to_dict(include_timing=text) for r in reports]}
         # the one enumeration of a run is refused for all its referees alike
         refusal = next((r.refusal for r in reports if r.refusal), None)

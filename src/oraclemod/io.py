@@ -12,21 +12,26 @@ once, and a container into the index arrays of
 spell it, key or label list, costs one dict lookup
 (``Frame.element_index``); any other spelling, and every error message,
 goes through ``Frame.element``.
+The term-side readers need only ``pca`` and ``weihrauch``; the frame-side
+readers import ``frames``, ``containers`` and numpy in their own bodies, so
+reading a Weihrauch predicate or an answer set loads no numpy.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
-
-from .containers import IndexedPropContainer
 from .errors import FrameMismatch, OracleModError
-from .frames import Frame, FrameElement, Poset, downset_frame, poset_from_relation
 from .pca import DEFAULT_FUEL, Term, parse_term
 from .weihrauch import ExtWeihrauchPredicate
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .containers import IndexedPropContainer
+    from .frames import Frame, FrameElement, Poset
 
 
 def _object(pairs: list) -> dict:
@@ -64,6 +69,8 @@ def _field(d: Mapping, key: str, what: str):
 
 
 def poset_from_dict(d: Mapping) -> Poset:
+    from . import frames
+
     if not isinstance(d, Mapping):
         raise OracleModError("a poset must be a JSON object")
     elements, le = _field(d, "elements", "poset"), d.get("le", [])
@@ -74,11 +81,13 @@ def poset_from_dict(d: Mapping) -> Poset:
             raise OracleModError(f"poset label {x!r} is empty or contains a comma")
     if not (isinstance(le, list) and all(_is_strings(p) and len(p) == 2 for p in le)):
         raise OracleModError('poset "le" must be a list of [lower, upper] label pairs')
-    return poset_from_relation(elements, [tuple(p) for p in le])
+    return frames.poset_from_relation(elements, [tuple(p) for p in le])
 
 
 def load_frame(path: str | Path) -> Frame:
-    return downset_frame(poset_from_dict(load_json(path)))
+    from . import frames
+
+    return frames.downset_frame(poset_from_dict(load_json(path)))
 
 
 def element_to_json(el: FrameElement) -> list[str]:
@@ -111,6 +120,8 @@ def _index_from_json(frame: Frame, v) -> int:
 def nucleus_table_to_dict(frame: Frame, table) -> dict:
     """A table over the carrier as {element key: label list}, with one list
     object per distinct value, so that a report renders each list once."""
+    import numpy as np
+
     keys, labels = frame.element_keys, frame.element_labels
     values = np.asarray(table).tolist()
     lists = {v: list(labels[v]) for v in set(values)}
@@ -118,6 +129,8 @@ def nucleus_table_to_dict(frame: Frame, table) -> dict:
 
 
 def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
+    import numpy as np
+
     table = _field(d, "table", "nucleus file") if isinstance(d, Mapping) else d
     if not isinstance(table, Mapping):
         raise OracleModError("a nucleus table must be a JSON object")
@@ -137,6 +150,8 @@ def nucleus_table_from_dict(frame: Frame, d: Mapping) -> np.ndarray:
 
 
 def container_from_dict(frame: Frame, d: Mapping) -> IndexedPropContainer:
+    from . import containers
+
     if not isinstance(d, Mapping):
         raise OracleModError("a container must be a JSON object")
     shapes = _field(d, "shapes", "container")
@@ -161,7 +176,7 @@ def container_from_dict(frame: Frame, d: Mapping) -> IndexedPropContainer:
     extent = d.get("extent", {})
     ext = [_index_from_json(frame, extent[a]) if a in extent else frame.top_index
            for a in shapes]
-    return IndexedPropContainer.of_indices(frame, shapes, ext, prd)
+    return containers.IndexedPropContainer.of_indices(frame, shapes, ext, prd)
 
 
 # -- realizability -------------------------------------------------------------

@@ -389,7 +389,11 @@ def eval_term(t: Term, fuel: int = DEFAULT_FUEL) -> EvalResult:
 
     The result is diverged only when the fuel runs out.  The normalizer
     keeps its frames on an explicit stack, so a term of any depth of
-    nesting normalizes.
+    nesting normalizes.  It remembers normalized subterms by object, so
+    one unnormalized subterm object used in two places is normalized and
+    charged once: ``S (K S S) (K S S)`` built with one ``K S S`` object
+    takes 1 step, its fresh parse 2.  Parsed terms share no such object,
+    so the CLI's step counts are those of the printed term.
     """
     nf, left = _norm(t, fuel)
     return EvalResult(term=nf, steps=fuel - left)

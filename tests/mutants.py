@@ -34,7 +34,9 @@ CLI = "src/oraclemod/cli.py"
 CONTAINERS = "src/oraclemod/containers.py"
 FRAMES = "src/oraclemod/frames.py"
 KERNELS = "src/oraclemod/_kernels.py"
+NUCLEI = "src/oraclemod/nuclei.py"
 PCA = "src/oraclemod/pca.py"
+THEOREMS = "src/oraclemod/theorems.py"
 TREES = "src/oraclemod/trees.py"
 
 
@@ -136,7 +138,7 @@ MUTANTS = (
         ("tests/test_frames.py",),
     ),
     Mutant(
-        "nucleus_rows accepts all", "src/oraclemod/nuclei.py",
+        "nucleus_rows accepts all", NUCLEI,
         "ok[rows] = _is_own_j(frame, tables[rows])",
         "ok[rows] = True",
         ("tests/test_kernels.py", "tests/test_nuclei.py"),
@@ -160,10 +162,40 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
-        "shared-pass slice off by one", "src/oraclemod/theorems.py",
+        "shared-pass slice off by one", THEOREMS,
         "referee, tables[lo:hi], maps[lo:hi])",
         "referee, tables[lo + 1:hi + 1], maps[lo + 1:hi + 1])",
         ("tests/test_theorems.py",),
+    ),
+    Mutant(
+        "oracle-leq pairs a container with itself", THEOREMS,
+        "b = a + 1",
+        "b = a",
+        ("tests/test_theorems.py",),
+    ),
+    Mutant(
+        "sup checked against a summand", THEOREMS,
+        "sums = modalities[2::3]",
+        "sums = modalities[1::3]",
+        ("tests/test_theorems.py",),
+    ),
+    Mutant(
+        "subset read-back not negated", NUCLEI,
+        "return ~members[table.take(frame.label_strict, axis=-1), np.arange(members.shape[1])]",
+        "return members[table.take(frame.label_strict, axis=-1), np.arange(members.shape[1])]",
+        ("tests/test_subsets.py",),
+    ),
+    Mutant(
+        "bad set keeps P(a) in place of dropping it", CONTAINERS,
+        "bad = (members[c.ext] & ~members[c.prd]).any(axis=0)",
+        "bad = (members[c.ext] & members[c.prd]).any(axis=0)",
+        ("tests/test_containers.py",),
+    ),
+    Mutant(
+        "cycle error names the last pair", FRAMES,
+        "return min(found)",
+        "return max(found)",
+        ("tests/test_frames.py",),
     ),
     Mutant(
         "randbelow bit count of n - 1", "src/oraclemod/_draws.py",

@@ -1,7 +1,8 @@
 """The package keeps only what is reached.
 
 ``oraclemod.__all__`` is an explicit list of names, none of them a
-submodule. Every module-level name (function, class or assigned name) and
+submodule; each resolves, on first access or through ``import *``, to the
+very object of the module that defines it. Every module-level name (function, class or assigned name) and
 non-dunder method under ``src/oraclemod`` must be reached from the package
 itself (outside its own definition and ``__init__.py``) or from
 ``perfbench/``, unless an open ROADMAP item names it as the item's future
@@ -15,8 +16,14 @@ through ``io.load_json`` and its rule of one key per object.
 
 import ast
 import functools
+import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import oraclemod
 
@@ -48,6 +55,31 @@ def test_all_is_the_explicit_list():
     assert tuple(oraclemod.__all__) == PUBLIC
     for name in oraclemod.__all__:
         assert not isinstance(getattr(oraclemod, name), types.ModuleType), name
+
+
+def test_public_names_are_the_objects_of_their_defining_modules():
+    defined = {name: path.stem for path in PACKAGE.glob("*.py")
+               for cls, name, _ in _definitions(path) if cls is None and name in PUBLIC}
+    assert sorted(defined) == sorted(PUBLIC)
+    star = {}
+    exec("from oraclemod import *", star)
+    for name in PUBLIC:
+        owner = importlib.import_module(f"oraclemod.{defined[name]}")
+        assert star[name] is getattr(oraclemod, name) is getattr(owner, name), name
+    assert set(PUBLIC) <= set(dir(oraclemod))
+    with pytest.raises(AttributeError, match="module 'oraclemod' has no attribute 'Lattice'"):
+        oraclemod.Lattice
+
+
+def test_submodules_import_by_name_in_a_fresh_interpreter():
+    # before the first import of a submodule, the package's __getattr__ is
+    # asked for it and must let the import system load it
+    script = ("from oraclemod import containers, pca\n"
+              "print(containers.__name__, pca.__name__)")
+    run = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "oraclemod.containers oraclemod.pca\n"), run.stderr
 
 
 def _bound(fn) -> set[str]:

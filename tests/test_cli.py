@@ -151,7 +151,7 @@ def test_oracle_compare_needs_all_three_routes(monkeypatch, poset_file, tmp_path
     cfile = tmp_path / "lem.json"
     dump_json({"shapes": ["a0", "a1", "a2"],
                "pred": {"a0": ["p", "q"], "a1": ["p"], "a2": ["p", "q"]}}, cfile)
-    monkeypatch.setattr(cli, route,
+    monkeypatch.setattr(f"oraclemod.containers.{route}",
                         lambda c: canonical_nuclei(c.frame, "top"))
     code, out = run_capture(capsys, ["--format", "json", "oracle", "compare",
                                      "--poset", poset_file, "--container", str(cfile)])
@@ -753,6 +753,48 @@ def test_module_entry_point_passes_exit_code(term, code, normal_form):
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == code, run.stderr
     assert json.loads(run.stdout)["body"]["normal_form"] == normal_form
+
+
+def _exit_codes_in_fresh_interpreter(argvs) -> tuple[list[int], bool]:
+    """The exit codes of ``cli.run`` on each argv, run in one new
+    interpreter after ``import oraclemod``, a read of ``oraclemod.Leaf`` and
+    imports of the realizability modules, and whether numpy was loaded."""
+    script = "\n".join((
+        "import contextlib, io, json, sys",
+        "import oraclemod",
+        "oraclemod.Leaf",
+        "import oraclemod.pca, oraclemod.trees, oraclemod.weihrauch",
+        "from oraclemod import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.run(argv) for argv in json.loads(sys.argv[1])]",
+        "print(json.dumps([codes, 'numpy' in sys.modules]))",
+    ))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    codes, numpy_loaded = json.loads(run.stdout)
+    return codes, numpy_loaded
+
+
+def test_realizability_verbs_never_load_numpy():
+    inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    realize = os.path.join(inputs, "realize")
+    f, g, s = (os.path.join(realize, name) for name in ("f.json", "g.json", "s.json"))
+    codes, numpy_loaded = _exit_codes_in_fresh_interpreter([
+        ["pca", "eval", "--term", "S K K (K S)"],
+        ["weihrauch", "check", "--f", f, "--g", g, "--l1", "S K K",
+         "--l2", "K (S (S K K) (K K))"],
+        ["oracle-tree", "check", "--pred", f, "--s", s,
+         "--term", "S (S (S K K) (K (S K K))) (K m0)"],
+        ["trees", "suite", "--cases", "5"],
+    ])
+    assert codes == [0, 0, 0, 0] and not numpy_loaded
+    # the guard tells the two sides apart: a frame verb loads numpy
+    codes, numpy_loaded = _exit_codes_in_fresh_interpreter(
+        [["frame", "build", "--poset", os.path.join(inputs, "chain2", "poset.json")]])
+    assert codes == [0] and numpy_loaded
 
 
 def test_carrier_over_limit_exits_3(tmp_path, capsys):

@@ -294,6 +294,22 @@ def test_normalizer_matches_recursive_referee():
     assert matched_after_steps > 50 and out_in_argument > 500
 
 
+def test_shared_subterm_object_is_normalized_and_charged_once():
+    # one K S S object in both argument places is normalized once; its
+    # fresh parse holds two objects and pays for each
+    kss = app(K, S, S)
+    shared, fresh = app(S, kss, kss), parse_term("S (K S S) (K S S)")
+    assert shared == fresh
+    for t, fuel, steps, normal in ((shared, 1, 1, True), (shared, 50, 1, True),
+                                   (fresh, 1, 1, False), (fresh, 50, 2, True)):
+        got = eval_term(t, fuel)
+        want, want_steps = recursive_eval(t, fuel)
+        assert (got.steps, got.diverged) == (steps, not normal), (fuel, steps)
+        assert (want_steps, want is None) == (steps, not normal), (fuel, steps)
+        if normal:
+            assert pp(got.term) == pp(want) == "S S S"
+
+
 # -- every small S/K term against the recursive referee ----------------------
 
 # Terms of up to 1, 2, ..., 8 atoms: the sums of Catalan(n - 1) * 2 ** n.
