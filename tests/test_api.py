@@ -2,13 +2,14 @@
 
 ``oraclemod.__all__`` is an explicit list of names, none of them a
 submodule; each resolves, on first access or through ``import *``, to the
-very object of the module that defines it. Every module-level name (function, class or assigned name) and
-non-dunder method under ``src/oraclemod`` must be reached from the package
-itself (outside its own definition and ``__init__.py``) or from
-``perfbench/``, unless an open ROADMAP item names it as the item's future
-caller. An attribute read through ``self`` inside a class reaches only that
-class's own methods. Helpers that only tests use live under ``tests/``
-(``catalog.py``, ``oracles.py``).
+very object of the module that defines it. Every module-level name
+(function, class or assigned name) and non-dunder method under
+``src/oraclemod`` must be reached from the package itself (outside its own
+definition and ``__init__.py``) or from ``perfbench/``, unless an open
+ROADMAP item names it as the item's future caller. An attribute read
+through ``self`` inside a class reaches only that class's own methods.
+Helpers that only tests use live under ``tests/`` (``catalog.py``,
+``oracles.py``).
 
 JSON is parsed in ``io`` alone, so that every file the CLI reads goes
 through ``io.load_json`` and its rule of one key per object.

@@ -755,10 +755,11 @@ def test_module_entry_point_passes_exit_code(term, code, normal_form):
     assert json.loads(run.stdout)["body"]["normal_form"] == normal_form
 
 
-def _exit_codes_in_fresh_interpreter(argvs) -> tuple[list[int], bool]:
+def _exit_codes_in_fresh_interpreter(argvs) -> list:
     """The exit codes of ``cli.run`` on each argv, run in one new
     interpreter after ``import oraclemod``, a read of ``oraclemod.Leaf`` and
-    imports of the realizability modules, and whether numpy was loaded."""
+    imports of the realizability modules, and whether numpy was loaded,
+    as a two-item list."""
     script = "\n".join((
         "import contextlib, io, json, sys",
         "import oraclemod",
@@ -774,8 +775,7 @@ def _exit_codes_in_fresh_interpreter(argvs) -> tuple[list[int], bool]:
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    codes, numpy_loaded = json.loads(run.stdout)
-    return codes, numpy_loaded
+    return json.loads(run.stdout)
 
 
 def test_realizability_verbs_never_load_numpy():
